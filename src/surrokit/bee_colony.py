@@ -6,6 +6,15 @@ in one coordinate, onlookers re-sample good sources chosen by roulette, and
 scouts replace sources that have gone too long without improvement.
 Window-style constraints (prediction within a relative tolerance of a
 target) are handled with a penalty added to the figure of merit.
+
+Each phase runs as one batch: every model sees one predict call for all
+employed bees, one for all onlookers and one for the scouts of a cycle.
+The employed and onlooker phases perturb against a snapshot of the sources
+taken when the phase starts (a Jacobi-style update), unlike the sequential
+cycle of Karaboga & Basturk (2007), where each bee already sees the
+replacements made by the bees before it. The greedy replacements are then
+applied in pick order, so an onlooker source picked twice compares its
+second candidate against the value its first candidate left.
 """
 
 from __future__ import annotations
@@ -124,12 +133,16 @@ def write_trace_csv(trace, path) -> None:
 
 def abc_optimize(space: DesignSpace, problem: FomProblem,
                  params: AbcParams) -> tuple[np.ndarray, float, list[float]]:
-    """Minimize the penalized figure of merit with the standard ABC cycle.
+    """Minimize the penalized figure of merit with a batched ABC cycle.
 
     Returns (best design, its FoM, best-so-far trace per cycle). The best
     design is the best feasible point ever seen if any exists, otherwise
     the best penalized point; the trace follows the penalized best and is
-    non-increasing. Deterministic for a given seed.
+    non-increasing. A non-finite penalized FoM counts as +inf: it never
+    wins a greedy comparison, gets no roulette weight and is never the
+    best so far. Each phase evaluates its candidates in one batch, so
+    every model sees at most 1 + 3 * max_cycles predict calls.
+    Deterministic for a given seed.
     """
     for holder in list(problem.terms) + list(problem.windows):
         dim = getattr(holder.model, "input_dim", space.dim)
@@ -143,8 +156,12 @@ def abc_optimize(space: DesignSpace, problem: FomProblem,
     dim = space.dim
     lower, upper = space.lower, space.upper
 
+    def evaluate(points):
+        fom, viol = problem.evaluate(points)
+        return np.where(np.isfinite(fom), fom, np.inf), viol
+
     sources = space.from_unit(rng.random((n_src, dim)))
-    fom, viol = problem.evaluate(sources)
+    fom, viol = evaluate(sources)
     trials = np.zeros(n_src, dtype=int)
 
     best_x = sources[int(np.argmin(fom))].copy()
@@ -153,62 +170,60 @@ def abc_optimize(space: DesignSpace, problem: FomProblem,
     best_feasible_f = np.inf
 
     def note(points, values, violations):
+        # argmin keeps the first of equal values, as a strict < scan would
         nonlocal best_x, best_f, best_feasible_x, best_feasible_f
-        pts = np.atleast_2d(points)
-        vals = np.atleast_1d(values)
-        vio = np.atleast_1d(violations)
-        for p, v, g in zip(pts, vals, vio):
-            if v < best_f:
-                best_f, best_x = float(v), p.copy()
-            if g == 0.0 and v < best_feasible_f:
-                best_feasible_f, best_feasible_x = float(v), p.copy()
+        i = int(np.argmin(values))
+        if values[i] < best_f:
+            best_f, best_x = float(values[i]), points[i].copy()
+        feasible_values = np.where(violations == 0.0, values, np.inf)
+        i = int(np.argmin(feasible_values))
+        if feasible_values[i] < best_feasible_f:
+            best_feasible_f, best_feasible_x = float(values[i]), points[i].copy()
 
     note(sources, fom, viol)
 
-    def perturb(i: int):
-        j = int(rng.integers(dim))
-        k = int(rng.integers(n_src - 1))
-        if k >= i:
-            k += 1
-        phi = rng.uniform(-1.0, 1.0)
-        cand = sources[i].copy()
-        cand[j] += phi * (sources[i, j] - sources[k, j])
-        cand[j] = min(max(cand[j], lower[j]), upper[j])
-        return cand
-
-    def greedy(i: int):
-        cand = perturb(i)
-        f_new, g_new = problem.evaluate(cand[None, :])
-        f_new, g_new = float(f_new[0]), float(g_new[0])
+    def greedy(picks: np.ndarray):
+        """Perturb each picked source against the colony as it stands now,
+        evaluate all candidates in one batch, then apply the greedy
+        replacements in pick order."""
+        n = picks.size
+        rows = np.arange(n)
+        j = rng.integers(dim, size=n)
+        k = rng.integers(n_src - 1, size=n)
+        k += k >= picks
+        phi = rng.uniform(-1.0, 1.0, size=n)
+        cand = sources[picks]
+        moved = cand[rows, j] + phi * (cand[rows, j] - sources[k, j])
+        cand[rows, j] = np.clip(moved, lower[j], upper[j])
+        f_new, g_new = evaluate(cand)
         note(cand, f_new, g_new)
-        if f_new <= fom[i]:
-            sources[i] = cand
-            fom[i] = f_new
-            viol[i] = g_new
-            trials[i] = 0
-        else:
-            trials[i] += 1
+        for r, i in enumerate(picks):
+            if f_new[r] < np.inf and f_new[r] <= fom[i]:
+                sources[i] = cand[r]
+                fom[i] = f_new[r]
+                viol[i] = g_new[r]
+                trials[i] = 0
+            else:
+                trials[i] += 1
 
     trace: list[float] = []
+    all_sources = np.arange(n_src)
     for _ in range(params.max_cycles):
-        for i in range(n_src):
-            greedy(i)
+        greedy(all_sources)
 
         fitness = np.where(fom >= 0, 1.0 / (1.0 + fom), 1.0 + np.abs(fom))
-        probs = fitness / fitness.sum()
-        cdf = np.cumsum(probs)
-        for _ in range(n_src):
-            i = int(np.searchsorted(cdf, rng.random(), side="right"))
-            i = min(i, n_src - 1)
-            greedy(i)
+        if not fitness.sum() > 0:  # every source is infinite: pick uniformly
+            fitness = np.ones(n_src)
+        cdf = np.cumsum(fitness / fitness.sum())
+        picks = np.searchsorted(cdf, rng.random(n_src), side="right")
+        greedy(np.minimum(picks, n_src - 1))
 
-        for i in range(n_src):
-            if trials[i] > params.limit:
-                sources[i] = space.from_unit(rng.random(dim))
-                f_new, g_new = problem.evaluate(sources[i][None, :])
-                fom[i], viol[i] = float(f_new[0]), float(g_new[0])
-                trials[i] = 0
-                note(sources[i], fom[i], viol[i])
+        scouts = np.flatnonzero(trials > params.limit)
+        if scouts.size:
+            sources[scouts] = space.from_unit(rng.random((scouts.size, dim)))
+            fom[scouts], viol[scouts] = evaluate(sources[scouts])
+            trials[scouts] = 0
+            note(sources[scouts], fom[scouts], viol[scouts])
 
         trace.append(best_f)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,13 +58,14 @@ class DesignSpace:
     def names(self) -> list[str]:
         return [v.name for v in self.variables]
 
-    @property
+    # computed once per space; read-only so no caller can move the bounds
+    @cached_property
     def lower(self) -> np.ndarray:
-        return np.array([v.lower for v in self.variables])
+        return _read_only([v.lower for v in self.variables])
 
-    @property
+    @cached_property
     def upper(self) -> np.ndarray:
-        return np.array([v.upper for v in self.variables])
+        return _read_only([v.upper for v in self.variables])
 
     def contains(self, points: np.ndarray) -> bool:
         """True if every row of `points` lies inside the bounds."""
@@ -99,6 +101,12 @@ class DesignSpace:
     def to_dicts(self) -> list[dict]:
         return [{"name": v.name, "lower": v.lower, "upper": v.upper}
                 for v in self.variables]
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def lhs_sample(space: DesignSpace, n: int, seed: int) -> np.ndarray:

@@ -3,12 +3,18 @@
 Keeps a population of K designs; each iteration every design moves toward a
 randomly chosen non-dominated feasible peer (or, when no feasible design
 exists yet, toward the best design under a randomly weighted scalarization
-of the objectives). Moves whose destinations violate a constraint are
-regenerated a bounded number of times, after which the firefly stays put
-for the iteration. Once a firefly reaches a feasible point it can never
-become infeasible again, so the population accumulates feasibility; the
-returned archive is the feasible, mutually non-dominated subset of the
-final population (the run's K Pareto candidates).
+of the objectives). The population moves in batched regeneration rounds:
+all pending fireflies draw their targets and steps at once, every
+destination is vetted in one batch per constraint model, and the moves that
+violate a constraint stay pending for the next round. After 1 + max_regen
+rounds the fireflies still pending stay put for the iteration. New
+positions are built from the old population only (a Jacobi-style update),
+so the order in which fireflies move does not matter. Once a firefly
+satisfies the constraints it never leaves them again, so the population
+accumulates feasibility; the returned archive is the feasible, mutually
+non-dominated subset of the final population (the run's K Pareto
+candidates), without exact duplicate objective rows. A row with any
+non-finite prediction counts as infeasible.
 """
 
 from __future__ import annotations
@@ -121,10 +127,14 @@ class ParetoArchive:
 
 
 def non_dominated(points, directions) -> list[int]:
-    """Indices of the points dominated by no other point.
+    """Indices of the points dominated by no other point, in input order.
 
     A point dominates another when it is no worse in every objective and
     strictly better in at least one, respecting each objective's direction.
+    Exact duplicates do not dominate each other, and a row holding a NaN
+    neither dominates nor is dominated. Two objectives take an O(n log n)
+    sort-and-sweep (Kung, Luccio & Preparata 1975); more objectives take a
+    per-row scan.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -134,6 +144,8 @@ def non_dominated(points, directions) -> list[int]:
         raise ValueError("one direction per objective required")
     sign = np.array([1.0 if d == "minimize" else -1.0 for d in directions])
     f = pts * sign  # now everything is minimization
+    if f.shape[1] == 2:
+        return _non_dominated_2d(f)
     keep = []
     for i in range(f.shape[0]):
         no_worse = (f <= f[i]).all(axis=1)
@@ -143,14 +155,39 @@ def non_dominated(points, directions) -> list[int]:
     return keep
 
 
+def _non_dominated_2d(f: np.ndarray) -> list[int]:
+    """Sort-and-sweep non-domination filter for a 2-column minimization matrix.
+
+    After sorting by (f1, f2), a row is dominated exactly when an earlier
+    group of equal f1 reached an f2 no larger than its own, or when the
+    first row of its own group has a strictly smaller f2.
+    """
+    nan = np.isnan(f).any(axis=1)
+    rows = np.flatnonzero(~nan)
+    order = rows[np.lexsort((f[rows, 1], f[rows, 0]))]
+    f1, f2 = f[order, 0], f[order, 1]
+    new_group = np.ones(f1.size, dtype=bool)
+    new_group[1:] = f1[1:] != f1[:-1]
+    group = np.cumsum(new_group) - 1
+    group_first = f2[new_group]
+    # NaN compares false: the first group has no earlier rows
+    earlier_min = np.r_[np.nan, np.minimum.accumulate(group_first)[:-1]]
+    dominated = (earlier_min[group] <= f2) | (group_first[group] < f2)
+    keep = np.zeros(f.shape[0], dtype=bool)
+    keep[order[~dominated]] = True
+    keep[nan] = True
+    return np.flatnonzero(keep).tolist()
+
+
 def scalarize(objective_values, w, directions) -> np.ndarray:
     """Weighted sum of population-normalized objectives, larger is better.
 
     Each objective column is normalized by its own population mean and
     sample standard deviation (columns with zero spread are centered only).
     For two objectives a scalar w in [0, 1] weights them (1 - w, w);
-    otherwise `w` must be a weight vector summing to 1. Maximized
-    objectives enter with +, minimized with -.
+    otherwise `w` must be a weight vector summing to 1, or an (m, k) matrix
+    of m such vectors, which gives one column of scores per weight row.
+    Maximized objectives enter with +, minimized with -.
     """
     vals = np.atleast_2d(np.asarray(objective_values, dtype=float))
     k = vals.shape[1]
@@ -160,14 +197,14 @@ def scalarize(objective_values, w, directions) -> np.ndarray:
         weights = np.array([1.0 - float(w), float(w)])
     else:
         weights = np.asarray(w, dtype=float)
-        if weights.shape != (k,):
+        if weights.ndim > 2 or weights.shape[-1] != k:
             raise ValueError("need one weight per objective")
     sign = np.array([1.0 if d == "maximize" else -1.0 for d in directions])
 
     centered = vals - vals.mean(axis=0)
     std = vals.std(axis=0, ddof=1) if vals.shape[0] > 1 else np.zeros(k)
     norm = np.where(std > 0, std, 1.0)
-    return (centered / norm) @ (weights * sign)
+    return (centered / norm) @ (weights * sign).T
 
 
 def move_vector(space: DesignSpace, current, target, params: MofaParams,
@@ -178,15 +215,19 @@ def move_vector(space: DesignSpace, current, target, params: MofaParams,
     (target - current) + alpha * (u - 0.5) per coordinate, where r is the
     unit-cube distance between the two designs. The result is clamped so
     the destination stays inside the bounds, and returned in raw units.
+    `current` and `target` are either single designs or (n, dim) arrays
+    giving one step per row; the rows draw their random terms in order, so
+    a batch equals n single-design calls on the same generator.
     """
     cur = space.to_unit(np.asarray(current, dtype=float))
     tgt = space.to_unit(np.asarray(target, dtype=float))
     if cur.shape != tgt.shape:
         raise ValueError("current and target dimensions differ")
     a = params.alpha if alpha is None else alpha
-    r2 = float(np.sum((tgt - cur) ** 2))
-    step = params.beta0 * np.exp(-params.gamma * r2) * (tgt - cur)
-    step = step + a * (rng.random(cur.shape[0]) - 0.5)
+    diff = tgt - cur
+    r2 = np.sum(diff ** 2, axis=-1, keepdims=True)
+    step = params.beta0 * np.exp(-params.gamma * r2) * diff
+    step = step + a * (rng.random(cur.shape) - 0.5)
     dest = np.clip(cur + step, 0.0, 1.0)
     return space.from_unit(dest) - space.from_unit(cur)
 
@@ -196,49 +237,22 @@ def _predict_batch(models, points: np.ndarray) -> np.ndarray:
     return np.column_stack(cols) if cols else np.zeros((points.shape[0], 0))
 
 
-def _mutually_non_dominated(f_min: np.ndarray) -> bool:
-    """Broadcast check that no row of a minimization matrix dominates another."""
-    le = (f_min[:, None, :] <= f_min[None, :, :]).all(axis=2)
-    lt = (f_min[:, None, :] < f_min[None, :, :]).any(axis=2)
-    return not (le & lt).any()
-
-
-def _merge_archive(arch, candidates, sign):
-    """Fold candidate rows into a non-dominated archive, dropping duplicates.
-
-    `arch` and `candidates` are (designs, objectives, constraints) triples;
-    `sign` converts objectives to minimization form.
-    """
-    ax, af, ag = arch
-    fa = af * sign
-    for x, f, g in zip(*candidates):
-        fc = f * sign
-        if fa.shape[0]:
-            dominated = ((fa <= fc).all(axis=1) & (fa < fc).any(axis=1)).any()
-            duplicate = (fa == fc).all(axis=1).any()
-            if dominated or duplicate:
-                continue
-            losers = (fa >= fc).all(axis=1) & (fa > fc).any(axis=1)
-            if losers.any():
-                keep = ~losers
-                ax, af, ag, fa = ax[keep], af[keep], ag[keep], fa[keep]
-        ax = np.vstack([ax, x[None, :]])
-        af = np.vstack([af, f[None, :]])
-        ag = np.vstack([ag, g[None, :]])
-        fa = np.vstack([fa, fc[None, :]])
-    return ax, af, ag
-
-
 def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
                   constraints: list[ConstraintSpec], params: MofaParams,
                   validate_archive: bool = False) -> ParetoArchive:
     """Run the firefly loop and return the feasible Pareto archive.
 
-    Deterministic for a given seed. Constraint values computed while
-    vetting a move are reused as the mover's values next iteration, so each
-    constraint model sees at most one batch per accepted position. Raises
-    InfeasibleRunError (carrying the smallest total violation seen) when no
-    design ever satisfied all constraints.
+    Deterministic for a given seed. Each iteration moves the whole
+    population in regeneration rounds: every pending firefly draws a target
+    and a step, all destinations go to each constraint model as one batch,
+    and only the rejected fireflies stay pending for the next round, so a
+    constraint model sees at most 1 + max_regen batches per iteration.
+    Constraint values computed while vetting a move are reused as the
+    mover's values next iteration. A move with a non-finite constraint
+    prediction is rejected, and a row with any non-finite prediction is
+    infeasible, so it is never a target and never enters the archive.
+    Raises InfeasibleRunError (carrying the smallest total violation seen)
+    when no design ever satisfied all constraints.
     """
     if len(objectives) < 2:
         raise ValueError("need at least two objectives for Pareto optimization")
@@ -250,7 +264,7 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
                 f"{space.dim}"
             )
     directions = [o.direction for o in objectives]
-    sign = np.array([1.0 if d == "minimize" else -1.0 for d in directions])
+    n_obj = len(objectives)
     obj_models = [o.model for o in objectives]
     con_models = [c.model for c in constraints]
 
@@ -263,80 +277,78 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
     alpha = params.alpha
 
     def total_violation(g_rows: np.ndarray) -> np.ndarray:
+        """Summed violation per row, +inf where a prediction is non-finite;
+        also folds the smallest value into best_violation."""
+        nonlocal best_violation
         viol = np.zeros(g_rows.shape[0])
         for j, c in enumerate(constraints):
             viol += c.violation(g_rows[:, j])
+        viol[~np.isfinite(g_rows).all(axis=1)] = np.inf
+        best_violation = min(best_violation, float(viol.min()))
         return viol
+
+    def feasible_rows(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
+        return (total_violation(g_rows) == 0.0) & np.isfinite(f_rows).all(axis=1)
 
     for _ in range(params.t_max):
         f_pop = _predict_batch(obj_models, pop)
-        if constraints:
-            viol = total_violation(g_pop)
-            feasible = viol == 0.0
-            best_violation = min(best_violation, float(viol.min()))
-        else:
-            feasible = np.ones(params.K, dtype=bool)
-
-        nd_local = non_dominated(f_pop[feasible], directions)
-        nd_idx = (np.flatnonzero(feasible)[nd_local] if nd_local
-                  else np.array([], dtype=int))
+        feasible = np.flatnonzero(feasible_rows(f_pop, g_pop))
+        nd_idx = feasible[non_dominated(f_pop[feasible], directions)]
         if validate_archive and nd_idx.size:
-            assert _mutually_non_dominated(f_pop[nd_idx] * sign)
+            assert len(non_dominated(f_pop[nd_idx], directions)) == nd_idx.size
+        scored = np.flatnonzero(np.isfinite(f_pop).all(axis=1))
 
         new_pop = pop.copy()
         new_g = g_pop.copy()
-        for i in range(params.K):
-            for _ in range(1 + params.max_regen):
-                if nd_idx.size:
-                    target = pop[nd_idx[rng.integers(nd_idx.size)]]
+        pending = np.arange(params.K)
+        for _ in range(1 + params.max_regen):
+            n = pending.size
+            current = pop[pending]
+            if nd_idx.size:
+                target = pop[nd_idx[rng.integers(nd_idx.size, size=n)]]
+            elif scored.size:
+                if n_obj == 2:
+                    w = rng.random(n)
+                    weights = np.column_stack([1.0 - w, w])
                 else:
-                    w = (float(rng.random()) if len(objectives) == 2
-                         else rng.dirichlet(np.ones(len(objectives))))
-                    psi = scalarize(f_pop, w, directions)
-                    target = pop[int(np.argmax(psi))]
-                delta = move_vector(space, pop[i], target, params, rng,
-                                    alpha=alpha)
-                # re-clamp: float round-trip through unit coordinates can
-                # overshoot a bound by an ulp
-                dest = np.clip(pop[i] + delta, lower, upper)
-                g_dest = _predict_batch(con_models, dest[None, :])
-                if constraints:
-                    v = float(total_violation(g_dest)[0])
-                    best_violation = min(best_violation, v)
-                    if v > 0.0:
-                        continue
-                new_pop[i] = dest
-                new_g[i] = g_dest[0]
+                    weights = rng.dirichlet(np.ones(n_obj), size=n)
+                psi = scalarize(f_pop[scored], weights, directions)
+                target = pop[scored[np.argmax(psi, axis=0)]]
+            else:  # no finite objective row to aim at: random walk only
+                target = current
+            delta = move_vector(space, current, target, params, rng,
+                                alpha=alpha)
+            # re-clamp: float round-trip through unit coordinates can
+            # overshoot a bound by an ulp
+            dest = np.clip(current + delta, lower, upper)
+            g_dest = _predict_batch(con_models, dest)
+            ok = total_violation(g_dest) == 0.0
+            new_pop[pending[ok]] = dest[ok]
+            new_g[pending[ok]] = g_dest[ok]
+            pending = pending[~ok]
+            if not pending.size:
                 break
-            # all attempts violated a constraint: the firefly stays put
+        # fireflies still pending violated a constraint on every attempt:
+        # they stay put
 
         pop, g_pop = new_pop, new_g
         alpha *= params.alpha_decay
 
     # archive = feasible non-dominated subset of the final population
     f_pop = _predict_batch(obj_models, pop)
-    if constraints:
-        viol = total_violation(g_pop)
-        feasible = viol == 0.0
-        if viol.size:
-            best_violation = min(best_violation, float(viol.min()))
-    else:
-        feasible = np.ones(params.K, dtype=bool)
-
-    if not feasible.any():
+    feasible = np.flatnonzero(feasible_rows(f_pop, g_pop))
+    if not feasible.size:
         raise InfeasibleRunError(
             "no feasible design found; smallest total constraint violation "
             f"was {best_violation:.6g}", best_violation,
         )
-    feas_idx = np.flatnonzero(feasible)
-    arch_x, arch_f, arch_g = _merge_archive(
-        (np.zeros((0, space.dim)), np.zeros((0, len(objectives))),
-         np.zeros((0, len(constraints)))),
-        (pop[feas_idx], f_pop[feas_idx], g_pop[feas_idx]),
-        sign,
-    )
+    front = feasible[non_dominated(f_pop[feasible], directions)]
+    # exact duplicate objective rows: keep the first occurrence
+    f_front = f_pop[front]
+    same = (f_front[:, None, :] == f_front[None, :, :]).all(axis=2)
+    front = front[~np.tril(same, k=-1).any(axis=1)]
     return ParetoArchive(
-        designs=arch_x, objectives=arch_f, constraints=arch_g,
+        designs=pop[front], objectives=f_pop[front], constraints=g_pop[front],
         objective_names=[o.name for o in objectives],
         constraint_names=[c.name for c in constraints],
         variable_names=space.names,

@@ -26,11 +26,13 @@ class CountingModel:
         self.fn = fn
         self.input_dim = dim
         self.rows = 0
+        self.calls = 0
         self.response_name = ""
 
     def predict(self, x):
         arr = np.atleast_2d(np.asarray(x, dtype=float))
         self.rows += arr.shape[0]
+        self.calls += 1
         return self.fn(arr)
 
 
@@ -139,6 +141,34 @@ class TestAbcOptimize:
         bound = n_src + params.colony_size * params.max_cycles \
             + n_src * params.max_cycles
         assert counter.rows <= bound
+
+    def test_batch_count(self):
+        # one batch per phase: employed, onlooker, scouts
+        space = box_space(3)
+        counter = CountingModel(lambda X: np.sum(X ** 2, axis=1), 3)
+        window = CountingModel(lambda X: X[:, 0], 3)
+        problem = FomProblem(
+            terms=(FomTerm(counter),),
+            windows=(WindowConstraint(window, center=1.0,
+                                      relative_tolerance=0.1),))
+        params = AbcParams(colony_size=10, limit=5, max_cycles=60, seed=4)
+        abc_optimize(space, problem, params)
+        for model in (counter, window):
+            assert model.calls <= 1 + 3 * params.max_cycles
+
+    def test_non_finite_fom_is_worst(self):
+        # the model fails (NaN) on the half of the box where x1 > 0
+        model = CallableModel(
+            input_dim=3,
+            fn=lambda X: np.where(X[:, 0] > 0, np.nan, np.sum(X ** 2, axis=1)))
+        problem = FomProblem(terms=(FomTerm(model),))
+        space = box_space(3)
+        params = AbcParams(colony_size=20, limit=30, max_cycles=200, seed=7)
+        best_x, best_f, trace = abc_optimize(space, problem, params)
+        assert np.isfinite(best_f) and best_f < 1e-2
+        assert best_x[0] <= 0 and space.contains(best_x)
+        assert np.all(np.isfinite(trace))
+        assert trace_is_monotone(trace)
 
     def test_weighted_composite_objective(self):
         space = box_space(2, 0.0, 1.0)

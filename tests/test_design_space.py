@@ -59,6 +59,17 @@ class TestDesignSpace:
         assert np.allclose(loaded.lower, space.lower)
         assert np.allclose(loaded.upper, space.upper)
 
+    def test_bounds_cached_read_only(self):
+        space = random_space(np.random.default_rng(1), 3)
+        assert space.lower is space.lower and space.upper is space.upper
+        assert not space.lower.flags.writeable
+        assert not space.upper.flags.writeable
+        with pytest.raises(ValueError):
+            space.lower[0] = 0.0
+        # the cache is not a field: equality and hashing see only variables
+        twin = DesignSpace(space.variables)
+        assert twin == space and hash(twin) == hash(space)
+
 
 class TestLhsSample:
     def test_1d_four_strata(self):

@@ -37,16 +37,18 @@ def unit_space(dim):
 
 
 class CountingModel:
-    """Wraps a model and counts predicted rows (for budget checks)."""
+    """Wraps a model and counts predict calls and rows (for budget checks)."""
 
     def __init__(self, model):
         self.model = model
         self.rows = 0
+        self.calls = 0
         self.response_name = getattr(model, "response_name", "")
 
     def predict(self, x):
         arr = np.atleast_2d(np.asarray(x, dtype=float))
         self.rows += arr.shape[0]
+        self.calls += 1
         return self.model.predict(x)
 
 
@@ -82,6 +84,21 @@ class TestNonDominated:
     def test_duplicates_all_kept(self):
         pts = [[1.0, 1.0], [1.0, 1.0]]
         assert non_dominated(pts, ["minimize", "minimize"]) == [0, 1]
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_two_objective_sweep_with_ties_and_nan(self, trial):
+        # coarse rounding forces ties in f1, f2 and whole rows
+        rng = np.random.default_rng(900 + trial)
+        n = int(rng.integers(1, 120))
+        pts = np.round(rng.normal(size=(n, 2)), int(rng.integers(0, 2)))
+        special = rng.random((n, 2))
+        pts[special < 0.05] = np.nan
+        pts[special > 0.97] = np.inf
+        pts[(special > 0.94) & (special <= 0.97)] = -np.inf
+        directions = [("minimize", "maximize")[int(b)]
+                      for b in rng.integers(0, 2, 2)]
+        assert non_dominated(pts, directions) == \
+            brute_force_non_dominated(pts, directions)
 
 
 class TestScalarize:
@@ -157,6 +174,19 @@ class TestMoveVector:
         step = move_vector(self.space, cur, tgt, params, rng)
         dest = cur + step
         assert dest[0] == 10.0 and dest[1] == 5.0
+
+    def test_batch_equals_single_calls(self):
+        params = MofaParams(beta0=0.8, gamma=2.0, alpha=0.3)
+        rng = np.random.default_rng(5)
+        cur = self.space.from_unit(rng.random((6, 2)))
+        tgt = self.space.from_unit(rng.random((6, 2)))
+        batch = move_vector(self.space, cur, tgt, params,
+                            np.random.default_rng(8))
+        single_rng = np.random.default_rng(8)
+        single = np.array([move_vector(self.space, c, t, params, single_rng)
+                           for c, t in zip(cur, tgt)])
+        assert batch.shape == (6, 2)
+        assert np.allclose(batch, single, rtol=0.0, atol=1e-12)
 
     def test_random_walk_within_bounds(self):
         params = MofaParams(beta0=0.0, gamma=1.0, alpha=2.0)
@@ -270,6 +300,75 @@ class TestMofaOptimize:
         for spec in counted_obj:
             assert spec.model.rows <= budget
         assert g.rows <= budget
+
+    def test_batch_count(self):
+        # one batch per regeneration round, not one call per firefly
+        space, objectives = convex_problem()
+        counted_obj = [ObjectiveSpec(o.name, o.direction,
+                                     CountingModel(o.model))
+                       for o in objectives]
+        g = CountingModel(CallableModel(input_dim=2,
+                                        fn=lambda X: X[:, 0] + X[:, 1],
+                                        response_name="g"))
+        constraints = [ConstraintSpec("g", g, 0.6, "greater")]
+        params = MofaParams(K=10, t_max=40, max_regen=4, seed=2)
+        mofa_optimize(space, objectives=counted_obj, constraints=constraints,
+                      params=params)
+        assert g.calls <= 1 + params.t_max * (1 + params.max_regen)
+        for spec in counted_obj:
+            assert spec.model.calls == params.t_max + 1
+
+    def test_non_finite_predictions_are_infeasible(self):
+        # f2 fails (NaN) for x1 > 0.7 and the constraint fails for x2 > 0.5
+        space = unit_space(2)
+        populations = []
+
+        def f1(X):
+            populations.append(X.copy())
+            return X[:, 0]
+
+        objectives = [
+            ObjectiveSpec("f1", "minimize", CallableModel(
+                input_dim=2, fn=f1, response_name="f1")),
+            ObjectiveSpec("f2", "minimize", CallableModel(
+                input_dim=2, response_name="f2",
+                fn=lambda X: np.where(X[:, 0] > 0.7, np.nan,
+                                      (1.0 - X[:, 0]) ** 2 + X[:, 1] ** 2))),
+        ]
+        g = CallableModel(
+            input_dim=2, response_name="g",
+            fn=lambda X: np.where(X[:, 1] > 0.5, np.nan, X[:, 0] + X[:, 1]))
+        constraints = [ConstraintSpec("g", g, 0.2, "greater")]
+        params = MofaParams(K=16, t_max=60, seed=4)
+        archive = mofa_optimize(space, objectives, constraints, params)
+        assert len(archive) > 0
+        assert np.all(np.isfinite(archive.objectives))
+        assert np.all(np.isfinite(archive.constraints))
+        assert np.all(archive.designs[:, 0] <= 0.7)
+        assert np.all(archive.designs[:, 1] <= 0.5)
+        # a move onto a failed constraint prediction is always rejected,
+        # so the population never gains a firefly in that region
+        in_failed = [int((p[:, 1] > 0.5).sum()) for p in populations]
+        assert all(b <= a for a, b in zip(in_failed, in_failed[1:]))
+
+    def test_no_finite_objective_row_raises(self):
+        space, objectives = convex_problem()
+        broken = CallableModel(input_dim=2, response_name="f2",
+                               fn=lambda X: np.full(X.shape[0], np.nan))
+        objectives = [objectives[0], ObjectiveSpec("f2", "minimize", broken)]
+        with pytest.raises(InfeasibleRunError):
+            mofa_optimize(space, objectives, [],
+                          MofaParams(K=6, t_max=5, seed=1))
+
+    def test_duplicate_objective_rows_kept_once(self):
+        space = unit_space(2)
+        flat = [ObjectiveSpec(name, "minimize",
+                              CallableModel(input_dim=2, response_name=name,
+                                            fn=lambda X: np.ones(X.shape[0])))
+                for name in ("f1", "f2")]
+        archive = mofa_optimize(space, flat, [],
+                                MofaParams(K=6, t_max=3, seed=1))
+        assert len(archive) == 1
 
     def test_bounds_respected(self):
         space, objectives = convex_problem(dim=4)
