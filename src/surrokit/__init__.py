@@ -17,6 +17,6 @@ from .metrics import (FitReport, fit_report, r_squared, rmae, rmse, rrse,
                       select_best)
 from .scaling import Scaler, fit_scaler
 from .training import (SampleSet, TrainOptions, fit_polynomial, train_ann,
-                       train_rbf)
+                       train_anns, train_rbf)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .errors import (DataFormatError, DegenerateColumnError,
                      TrainingDivergedError, UndefinedVarianceError)
 from .metamodel import load_model, save_model
 from .metrics import fit_report, render_report_table, select_best
-from .training import TrainOptions, fit_polynomial, train_ann, train_rbf
+from .training import TrainOptions, fit_polynomial, train_anns, train_rbf
 
 __all__ = ["main", "entry"]
 
@@ -70,24 +70,36 @@ def _oracle(cfg: dict) -> oracles.Oracle:
     return oracle.with_delay(delay) if delay > 0 else oracle
 
 
-def _train_options(section: dict, hidden_size: int) -> TrainOptions:
+def _ann_settings(tcfg: dict) -> tuple[list[int], TrainOptions]:
+    """The hidden sizes and trainer options of the 'training.ann' section."""
+    section = tcfg.get("ann", {})
     keys = ("activation", "max_epochs", "learning_rate", "l2_penalty",
             "early_stop_patience", "holdout_fraction", "seed", "momentum",
             "input_scaling", "steepness")
     kwargs = {k: section[k] for k in keys if k in section}
-    return TrainOptions(hidden_size=hidden_size, **kwargs)
+    try:
+        sizes = [int(m) for m in section.get("hidden_sizes", [4])]
+        # the options check the smallest hidden size
+        opts = TrainOptions(hidden_size=min(sizes, default=1), **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad 'training.ann' section: {exc}") from None
+    return sizes, opts
 
 
-def _sweep_response(train_set, verify_set, response: str, tcfg: dict):
-    """Train every configured model kind; return [(label, model, report)]."""
-    rows = []
+def _check_responses(train_set, responses, path) -> None:
+    for response in responses:
+        if response not in train_set.responses:
+            raise DataFormatError(
+                f"response {response!r} not present in {path}"
+            )
+
+
+def _sweep_response(train_set, verify_set, response: str, tcfg: dict,
+                    ann_rows: list):
+    """Fit every configured non-ANN model kind after the response's trained
+    ANNs `ann_rows` [(label, model)]; return [(label, model, report)]."""
+    rows = list(ann_rows)
     kinds = tcfg.get("kinds", ["ann"])
-    if "ann" in kinds:
-        ann_cfg = tcfg.get("ann", {})
-        for m in ann_cfg.get("hidden_sizes", [4]):
-            model, _ = train_ann(train_set, response,
-                                 _train_options(ann_cfg, int(m)))
-            rows.append((f"ann-{m}", model))
     if "rbf" in kinds:
         rbf_cfg = tcfg.get("rbf", {})
         model, _ = train_rbf(
@@ -151,23 +163,27 @@ def cmd_train(args) -> int:
     tcfg = cfg.get("training", {})
     if args.seed is not None:
         tcfg.setdefault("ann", {})["seed"] = args.seed
+    sizes, opts = _ann_settings(tcfg)
     train_set = oracles.load_csv(args.train, space.names)
     verify_set = oracles.load_csv(args.verify, space.names)
 
     responses = tcfg.get("responses") or train_set.response_names
     if not responses:
         raise UsageError("no responses configured and none found in the data")
+    _check_responses(train_set, responses, args.train)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    anns = {}
+    if "ann" in tcfg.get("kinds", ["ann"]):
+        anns = train_anns(train_set, responses, sizes, opts)
     criterion = tcfg.get("selection", "verify_rmse")
     all_reports = {}
     for response in responses:
-        if response not in train_set.responses:
-            raise DataFormatError(
-                f"response {response!r} not present in {args.train}"
-            )
-        rows = _sweep_response(train_set, verify_set, response, tcfg)
+        ann_rows = [(f"ann-{m}", anns[response, m][0])
+                    for m in sizes if (response, m) in anns]
+        rows = _sweep_response(train_set, verify_set, response, tcfg,
+                               ann_rows)
         print(f"# response: {response}")
         print(render_report_table([(label, rep) for label, _, rep in rows]))
         best = select_best([rep for _, _, rep in rows], criterion)
@@ -228,20 +244,27 @@ def cmd_optimize_mofa(args) -> int:
     names = [o["response"] for o in obj_cfg] + [c["response"] for c in con_cfg]
     models = _load_models(args.models, names)
 
-    objectives = [mofa.ObjectiveSpec(o["response"], o["direction"],
-                                     models[o["response"]]) for o in obj_cfg]
-    constraints = [mofa.ConstraintSpec(c["response"], models[c["response"]],
-                                       float(c["bound"]), c["sense"])
-                   for c in con_cfg]
-    params = mofa.MofaParams(
-        K=int(section.get("K", 20)), t_max=int(section.get("t_max", 500)),
-        beta0=float(section.get("beta0", 1.0)),
-        gamma=float(section.get("gamma", 1.0)),
-        alpha=float(section.get("alpha", 0.25)),
-        alpha_decay=float(section.get("alpha_decay", 0.97)),
-        max_regen=int(section.get("max_regen", 5)),
-        seed=args.seed if args.seed is not None else int(section.get("seed", 0)),
-    )
+    try:
+        objectives = [mofa.ObjectiveSpec(o["response"], o["direction"],
+                                         models[o["response"]])
+                      for o in obj_cfg]
+        constraints = [mofa.ConstraintSpec(c["response"],
+                                           models[c["response"]],
+                                           float(c["bound"]), c["sense"])
+                       for c in con_cfg]
+        params = mofa.MofaParams(
+            K=int(section.get("K", 20)),
+            t_max=int(section.get("t_max", 500)),
+            beta0=float(section.get("beta0", 1.0)),
+            gamma=float(section.get("gamma", 1.0)),
+            alpha=float(section.get("alpha", 0.25)),
+            alpha_decay=float(section.get("alpha_decay", 0.97)),
+            max_regen=int(section.get("max_regen", 5)),
+            seed=(args.seed if args.seed is not None
+                  else int(section.get("seed", 0))),
+        )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad 'mofa' section: {exc}") from None
     archive = mofa.mofa_optimize(space, objectives, constraints, params)
     archive.write_csv(args.out)
     print(f"wrote {len(archive)} non-dominated designs to {args.out}",
@@ -262,21 +285,26 @@ def cmd_optimize_abc(args) -> int:
     names = [t["response"] for t in term_cfg] + [w["response"] for w in window_cfg]
     models = _load_models(args.models, names)
 
-    problem = bee_colony.FomProblem(
-        terms=tuple(bee_colony.FomTerm(models[t["response"]],
-                                       float(t.get("weight", 1.0)))
-                    for t in term_cfg),
-        windows=tuple(bee_colony.WindowConstraint(
-            models[w["response"]], float(w["center"]),
-            float(w.get("relative_tolerance", 0.005))) for w in window_cfg),
-        penalty_weight=float(section.get("penalty_weight", 1e3)),
-    )
-    params = bee_colony.AbcParams(
-        colony_size=int(section.get("colony_size", 20)),
-        limit=int(section.get("limit", 50)),
-        max_cycles=int(section.get("max_cycles", 500)),
-        seed=args.seed if args.seed is not None else int(section.get("seed", 0)),
-    )
+    try:
+        problem = bee_colony.FomProblem(
+            terms=tuple(bee_colony.FomTerm(models[t["response"]],
+                                           float(t.get("weight", 1.0)))
+                        for t in term_cfg),
+            windows=tuple(bee_colony.WindowConstraint(
+                models[w["response"]], float(w["center"]),
+                float(w.get("relative_tolerance", 0.005)))
+                for w in window_cfg),
+            penalty_weight=float(section.get("penalty_weight", 1e3)),
+        )
+        params = bee_colony.AbcParams(
+            colony_size=int(section.get("colony_size", 20)),
+            limit=int(section.get("limit", 50)),
+            max_cycles=int(section.get("max_cycles", 500)),
+            seed=(args.seed if args.seed is not None
+                  else int(section.get("seed", 0))),
+        )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad 'abc' section: {exc}") from None
     best_x, best_f, trace = bee_colony.abc_optimize(space, problem, params)
     bee_colony.write_trace_csv(trace, args.out)
     for name, value in zip(space.names, best_x):
@@ -334,49 +362,23 @@ def cmd_emit_vams(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args.config)
     space = _space(cfg)
-    tcfg = cfg.get("training", {})
+    tcfg = {**cfg.get("training", {}), "kinds": ["poly"]}
+    sizes, opts = _ann_settings(tcfg)
     train_set = oracles.load_csv(args.train, space.names)
     verify_set = oracles.load_csv(args.verify, space.names)
     responses = ([args.response] if args.response
                  else tcfg.get("responses") or train_set.response_names)
+    _check_responses(train_set, responses, args.train)
 
+    anns = train_anns(train_set, responses, sizes, opts)
     for response in responses:
-        if response not in train_set.responses:
-            raise DataFormatError(
-                f"response {response!r} not present in {args.train}"
-            )
-        ann_cfg = tcfg.get("ann", {})
-        sizes = ann_cfg.get("hidden_sizes", [4])
-        ann_rows = []
-        for m in sizes:
-            model, holdout_rep = train_ann(train_set, response,
-                                           _train_options(ann_cfg, int(m)))
-            ann_rows.append((model, holdout_rep))
         # pick by holdout so the verification set stays unbiased
-        best = select_best([rep for _, rep in ann_rows], "verify_rmse")
-        ann_model = ann_rows[best][0]
-
-        poly_cfg = tcfg.get("poly", {})
-        poly_model, _ = fit_polynomial(
-            train_set, response,
-            degree=int(poly_cfg.get("degree", 2)),
-            stepwise=bool(poly_cfg.get("stepwise", True)),
-            p_enter=float(poly_cfg.get("p_enter", 0.05)),
-        )
-        rows = [
-            (f"ann-{ann_model.hidden_size}",
-             fit_report(ann_model, train_set.inputs,
-                        train_set.response(response), verify_set.inputs,
-                        verify_set.response(response),
-                        descriptor="ann")),
-            (f"poly-{poly_model.degree}",
-             fit_report(poly_model, train_set.inputs,
-                        train_set.response(response), verify_set.inputs,
-                        verify_set.response(response),
-                        descriptor="poly")),
-        ]
+        fits = [anns[response, m] for m in sizes]
+        model = fits[select_best([rep for _, rep in fits], "verify_rmse")][0]
+        rows = _sweep_response(train_set, verify_set, response, tcfg,
+                               [(f"ann-{model.hidden_size}", model)])
         print(f"# response: {response}")
-        print(render_report_table(rows))
+        print(render_report_table([(label, rep) for label, _, rep in rows]))
     return 0
 
 

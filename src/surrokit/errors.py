@@ -9,9 +9,9 @@ class SurrokitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DataFormatError(SurrokitError):
+class DataFormatError(SurrokitError, ValueError):
     """Malformed external data: bad CSV header, non-numeric cell, weight-file
-    count mismatch."""
+    count mismatch, invalid model file."""
 
 
 class DegenerateColumnError(SurrokitError, ValueError):

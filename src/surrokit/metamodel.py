@@ -10,15 +10,18 @@ to share across threads.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .errors import DataFormatError
 from .scaling import Scaler, apply as scale_apply, invert as scale_invert
 
 __all__ = [
     "AnnModel", "RbfModel", "PolyModel", "CallableModel",
-    "ann_predict", "rbf_predict", "poly_predict",
+    "ann_hidden", "ann_predict", "rbf_predict", "poly_predict",
     "save_model", "load_model",
 ]
 
@@ -38,7 +41,13 @@ def _as_matrix(x, dim: int) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
-def _hidden(z: np.ndarray, activation: str) -> np.ndarray:
+def ann_hidden(xs: np.ndarray, W1: np.ndarray, b1: np.ndarray,
+               steepness: float, activation: str) -> np.ndarray:
+    """Hidden-layer outputs f(steepness * (xs @ W1.T + b1)) for the scaled
+    inputs `xs`, one row per point: the one ANN forward pass, shared by
+    `AnnModel.predict` and the trainer.
+    """
+    z = steepness * (xs @ W1.T + b1)
     if activation == "tanh":
         return np.tanh(z)
     return 1.0 / (1.0 + np.exp(-z))  # logsig
@@ -105,8 +114,8 @@ class AnnModel:
         """Predict for one point (returns float) or a matrix of points."""
         pts, single = _as_matrix(x, self.input_dim)
         xs = scale_apply(self.input_scaler, pts)
-        z = self.steepness * (xs @ self.W1.T + self.b1)
-        y = _hidden(z, self.activation) @ self.W2 + self.b2
+        h = ann_hidden(xs, self.W1, self.b1, self.steepness, self.activation)
+        y = h @ self.W2 + self.b2
         y = scale_invert(self.output_scaler, y[:, None])[:, 0]
         return float(y[0]) if single else y
 
@@ -332,13 +341,32 @@ def _model_from_dict(d: dict):
 
 
 def save_model(model, path) -> None:
-    """Write a model (any of the three families) to a JSON file."""
-    with open(path, "w") as fh:
-        json.dump(_model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+    """Write a model (any of the three families) to a JSON file.
+
+    The JSON goes to a temporary file in the same directory, which then
+    replaces `path`, so a failed write leaves any existing file intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(_model_to_dict(model), fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_model(path):
-    """Load a model saved by :func:`save_model`."""
+    """Load a model saved by :func:`save_model`.
+
+    Raises DataFormatError, naming the file, when it is not valid JSON or
+    does not describe a valid model.
+    """
     with open(path) as fh:
-        return _model_from_dict(json.load(fh))
+        try:
+            return _model_from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataFormatError(
+                f"{path} is not a valid model file: {type(exc).__name__}: {exc}"
+            ) from None

@@ -16,13 +16,13 @@ import numpy as np
 from scipy import stats
 
 from .errors import RankDeficiencyError, TrainingDivergedError
-from .metamodel import AnnModel, PolyModel, RbfModel
+from .metamodel import AnnModel, PolyModel, RbfModel, ann_hidden
 from .metrics import FitReport, fit_report
 from .scaling import Scaler, fit_scaler, apply as scale_apply
 
 __all__ = [
     "SampleSet", "TrainOptions",
-    "train_ann", "train_rbf", "fit_polynomial",
+    "train_ann", "train_anns", "train_rbf", "fit_polynomial",
     "ann_loss_and_gradient", "monomial_exponents",
 ]
 
@@ -117,12 +117,62 @@ class TrainOptions:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-def _unpack(theta: np.ndarray, m: int, n: int):
-    w1 = theta[: m * n].reshape(m, n)
-    b1 = theta[m * n: m * n + m]
-    w2 = theta[m * n + m: m * n + 2 * m]
-    b2 = theta[-1]
-    return w1, b1, w2, b2
+class _Stack:
+    """Layout of N single-hidden-layer networks over n inputs in one flat
+    vector [W1 (H, n), b1 (H), W2 (H), b2 (N)], each network owning a run
+    of hidden units that feed only its output. The entries network k owns
+    (owner == k), in order, are its own packing (W1 row-major, b1, W2, b2),
+    the one `ann_loss_and_gradient` takes."""
+
+    def __init__(self, sizes: list[int], n: int):
+        self.n, self.hidden, nets = n, sum(sizes), len(sizes)
+        unit_net = np.repeat(np.arange(nets), sizes)
+        self.block = (unit_net[:, None] == np.arange(nets)).astype(float)
+        self.owner = np.concatenate([np.repeat(unit_net, n), unit_net,
+                                     unit_net, np.arange(nets)])
+        # penalty @ theta**2 sums each network's squared weights
+        weight = np.repeat([1.0, 0.0, 1.0, 0.0],
+                           [self.hidden * n, self.hidden, self.hidden, nets])
+        self.penalty = (self.owner == np.arange(nets)[:, None]) * weight
+
+    def views(self, theta: np.ndarray):
+        h, n = self.hidden, self.n
+        return (theta[:h * n].reshape(h, n), theta[h * n: h * n + h],
+                theta[h * n + h: h * n + 2 * h], theta[h * n + 2 * h:])
+
+
+def _stacked_pass(stack: _Stack, theta: np.ndarray, x: np.ndarray,
+                  y: np.ndarray, n_fit: int, row_means: np.ndarray,
+                  l2: float, activation: str, steepness: float):
+    """One forward pass of all stacked networks over the rows of `x`, with
+    one target column per network in `y`. Row 0 of `row_means` averages the
+    first `n_fit` rows; an optional row 1 averages the others. Returns
+    (errors, grad): per network, errors[0] is the loss (that mean squared
+    error plus the L2 weight penalty) and errors[1] the mean squared error
+    under row 1; `grad` is the loss gradient, packed like `theta`."""
+    w1, b1, w2, b2 = stack.views(theta)
+    grad = np.empty_like(theta)
+    g_w1, g_b1, g_w2, g_b2 = stack.views(grad)
+    h = ann_hidden(x, w1, b1, steepness, activation)
+    resid = (h * w2) @ stack.block + b2 - y
+    errors = row_means @ (resid * resid)
+    errors[0] += l2 * (stack.penalty @ (theta * theta))
+
+    h = h[:n_fit]
+    r = (2.0 / n_fit) * resid[:n_fit]
+    r_units = r @ stack.block.T  # each hidden unit's network residual
+    if activation == "tanh":
+        dh = steepness * (1.0 - h * h)
+    else:
+        dh = steepness * h * (1.0 - h)
+    du = r_units * w2 * dh
+    np.matmul(du.T, x[:n_fit], out=g_w1)
+    g_w1 += 2.0 * l2 * w1
+    np.add.reduce(du, axis=0, out=g_b1)
+    np.add.reduce(h * r_units, axis=0, out=g_w2)
+    g_w2 += 2.0 * l2 * w2
+    np.add.reduce(r, axis=0, out=g_b2)
+    return errors, grad
 
 
 def ann_loss_and_gradient(theta: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -132,45 +182,15 @@ def ann_loss_and_gradient(theta: np.ndarray, x: np.ndarray, y: np.ndarray,
 
     `theta` packs (W1 row-major, b1, W2, b2) for a hidden layer of size m
     over n inputs; `x` is (rows, n), `y` is (rows,). Returns (loss, grad).
+    This is the one-network view of the stacked kernel `train_anns` runs.
     """
     rows, n = x.shape
-    m = (theta.size - 1) // (n + 2)
-    w1, b1, w2, b2 = _unpack(theta, m, n)
-
-    # overflow here just means a diverged run; the caller checks finiteness
     with np.errstate(over="ignore", invalid="ignore"):
-        z = steepness * (x @ w1.T + b1)
-        if activation == "tanh":
-            h = np.tanh(z)
-            dh = steepness * (1.0 - h * h)
-        else:
-            h = 1.0 / (1.0 + np.exp(-z))
-            dh = steepness * h * (1.0 - h)
-        pred = h @ w2 + b2
-        resid = pred - y
-
-        loss = float(np.mean(resid ** 2)
-                     + l2 * (np.sum(w1 ** 2) + np.sum(w2 ** 2)))
-
-        r = 2.0 / rows * resid
-        g_w2 = h.T @ r + 2.0 * l2 * w2
-        g_b2 = float(np.sum(r))
-        du = (r[:, None] * w2[None, :]) * dh
-        g_w1 = du.T @ x + 2.0 * l2 * w1
-        g_b1 = du.sum(axis=0)
-
-    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
-    return loss, grad
-
-
-def _holdout_mse(theta, x, y, activation, steepness):
-    rows, n = x.shape
-    m = (theta.size - 1) // (n + 2)
-    w1, b1, w2, b2 = _unpack(theta, m, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = steepness * (x @ w1.T + b1)
-        h = np.tanh(z) if activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
-        return float(np.mean((h @ w2 + b2 - y) ** 2))
+        errors, grad = _stacked_pass(
+            _Stack([(theta.size - 1) // (n + 2)], n),
+            np.asarray(theta, dtype=float), x, np.reshape(y, (rows, 1)),
+            rows, np.full((1, rows), 1.0 / rows), l2, activation, steepness)
+    return float(errors[0, 0]), grad
 
 
 def _fit_response_scaler(y: np.ndarray) -> Scaler:
@@ -181,81 +201,146 @@ def _fit_response_scaler(y: np.ndarray) -> Scaler:
     return Scaler("meanstd", np.array([float(np.mean(y))]), np.array([std]))
 
 
-def _train_ann_full(data: SampleSet, response: str, opts: TrainOptions):
-    """Run the trainer and also return the final-epoch model (test support)."""
+def _descend(stack: _Stack, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
+             n_fit: int, keys: list, opts: TrainOptions):
+    """Momentum descent of all stacked networks from `theta`, in place;
+    returns the (best holdout, final) parameters. Epoch t's pass gives the
+    holdout error of theta_t and the gradient there. A network whose
+    holdout error has not improved for early_stop_patience epochs is
+    frozen: its parameters stop moving and its errors are not checked."""
+    best, best_err = theta.copy(), np.full(len(keys), np.inf)
+    stale = np.zeros(len(keys), dtype=int)
+    active = np.ones(len(keys), dtype=bool)
+    frozen = None  # parameter mask of the frozen networks, once any are
+    velocity = np.zeros_like(theta)
+    row_means = np.zeros((2, len(x)))
+    row_means[0, :n_fit], row_means[1, n_fit:] = 1 / n_fit, 1 / (len(x) - n_fit)
+
+    def run(stack, theta, y):
+        return _stacked_pass(stack, theta, x, y, n_fit, row_means,
+                             opts.l2_penalty, opts.activation, opts.steepness)
+
+    def check(values, row: int, message: str) -> None:
+        bad = list(np.flatnonzero(active & ~np.isfinite(values)))
+        if bad:
+            # one network's inf or nan reaches the others' sums through
+            # zero weights, so name the first that is non-finite on its own
+            alone = [k for k in bad if not np.all(np.isfinite(run(
+                _Stack([keys[k][1]], stack.n), theta[stack.owner == k],
+                y[:, k:k + 1])[0][row]))]
+            response, m = keys[(alone or bad)[0]]
+            raise TrainingDivergedError(
+                f"{message}; response {response!r}, hidden size {m}")
+
+    # overflow here just means a diverged run; check() reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in itertools.count():
+            errors, grad = run(stack, theta, y)
+            finite = math.isfinite(errors.sum())
+            if not finite:
+                check(errors[1], 1, "holdout error became non-finite" if epoch
+                      else "non-finite holdout error at initialization")
+            improved = active & (errors[1] < best_err)
+            np.copyto(best_err, errors[1], where=improved)
+            np.copyto(best, theta, where=improved[stack.owner])
+            stale += 1
+            stale[improved] = 0
+            done = active & (stale >= opts.early_stop_patience)
+            if done.any():
+                active &= ~done
+                frozen = ~active[stack.owner]
+                velocity[frozen] = 0.0
+            if epoch >= opts.max_epochs or not active.any():
+                return best, theta
+            if not finite:
+                check(errors[0], 0, f"training loss became non-finite "
+                                    f"(learning_rate={opts.learning_rate})")
+            if frozen is not None:
+                grad[frozen] = 0.0
+            velocity *= opts.momentum
+            velocity -= opts.learning_rate * grad
+            theta += velocity
+
+
+def _train_anns_full(data: SampleSet, responses, hidden_sizes,
+                     opts: TrainOptions) -> dict:
+    """`train_anns` that also returns each final-epoch model (test
+    support): {(response, size): (model, report, final model)}."""
     if data.n_rows < 10:
         raise ValueError(f"need at least 10 rows to train, got {data.n_rows}")
-    y_raw = data.response(response)
-
-    rng = np.random.default_rng(opts.seed)
+    if any(m < 1 for m in hidden_sizes):
+        raise ValueError(f"hidden sizes must be >= 1, got {hidden_sizes}")
+    y_raw = {r: data.response(r) for r in responses}
     n_hold = max(1, round(data.n_rows * opts.holdout_fraction))
     if n_hold >= data.n_rows:
         raise ValueError("holdout_fraction leaves no training rows")
-    order = rng.permutation(data.n_rows)
+    keys = [(r, m) for r in responses for m in hidden_sizes]
+    if not keys:
+        return {}
+
+    # each network re-seeds: all share one holdout split, and all of one
+    # hidden size share one initial draw
+    n, starts = data.n_inputs, []
+    for _, m in keys:
+        rng = np.random.default_rng(opts.seed)
+        order = rng.permutation(data.n_rows)
+        starts.append(rng.uniform(-0.5, 0.5, size=m * (n + 2) + 1))
     hold_idx, fit_idx = order[:n_hold], order[n_hold:]
+    n_fit, rows = fit_idx.size, np.concatenate([fit_idx, hold_idx])
+    x_raw = data.inputs[rows]  # fit rows first
+    in_scaler = fit_scaler(x_raw[:n_fit], opts.input_scaling,
+                           names=data.variable_names)
+    out_scalers = {r: _fit_response_scaler(y_raw[r][fit_idx])
+                   for r in responses}
+    y = np.column_stack([scale_apply(out_scalers[r], y_raw[r][rows, None])
+                         for r, _ in keys])
+    stack = _Stack([m for _, m in keys], n)
+    theta = np.empty(stack.owner.size)
+    for k, (_, m) in enumerate(keys):
+        if np.all(y[:n_fit, k] == 0.0):
+            # constant response: the shift-only output scaler already
+            # carries it, so start the linear layer at the exact solution
+            starts[k][m * n + m:] = 0.0
+        theta[stack.owner == k] = starts[k]
+    best, final = _descend(stack, theta, scale_apply(in_scaler, x_raw), y,
+                           n_fit, keys, opts)
 
-    x_fit_raw, x_hold_raw = data.inputs[fit_idx], data.inputs[hold_idx]
-    y_fit_raw, y_hold_raw = y_raw[fit_idx], y_raw[hold_idx]
-
-    in_scaler = fit_scaler(x_fit_raw, opts.input_scaling, names=data.variable_names)
-    out_scaler = _fit_response_scaler(y_fit_raw)
-    x_fit = scale_apply(in_scaler, x_fit_raw)
-    x_hold = scale_apply(in_scaler, x_hold_raw)
-    y_fit = scale_apply(out_scaler, y_fit_raw[:, None])[:, 0]
-    y_hold = scale_apply(out_scaler, y_hold_raw[:, None])[:, 0]
-
-    m, n = opts.hidden_size, data.n_inputs
-    theta = rng.uniform(-0.5, 0.5, size=m * (n + 2) + 1)
-    if np.all(y_fit == 0.0):
-        # constant response: the shift-only output scaler already carries
-        # it, so start the linear layer at the exact solution
-        theta[m * n + m:] = 0.0
-
-    best_theta = theta.copy()
-    best_err = _holdout_mse(theta, x_hold, y_hold, opts.activation, opts.steepness)
-    if not math.isfinite(best_err):
-        raise TrainingDivergedError("non-finite holdout error at initialization")
-    stale = 0
-    velocity = np.zeros_like(theta)
-
-    for _ in range(opts.max_epochs):
-        loss, grad = ann_loss_and_gradient(
-            theta, x_fit, y_fit, opts.l2_penalty, opts.activation, opts.steepness
-        )
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(
-                f"training loss became non-finite (learning_rate="
-                f"{opts.learning_rate})"
-            )
-        velocity = opts.momentum * velocity - opts.learning_rate * grad
-        theta = theta + velocity
-
-        err = _holdout_mse(theta, x_hold, y_hold, opts.activation, opts.steepness)
-        if not math.isfinite(err):
-            raise TrainingDivergedError("holdout error became non-finite")
-        if err < best_err:
-            best_err, best_theta, stale = err, theta.copy(), 0
-        else:
-            stale += 1
-            if stale >= opts.early_stop_patience:
-                break
-
-    def build(vec: np.ndarray) -> AnnModel:
-        w1, b1, w2, b2 = _unpack(vec, m, n)
+    def build(theta: np.ndarray, k: int) -> AnnModel:
+        response, m = keys[k]
+        w1, b1, w2, b2 = _Stack([m], n).views(theta[stack.owner == k])
         return AnnModel(
             input_dim=n, hidden_size=m, activation=opts.activation,
-            W1=w1.copy(), b1=b1.copy(), W2=w2.copy(), b2=float(b2),
-            input_scaler=in_scaler, output_scaler=out_scaler,
-            steepness=opts.steepness, response_name=response,
+            W1=w1, b1=b1, W2=w2, b2=float(b2[0]), input_scaler=in_scaler,
+            output_scaler=out_scalers[response], steepness=opts.steepness,
+            response_name=response,
         )
 
-    model = build(best_theta)
-    final_model = build(theta)
-    report = fit_report(
-        model, x_fit_raw, y_fit_raw, x_hold_raw, y_hold_raw,
-        descriptor=f"ann(M={m}, {opts.activation}, holdout)",
-    )
-    return model, report, final_model
+    out = {}
+    for k, (response, m) in enumerate(keys):
+        model = build(best, k)
+        report = fit_report(
+            model, x_raw[:n_fit], y_raw[response][fit_idx], x_raw[n_fit:],
+            y_raw[response][hold_idx],
+            descriptor=f"ann(M={m}, {opts.activation}, holdout)",
+        )
+        out[response, m] = (model, report, build(final, k))
+    return out
+
+
+def train_anns(data: SampleSet, responses, hidden_sizes,
+               opts: TrainOptions) -> dict[tuple[str, int],
+                                           tuple[AnnModel, FitReport]]:
+    """Fit one ANN per (response, hidden size) pair in one stacked epoch
+    loop; return {(response, hidden_size): (model, report)}. Each network
+    matches `train_ann` on its own with that hidden size to rounding
+    (`opts.hidden_size` is ignored)."""
+    return {key: fit[:2] for key, fit in
+            _train_anns_full(data, responses, hidden_sizes, opts).items()}
+
+
+def _train_ann_full(data: SampleSet, response: str, opts: TrainOptions):
+    return _train_anns_full(data, [response], [opts.hidden_size],
+                            opts)[response, opts.hidden_size]
 
 
 def train_ann(data: SampleSet, response: str,
@@ -268,8 +353,7 @@ def train_ann(data: SampleSet, response: str,
     The returned model carries the weights of the best holdout epoch, and
     the report's verify side is that holdout split.
     """
-    model, report, _ = _train_ann_full(data, response, opts)
-    return model, report
+    return _train_ann_full(data, response, opts)[:2]
 
 
 def train_rbf(data: SampleSet, response: str, error_goal: float,

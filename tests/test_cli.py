@@ -335,3 +335,133 @@ class TestCompare:
               "--verify", str(verify_csv)])
         out = capsys.readouterr().out
         assert "params" in out
+
+
+class TestInvalidModelFile:
+    """A truncated model file is a data error: exit 2 with a stderr line
+    naming the file, never a traceback."""
+
+    @pytest.fixture
+    def truncated_models(self, opamp_pipeline_config, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("sr", "pd", "a0", "bw", "pm", "gm", "ip", "in"):
+            (models / f"{name}.json").write_text('{"kind": "ann", "W1": [[')
+        return opamp_pipeline_config, models
+
+    @pytest.mark.parametrize("command", ["optimize-mofa", "optimize-abc",
+                                         "emit-vams", "report"])
+    def test_exit_2_naming_file(self, truncated_models, tmp_path, capsys,
+                                command):
+        cfg, models = truncated_models
+        argv = {
+            "optimize-mofa": ["--models", str(models),
+                              "--out", str(tmp_path / "o.csv")],
+            "optimize-abc": ["--models", str(models),
+                             "--out", str(tmp_path / "o.csv")],
+            "emit-vams": ["--models", str(models),
+                          "--out-dir", str(tmp_path / "v")],
+            "report": ["--data", str(tmp_path / "data.csv"),
+                       "--model", str(models / "sr.json")],
+        }[command]
+        if command == "report":
+            assert main(["sample", "--config", str(cfg), "--out",
+                         str(tmp_path / "data.csv"), "--n", "5",
+                         "--evaluate"]) == 0
+        capsys.readouterr()
+        code = main([command, "--config", str(cfg)] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error:") and ".json" in err
+        assert "Traceback" not in err
+
+
+class TestBadSectionValues:
+    """Values the spec constructors reject are usage errors naming the
+    config section."""
+
+    def run_with(self, cfg_path, tmp_path, capsys, edit, argv):
+        config = json.loads(cfg_path.read_text())
+        edit(config)
+        cfg_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    def test_mofa_direction(self, opamp_pipeline_config, tmp_path, capsys):
+        write_toy_models(tmp_path, opamp_pipeline_config)
+
+        def edit(config):
+            config["mofa"]["objectives"][0]["direction"] = "up"
+        code, err = self.run_with(
+            opamp_pipeline_config, tmp_path, capsys, edit,
+            ["optimize-mofa", "--config", str(opamp_pipeline_config),
+             "--models", str(tmp_path / "models"),
+             "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "'mofa'" in err and "direction" in err
+
+    def test_mofa_population(self, opamp_pipeline_config, tmp_path, capsys):
+        write_toy_models(tmp_path, opamp_pipeline_config)
+
+        def edit(config):
+            config["mofa"]["K"] = 1
+        code, err = self.run_with(
+            opamp_pipeline_config, tmp_path, capsys, edit,
+            ["optimize-mofa", "--config", str(opamp_pipeline_config),
+             "--models", str(tmp_path / "models"),
+             "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "'mofa'" in err and "K" in err
+
+    def test_abc_colony_size(self, opamp_pipeline_config, tmp_path, capsys):
+        write_toy_models(tmp_path, opamp_pipeline_config)
+
+        def edit(config):
+            config["abc"]["colony_size"] = 3
+        code, err = self.run_with(
+            opamp_pipeline_config, tmp_path, capsys, edit,
+            ["optimize-abc", "--config", str(opamp_pipeline_config),
+             "--models", str(tmp_path / "models"),
+             "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert "'abc'" in err and "colony_size" in err
+
+    @pytest.mark.parametrize("ann", [{"hidden_sizes": [0]},
+                                     {"activation": "relu"}])
+    def test_train_ann_settings(self, sin_project, tmp_path, capsys, ann):
+        cfg, train_csv, verify_csv = sin_project
+
+        def edit(config):
+            config["training"]["ann"].update(ann)
+        code, err = self.run_with(
+            cfg, tmp_path, capsys, edit,
+            ["train", "--config", str(cfg), "--train", str(train_csv),
+             "--verify", str(verify_csv), "--out-dir", str(tmp_path / "m")])
+        assert code == 1
+        assert "'training.ann'" in err
+        assert not (tmp_path / "m").exists()
+
+
+class TestTrainAllResponses:
+    def test_sweep_matches_per_response_runs(self, opamp_pipeline_config,
+                                             tmp_path, capsys):
+        """One `train` over several responses saves the same models as one
+        `train` per response."""
+        write_toy_models(tmp_path, opamp_pipeline_config)
+        together = {p.name: json.loads(p.read_text())
+                    for p in (tmp_path / "models").iterdir()}
+        config = json.loads(opamp_pipeline_config.read_text())
+        for response in config["training"]["responses"]:
+            config["training"]["responses"] = [response]
+            opamp_pipeline_config.write_text(json.dumps(config))
+            assert main(["train", "--config", str(opamp_pipeline_config),
+                         "--train", str(tmp_path / "train.csv"),
+                         "--verify", str(tmp_path / "verify.csv"),
+                         "--out-dir", str(tmp_path / "alone")]) == 0
+            alone = json.loads((tmp_path / "alone" / f"{response}.json")
+                               .read_text())
+            for key in ("W1", "b1", "W2", "b2"):
+                assert np.allclose(alone[key], together[f"{response}.json"][key],
+                                   rtol=0, atol=1e-9)
+        capsys.readouterr()

@@ -243,3 +243,32 @@ class TestPersistence:
         path.write_text('{"kind": "kriging"}')
         with pytest.raises(ValueError, match="kind"):
             load_model(path)
+
+    def test_invalid_file_is_data_format_error(self, tmp_path):
+        from surrokit.errors import DataFormatError
+        rng = np.random.default_rng(13)
+        path = tmp_path / "m.json"
+        save_model(random_ann(rng), path)
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(DataFormatError, match="m.json"):
+            load_model(path)
+        path.write_text("[]")
+        with pytest.raises(DataFormatError, match="m.json"):
+            load_model(path)
+
+    def test_failed_save_keeps_existing_file(self, tmp_path, monkeypatch):
+        import surrokit.metamodel as metamodel_module
+        rng = np.random.default_rng(14)
+        path = tmp_path / "m.json"
+        save_model(random_ann(rng), path)
+        before = path.read_bytes()
+
+        def broken_dump(obj, fh, **kwargs):
+            fh.write('{"kind": "ann", "W1": [')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(metamodel_module.json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(random_ann(rng), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]

@@ -1,6 +1,8 @@
 """Trainer behavior: gradient correctness, convergence, early stopping,
 greedy RBF growth, stepwise selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from surrokit.design_space import DesignSpace, DesignVariable, lhs_disjoint, lhs
 from surrokit.errors import TrainingDivergedError
 from surrokit.metrics import rmse
 from surrokit.training import (SampleSet, TrainOptions, ann_loss_and_gradient,
-                               fit_polynomial, train_ann, train_rbf,
+                               fit_polynomial, train_ann, train_anns,
+                               train_rbf, _Stack, _stacked_pass,
                                _train_ann_full)
 
 
@@ -164,6 +167,104 @@ class TestTrainAnn:
                                            holdout_fraction=0.2, seed=0))
         assert report.n_verify == 10
         assert report.n_train == 40
+
+
+def mixed_set(n=60, seed=0):
+    """A smooth response, a constant one and pure noise over two inputs."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 2))
+    return SampleSet(x, {"smooth": np.sin(3 * x[:, 0]) + x[:, 1],
+                         "flat": np.full(n, 2.5),
+                         "noise": rng.normal(size=n)}, ["a", "b"])
+
+
+def weights(model):
+    return np.concatenate([model.W1.ravel(), model.b1, model.W2, [model.b2]])
+
+
+class TestTrainAnns:
+    RESPONSES = ["smooth", "flat", "noise"]
+
+    def opts(self, activation, max_epochs=600):
+        return TrainOptions(max_epochs=max_epochs, learning_rate=0.05,
+                            early_stop_patience=200, activation=activation,
+                            seed=4)
+
+    @pytest.mark.parametrize("activation", ["tanh", "logsig"])
+    def test_matches_one_network_at_a_time(self, activation):
+        data = mixed_set()
+        opts = self.opts(activation)
+        # the noise networks stop before epoch 250; the smooth ones run on
+        for m in (2, 5):
+            one = replace(opts, hidden_size=m)
+            short = replace(one, max_epochs=250)
+            almost = replace(one, max_epochs=599)
+            assert np.array_equal(
+                weights(_train_ann_full(data, "noise", one)[2]),
+                weights(_train_ann_full(data, "noise", short)[2]))
+            assert not np.array_equal(
+                weights(_train_ann_full(data, "smooth", one)[2]),
+                weights(_train_ann_full(data, "smooth", almost)[2]))
+
+        stacked = train_anns(data, self.RESPONSES, [2, 5], opts)
+        assert list(stacked) == [(r, m) for r in self.RESPONSES
+                                 for m in (2, 5)]
+        for (response, m), (model, report) in stacked.items():
+            alone, alone_report = train_ann(data, response,
+                                            replace(opts, hidden_size=m))
+            assert model.hidden_size == m and model.response_name == response
+            assert np.max(np.abs(weights(model) - weights(alone))) <= 1e-9
+            assert report.rmse == pytest.approx(alone_report.rmse, abs=1e-9)
+        flat = stacked["flat", 5][0]
+        assert np.all(flat.W2 == 0.0) and flat.b2 == 0.0
+
+    @pytest.mark.parametrize("activation", ["tanh", "logsig"])
+    def test_stacked_gradient_matches_central_differences(self, activation):
+        rng = np.random.default_rng(21)
+        sizes, n, rows, n_fit = [2, 5, 1, 3], 3, 25, 18
+        stack = _Stack(sizes, n)
+        x = rng.standard_normal((rows, n))
+        y = rng.standard_normal((rows, len(sizes)))
+        theta = rng.uniform(-0.5, 0.5, stack.owner.size)
+        means = np.zeros((2, rows))
+        means[0, :n_fit], means[1, n_fit:] = 1 / n_fit, 1 / (rows - n_fit)
+
+        def total_loss(vec):
+            return _stacked_pass(stack, vec, x, y, n_fit, means, 1e-3,
+                                 activation, 1.3)[0][0].sum()
+
+        errors, grad = _stacked_pass(stack, theta, x, y, n_fit, means, 1e-3,
+                                     activation, 1.3)
+        assert errors.shape == (2, len(sizes))
+        h = 1e-6
+        fd = np.zeros(stack.owner.size)
+        for i in range(stack.owner.size):
+            up, down = theta.copy(), theta.copy()
+            up[i] += h
+            down[i] -= h
+            fd[i] = (total_loss(up) - total_loss(down)) / (2 * h)
+        rel = np.linalg.norm(grad - fd) / np.linalg.norm(grad)
+        assert rel < 1e-6
+
+    def test_diverging_network_named(self):
+        data = mixed_set()
+        opts = TrainOptions(max_epochs=300, learning_rate=0.5,
+                            early_stop_patience=300, seed=1)
+        # alone, the small networks train and the wide smooth one diverges
+        train_anns(data, ["flat", "smooth"], [2], opts)
+        with pytest.raises(TrainingDivergedError):
+            train_ann(data, "smooth", replace(opts, hidden_size=20))
+        with pytest.raises(TrainingDivergedError,
+                           match="response 'smooth', hidden size 20"):
+            train_anns(data, ["flat", "smooth"], [2, 20], opts)
+
+    def test_deterministic_bit_exact(self):
+        data = mixed_set()
+        opts = self.opts("tanh", max_epochs=200)
+        first = train_anns(data, self.RESPONSES, [2, 5], opts)
+        second = train_anns(data, self.RESPONSES, [2, 5], opts)
+        for key, (model, _) in first.items():
+            assert np.array_equal(weights(model), weights(second[key][0]))
 
 
 class TestTrainRbf:
