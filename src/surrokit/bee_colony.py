@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design_space import DesignSpace
+from .errors import DataFormatError
 
 __all__ = [
     "AbcParams", "WindowConstraint", "FomTerm", "FomProblem",
@@ -147,7 +148,7 @@ def abc_optimize(space: DesignSpace, problem: FomProblem,
     for holder in list(problem.terms) + list(problem.windows):
         dim = getattr(holder.model, "input_dim", space.dim)
         if dim != space.dim:
-            raise ValueError(
+            raise DataFormatError(
                 f"problem model takes {dim} inputs, space has {space.dim}"
             )
 

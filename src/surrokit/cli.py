@@ -23,7 +23,9 @@ from .errors import (DataFormatError, DegenerateColumnError,
                      TrainingDivergedError, UndefinedVarianceError)
 from .metamodel import load_model, save_model
 from .metrics import fit_report, render_report_table, select_best
-from .training import TrainOptions, fit_polynomial, train_anns, train_rbf
+from .training import (MIN_ANN_ROWS, TrainOptions, check_poly_settings,
+                       check_rbf_settings, fit_polynomial, train_anns,
+                       train_rbf)
 
 __all__ = ["main", "entry"]
 
@@ -70,20 +72,85 @@ def _oracle(cfg: dict) -> oracles.Oracle:
     return oracle.with_delay(delay) if delay > 0 else oracle
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+# the type of each key the CLI reads from a 'training.<kind>' section
+_FIELDS = {
+    "ann": {"activation": str, "max_epochs": int, "learning_rate": float,
+            "l2_penalty": float, "early_stop_patience": int,
+            "holdout_fraction": float, "seed": int, "momentum": float,
+            "input_scaling": str, "steepness": float},
+    "rbf": {"error_goal": float, "spread": float, "max_neurons": int,
+            "input_scaling": str},
+    "poly": {"degree": int, "stepwise": _flag, "p_enter": float},
+}
+_DEFAULTS = {
+    "ann": {},
+    "rbf": {"error_goal": 1e-4, "spread": 1.0, "max_neurons": 25,
+            "input_scaling": "meanstd"},
+    "poly": {"degree": 2, "stepwise": True, "p_enter": 0.05},
+}
+
+
+def _section(tcfg: dict, kind: str, build):
+    """`build` applied to the 'training.<kind>' values, cast to their types
+    over their defaults; a value either step rejects is a usage error
+    naming the section."""
+    section = tcfg.get(kind, {})
+    settings = dict(_DEFAULTS[kind])
+    try:
+        for key, cast in _FIELDS[kind].items():
+            if key in section:
+                try:
+                    settings[key] = cast(section[key])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{key}: {exc}") from None
+        return build(settings)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad 'training.{kind}' section: {exc}") from None
+
+
 def _ann_settings(tcfg: dict) -> tuple[list[int], TrainOptions]:
     """The hidden sizes and trainer options of the 'training.ann' section."""
-    section = tcfg.get("ann", {})
-    keys = ("activation", "max_epochs", "learning_rate", "l2_penalty",
-            "early_stop_patience", "holdout_fraction", "seed", "momentum",
-            "input_scaling", "steepness")
-    kwargs = {k: section[k] for k in keys if k in section}
-    try:
-        sizes = [int(m) for m in section.get("hidden_sizes", [4])]
+    def build(settings):
+        sizes = [int(m) for m in tcfg.get("ann", {}).get("hidden_sizes", [4])]
         # the options check the smallest hidden size
-        opts = TrainOptions(hidden_size=min(sizes, default=1), **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad 'training.ann' section: {exc}") from None
-    return sizes, opts
+        return sizes, TrainOptions(hidden_size=min(sizes, default=1),
+                                   **settings)
+    return _section(tcfg, "ann", build)
+
+
+def _rbf_kwargs(settings: dict) -> dict:
+    check_rbf_settings(**settings)
+    return settings
+
+
+def _poly_kwargs(settings: dict) -> dict:
+    check_poly_settings(settings["degree"], settings["p_enter"])
+    return settings
+
+
+def _fit_settings(tcfg: dict) -> dict[str, dict]:
+    """The `train_rbf` and `fit_polynomial` keyword arguments of the
+    'training.rbf' and 'training.poly' sections, for the configured kinds;
+    both sections are checked whatever the kinds."""
+    settings = {"rbf": _section(tcfg, "rbf", _rbf_kwargs),
+                "poly": _section(tcfg, "poly", _poly_kwargs)}
+    kinds = tcfg.get("kinds", ["ann"])
+    return {kind: kw for kind, kw in settings.items() if kind in kinds}
+
+
+def _load_train_set(path, space: DesignSpace, with_anns: bool):
+    train_set = oracles.load_csv(path, space.names)
+    if with_anns and train_set.n_rows < MIN_ANN_ROWS:
+        raise DataFormatError(
+            f"{path} has {train_set.n_rows} rows; ANN training needs at "
+            f"least {MIN_ANN_ROWS}")
+    return train_set
 
 
 def _check_responses(train_set, responses, path) -> None:
@@ -94,30 +161,17 @@ def _check_responses(train_set, responses, path) -> None:
             )
 
 
-def _sweep_response(train_set, verify_set, response: str, tcfg: dict,
+def _sweep_response(train_set, verify_set, response: str, fits: dict,
                     ann_rows: list):
-    """Fit every configured non-ANN model kind after the response's trained
-    ANNs `ann_rows` [(label, model)]; return [(label, model, report)]."""
+    """Fit the non-ANN model kinds of `fits` {kind: keyword arguments}
+    after the response's trained ANNs `ann_rows` [(label, model)]; return
+    [(label, model, report)]."""
     rows = list(ann_rows)
-    kinds = tcfg.get("kinds", ["ann"])
-    if "rbf" in kinds:
-        rbf_cfg = tcfg.get("rbf", {})
-        model, _ = train_rbf(
-            train_set, response,
-            error_goal=float(rbf_cfg.get("error_goal", 1e-4)),
-            spread=float(rbf_cfg.get("spread", 1.0)),
-            max_neurons=int(rbf_cfg.get("max_neurons", 25)),
-            input_scaling=rbf_cfg.get("input_scaling", "meanstd"),
-        )
+    if "rbf" in fits:
+        model, _ = train_rbf(train_set, response, **fits["rbf"])
         rows.append((f"rbf-{model.n_neurons}", model))
-    if "poly" in kinds:
-        poly_cfg = tcfg.get("poly", {})
-        model, _ = fit_polynomial(
-            train_set, response,
-            degree=int(poly_cfg.get("degree", 2)),
-            stepwise=bool(poly_cfg.get("stepwise", True)),
-            p_enter=float(poly_cfg.get("p_enter", 0.05)),
-        )
+    if "poly" in fits:
+        model, _ = fit_polynomial(train_set, response, **fits["poly"])
         rows.append((f"poly-{model.degree}", model))
 
     reported = []
@@ -164,7 +218,9 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         tcfg.setdefault("ann", {})["seed"] = args.seed
     sizes, opts = _ann_settings(tcfg)
-    train_set = oracles.load_csv(args.train, space.names)
+    fits = _fit_settings(tcfg)
+    with_anns = "ann" in tcfg.get("kinds", ["ann"])
+    train_set = _load_train_set(args.train, space, with_anns)
     verify_set = oracles.load_csv(args.verify, space.names)
 
     responses = tcfg.get("responses") or train_set.response_names
@@ -174,15 +230,13 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    anns = {}
-    if "ann" in tcfg.get("kinds", ["ann"]):
-        anns = train_anns(train_set, responses, sizes, opts)
+    anns = train_anns(train_set, responses, sizes, opts) if with_anns else {}
     criterion = tcfg.get("selection", "verify_rmse")
     all_reports = {}
     for response in responses:
         ann_rows = [(f"ann-{m}", anns[response, m][0])
                     for m in sizes if (response, m) in anns]
-        rows = _sweep_response(train_set, verify_set, response, tcfg,
+        rows = _sweep_response(train_set, verify_set, response, fits,
                                ann_rows)
         print(f"# response: {response}")
         print(render_report_table([(label, rep) for label, _, rep in rows]))
@@ -364,7 +418,8 @@ def cmd_compare(args) -> int:
     space = _space(cfg)
     tcfg = {**cfg.get("training", {}), "kinds": ["poly"]}
     sizes, opts = _ann_settings(tcfg)
-    train_set = oracles.load_csv(args.train, space.names)
+    fits = _fit_settings(tcfg)
+    train_set = _load_train_set(args.train, space, with_anns=True)
     verify_set = oracles.load_csv(args.verify, space.names)
     responses = ([args.response] if args.response
                  else tcfg.get("responses") or train_set.response_names)
@@ -373,9 +428,9 @@ def cmd_compare(args) -> int:
     anns = train_anns(train_set, responses, sizes, opts)
     for response in responses:
         # pick by holdout so the verification set stays unbiased
-        fits = [anns[response, m] for m in sizes]
-        model = fits[select_best([rep for _, rep in fits], "verify_rmse")][0]
-        rows = _sweep_response(train_set, verify_set, response, tcfg,
+        nets = [anns[response, m] for m in sizes]
+        model = nets[select_best([rep for _, rep in nets], "verify_rmse")][0]
+        rows = _sweep_response(train_set, verify_set, response, fits,
                                [(f"ann-{model.hidden_size}", model)])
         print(f"# response: {response}")
         print(render_report_table([(label, rep) for label, _, rep in rows]))

@@ -21,7 +21,7 @@ from .scaling import Scaler, apply as scale_apply, invert as scale_invert
 
 __all__ = [
     "AnnModel", "RbfModel", "PolyModel", "CallableModel",
-    "ann_hidden", "ann_predict", "rbf_predict", "poly_predict",
+    "ann_hidden", "poly_basis", "ann_predict", "rbf_predict", "poly_predict",
     "save_model", "load_model",
 ]
 
@@ -51,6 +51,28 @@ def ann_hidden(xs: np.ndarray, W1: np.ndarray, b1: np.ndarray,
     if activation == "tanh":
         return np.tanh(z)
     return 1.0 / (1.0 + np.exp(-z))  # logsig
+
+
+def poly_basis(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Monomial columns prod_i x[:, i] ** terms[k, i], one per row of the
+    exponent matrix `terms`: the one polynomial basis, shared by
+    `PolyModel.predict` and the trainer. Factor j of a monomial is the
+    variable whose cumulative exponent first exceeds j (a ones column once
+    its total degree is spent), so the basis is the product of degree-many
+    gathered (rows, terms) matrices.
+    """
+    x = np.asarray(x, dtype=float)
+    terms = np.asarray(terms, dtype=int).reshape(-1, x.shape[1])
+    rows, n = x.shape
+    cum = np.cumsum(terms, axis=1)
+    degree = int(cum[:, -1].max()) if terms.size else 0
+    if degree == 0:
+        return np.ones((rows, terms.shape[0]))
+    ext = np.hstack([x, np.ones((rows, 1))])
+    out = ext[:, (cum <= 0).sum(axis=1)]
+    for j in range(1, degree):
+        out *= ext[:, (cum <= j).sum(axis=1)]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,11 +239,7 @@ class PolyModel:
 
     def predict(self, x) -> float | np.ndarray:
         pts, single = _as_matrix(x, self.input_dim)
-        if self.terms.shape[0] == 0:
-            y = np.zeros(pts.shape[0])
-        else:
-            basis = np.prod(pts[:, None, :] ** self.terms[None, :, :], axis=2)
-            y = basis @ self.coefficients
+        y = poly_basis(pts, self.terms) @ self.coefficients
         return float(y[0]) if single else y
 
 

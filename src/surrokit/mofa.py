@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design_space import DesignSpace
-from .errors import InfeasibleRunError
+from .errors import DataFormatError, InfeasibleRunError
 
 __all__ = [
     "ObjectiveSpec", "ConstraintSpec", "MofaParams", "ParetoArchive",
@@ -259,7 +259,7 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
     for spec in list(objectives) + list(constraints):
         dim = getattr(spec.model, "input_dim", space.dim)
         if dim != space.dim:
-            raise ValueError(
+            raise DataFormatError(
                 f"model for {spec.name!r} takes {dim} inputs, space has "
                 f"{space.dim}"
             )

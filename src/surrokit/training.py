@@ -13,18 +13,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import RankDeficiencyError, TrainingDivergedError
-from .metamodel import AnnModel, PolyModel, RbfModel, ann_hidden
+from .metamodel import AnnModel, PolyModel, RbfModel, ann_hidden, poly_basis
 from .metrics import FitReport, fit_report
-from .scaling import Scaler, fit_scaler, apply as scale_apply
+from .scaling import KINDS as SCALER_KINDS, Scaler, fit_scaler
+from .scaling import apply as scale_apply
 
 __all__ = [
-    "SampleSet", "TrainOptions",
+    "SampleSet", "TrainOptions", "MIN_ANN_ROWS",
     "train_ann", "train_anns", "train_rbf", "fit_polynomial",
+    "check_rbf_settings", "check_poly_settings",
     "ann_loss_and_gradient", "monomial_exponents",
 ]
+
+MIN_ANN_ROWS = 10  # the ANN trainers need this many training rows
 
 
 @dataclass
@@ -115,6 +119,8 @@ class TrainOptions:
             raise ValueError("early_stop_patience must be >= 1")
         if self.activation not in ("tanh", "logsig"):
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.input_scaling not in SCALER_KINDS:
+            raise ValueError(f"unknown input_scaling {self.input_scaling!r}")
 
 
 class _Stack:
@@ -266,8 +272,9 @@ def _train_anns_full(data: SampleSet, responses, hidden_sizes,
                      opts: TrainOptions) -> dict:
     """`train_anns` that also returns each final-epoch model (test
     support): {(response, size): (model, report, final model)}."""
-    if data.n_rows < 10:
-        raise ValueError(f"need at least 10 rows to train, got {data.n_rows}")
+    if data.n_rows < MIN_ANN_ROWS:
+        raise ValueError(f"need at least {MIN_ANN_ROWS} rows to train, "
+                         f"got {data.n_rows}")
     if any(m < 1 for m in hidden_sizes):
         raise ValueError(f"hidden sizes must be >= 1, got {hidden_sizes}")
     y_raw = {r: data.response(r) for r in responses}
@@ -356,6 +363,19 @@ def train_ann(data: SampleSet, response: str,
     return _train_ann_full(data, response, opts)[:2]
 
 
+def check_rbf_settings(error_goal: float, spread: float, max_neurons: int,
+                       input_scaling: str) -> None:
+    """Raise ValueError for `train_rbf` settings it cannot grow from."""
+    if not error_goal >= 0:
+        raise ValueError(f"error_goal must be >= 0, got {error_goal!r}")
+    if not 0 < spread < math.inf:
+        raise ValueError(f"spread must be positive and finite, got {spread!r}")
+    if max_neurons < 0:
+        raise ValueError(f"max_neurons must be >= 0, got {max_neurons!r}")
+    if input_scaling not in SCALER_KINDS:
+        raise ValueError(f"unknown input_scaling {input_scaling!r}")
+
+
 def train_rbf(data: SampleSet, response: str, error_goal: float,
               spread: float, max_neurons: int,
               input_scaling: str = "meanstd") -> tuple[RbfModel, FitReport]:
@@ -368,8 +388,7 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
     """
     if data.n_rows < 1:
         raise ValueError("need at least one training row")
-    if spread <= 0:
-        raise ValueError("spread must be positive")
+    check_rbf_settings(error_goal, spread, max_neurons, input_scaling)
     y_raw = data.response(response)
 
     in_scaler = fit_scaler(data.inputs, input_scaling, names=data.variable_names)
@@ -380,14 +399,12 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
 
     center_rows: list[int] = []
     used = np.zeros(n, dtype=bool)  # rows already claimed as (or equal to) a center
+    design = np.ones((n, 1))  # a Gaussian column per neuron, then the bias
     weights = np.zeros(0)
     bias = float(np.mean(y))
     pred = np.full(n, bias)
 
-    def solve(centers_mat: np.ndarray):
-        d2 = ((x[:, None, :] - centers_mat[None, :, :]) ** 2).sum(axis=2)
-        phi = np.exp(-d2 / spread ** 2)
-        design = np.hstack([phi, np.ones((n, 1))])
+    def solve(design: np.ndarray):
         try:
             coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         except np.linalg.LinAlgError as exc:
@@ -411,7 +428,9 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
         dup = np.all(x == x[worst], axis=1)
         used |= dup
         center_rows.append(worst)
-        weights, bias, pred = solve(x[center_rows])
+        phi = np.exp(-((x - x[worst]) ** 2).sum(axis=1) / spread ** 2)
+        design = np.hstack([design[:, :-1], phi[:, None], design[:, -1:]])
+        weights, bias, pred = solve(design)
 
     model = RbfModel(
         input_dim=data.n_inputs, centers=x[center_rows] if center_rows
@@ -443,8 +462,12 @@ def monomial_exponents(n_vars: int, degree: int) -> np.ndarray:
     return out
 
 
-def _basis_columns(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    return np.prod(x[:, None, :] ** exponents[None, :, :], axis=2)
+def check_poly_settings(degree: int, p_enter: float) -> None:
+    """Raise ValueError for `fit_polynomial` settings it cannot fit with."""
+    if not 1 <= degree <= 6:
+        raise ValueError(f"degree must be in 1..6, got {degree}")
+    if not 0 < p_enter <= 1:
+        raise ValueError(f"p_enter must be in (0, 1], got {p_enter!r}")
 
 
 def fit_polynomial(data: SampleSet, response: str, degree: int,
@@ -457,8 +480,7 @@ def fit_polynomial(data: SampleSet, response: str, degree: int,
     below `p_enter`. Without it, the basis is truncated to at most the
     number of rows and fit in one shot.
     """
-    if not 1 <= degree <= 6:
-        raise ValueError(f"degree must be in 1..6, got {degree}")
+    check_poly_settings(degree, p_enter)
     y = data.response(response)
     x = data.inputs
     n = data.n_rows
@@ -470,7 +492,7 @@ def fit_polynomial(data: SampleSet, response: str, degree: int,
     else:
         chosen = list(range(min(len(exponents), n)))
 
-    design = _basis_columns(x, exponents[chosen])
+    design = poly_basis(x, exponents[chosen])
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         raise RankDeficiencyError(
@@ -492,60 +514,60 @@ def fit_polynomial(data: SampleSet, response: str, degree: int,
     return model, report
 
 
+def _f_sf(f_stat: float, df: int) -> float:
+    """Upper tail P(F(1, df) > f_stat) of the partial-F test."""
+    return float(special.fdtrc(1, df, f_stat))
+
+
 def _forward_select(x: np.ndarray, y: np.ndarray, exponents: np.ndarray,
                     p_enter: float) -> list[int]:
     """Forward stepwise selection by the partial-F test.
 
-    Maintains an orthonormal basis Q of the current design; each candidate's
-    extra sum of squares is the squared projection of the residual onto the
-    candidate's component orthogonal to Q.
+    The candidate columns are kept orthogonal to the current design, in
+    place: each entered term's unit direction is projected out of all of
+    them (one rank-one update), so a candidate's extra sum of squares is
+    the squared projection of the residual onto its column over the
+    column's squared norm. Selection stops once the residual is rounding
+    noise, sse <= (n * eps)^2 * sst with sst the sum of squares about the
+    mean, because a partial-F test on that noise is a coin flip.
     """
     n = x.shape[0]
-    candidates = _basis_columns(x, exponents)
-    n_terms = candidates.shape[1]
-
-    chosen = [0]  # intercept
-    q = candidates[:, [0]] / np.linalg.norm(candidates[:, 0])
-    resid = y - q @ (q.T @ y)
-    available = np.ones(n_terms, dtype=bool)
-    available[0] = False
+    cand = poly_basis(x, exponents)
+    outer = np.empty_like(cand)  # the rank-one update, in one reused buffer
+    # the collinearity test compares against the original column norms
+    floor = 1e-12 * np.einsum("ij,ij->j", cand, cand).clip(min=1e-300)
+    available = np.ones(cand.shape[1], dtype=bool)
+    resid = np.array(y, dtype=float)
+    chosen: list[int] = []
+    best, norm2, sst = 0, float(n), None  # the intercept enters first
 
     while True:
-        p = len(chosen)
-        df_resid = n - p - 1  # residual df after adding one more term
-        if df_resid < 1 or not available.any():
-            break
+        chosen.append(best)
+        available[best] = False
+        q = cand[:, best] / math.sqrt(norm2)
+        resid -= q * (q @ resid)
+        cand -= np.einsum("i,j->ij", q, q @ cand, out=outer)
         sse = float(resid @ resid)
-        if sse <= 0:
+        if sst is None:
+            sst = sse
+        df_resid = n - len(chosen) - 1  # residual df after one more term
+        if (df_resid < 1 or not available.any()
+                or sse <= (n * np.finfo(float).eps) ** 2 * sst):
             break
 
-        cand = candidates[:, available]
-        perp = cand - q @ (q.T @ cand)
-        norms2 = np.einsum("ij,ij->j", perp, perp)
-        ok = norms2 > 1e-12 * np.einsum("ij,ij->j", cand, cand).clip(min=1e-300)
+        norms2 = np.einsum("ij,ij->j", cand, cand)
+        ok = available & (norms2 > floor)
         gain = np.zeros(cand.shape[1])
-        proj = perp.T @ resid
-        gain[ok] = proj[ok] ** 2 / norms2[ok]
-
-        best_local = int(np.argmax(gain))
-        best_gain = float(gain[best_local])
-        sse_new = sse - best_gain
+        gain[ok] = (resid @ cand)[ok] ** 2 / norms2[ok]
+        best = int(np.argmax(np.where(available, gain, -1.0)))
+        norm2 = float(norms2[best])
+        sse_new = max(sse - float(gain[best]), 0.0)
         if sse_new <= 0:
-            sse_new = max(sse_new, 0.0)
-        mse_new = sse_new / df_resid if df_resid > 0 else 0.0
-        if mse_new <= 0:
             p_value = 0.0
         else:
-            f_stat = best_gain / mse_new
-            p_value = float(stats.f.sf(f_stat, 1, df_resid))
+            f_stat = gain[best] / (sse_new / df_resid)
+            p_value = _f_sf(f_stat, df_resid)
         if p_value >= p_enter:
             break
-
-        global_idx = int(np.flatnonzero(available)[best_local])
-        chosen.append(global_idx)
-        available[global_idx] = False
-        new_q = perp[:, best_local] / math.sqrt(norms2[best_local])
-        q = np.hstack([q, new_q[:, None]])
-        resid = resid - new_q * (new_q @ resid)
 
     return chosen

@@ -465,3 +465,91 @@ class TestTrainAllResponses:
                 assert np.allclose(alone[key], together[f"{response}.json"][key],
                                    rtol=0, atol=1e-9)
         capsys.readouterr()
+
+
+class TestFitSectionsCheckedFirst:
+    """Values the RBF and polynomial fitters reject are usage errors naming
+    the section, raised before any ANN trains."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an ANN trained before the check")
+        monkeypatch.setattr("surrokit.cli.train_anns", fail)
+
+    @pytest.mark.parametrize("section,values", [
+        ("poly", {"p_enter": "x"}), ("poly", {"degree": 9}),
+        ("poly", {"p_enter": 0.0}), ("poly", {"stepwise": "no"}),
+        ("rbf", {"spread": 0.0}), ("rbf", {"max_neurons": "many"}),
+        ("rbf", {"error_goal": -1.0}), ("rbf", {"input_scaling": "log"}),
+    ])
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_rejected_value(self, sin_project, tmp_path, capsys, section,
+                            values, command):
+        cfg, train_csv, verify_csv = sin_project
+        config = json.loads(cfg.read_text())
+        config["training"]["kinds"] = ["ann", "rbf", "poly"]
+        config["training"].setdefault(section, {}).update(values)
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg), "--train", str(train_csv),
+                "--verify", str(verify_csv)]
+        if command == "train":
+            argv += ["--out-dir", str(tmp_path / "m")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"'training.{section}'" in err
+        assert next(iter(values)) in err
+        assert not (tmp_path / "m").exists()
+
+
+class TestTrainInputFaults:
+    def test_bad_max_epochs_is_usage_error(self, sin_project, tmp_path,
+                                           capsys):
+        cfg, train_csv, verify_csv = sin_project
+        config = json.loads(cfg.read_text())
+        config["training"]["ann"]["max_epochs"] = "x"
+        cfg.write_text(json.dumps(config))
+        code = main(["train", "--config", str(cfg), "--train", str(train_csv),
+                     "--verify", str(verify_csv),
+                     "--out-dir", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'training.ann'" in err and "max_epochs" in err
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_too_few_rows_is_data_error(self, sin_project, tmp_path, capsys,
+                                        command):
+        cfg, train_csv, verify_csv = sin_project
+        short = tmp_path / "short.csv"
+        data = load_csv(train_csv, ["x"])
+        save_csv(SampleSet(data.inputs[:9], {"y": data.response("y")[:9]},
+                           ["x"]), short)
+        argv = [command, "--config", str(cfg), "--train", str(short),
+                "--verify", str(verify_csv)]
+        if command == "train":
+            argv += ["--out-dir", str(tmp_path / "m")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(short) in err and "10" in err
+
+
+class TestModelSpaceMismatch:
+    """Models trained on a space of another dimension are a data error."""
+
+    @pytest.mark.parametrize("command", ["optimize-mofa", "optimize-abc"])
+    def test_exit_2(self, opamp_pipeline_config, tmp_path, capsys, command):
+        from surrokit.oracles import pll_space
+        write_toy_models(tmp_path, opamp_pipeline_config)
+        config = json.loads(opamp_pipeline_config.read_text())
+        config["space"] = pll_space().to_dicts()
+        opamp_pipeline_config.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = main([command, "--config", str(opamp_pipeline_config),
+                     "--models", str(tmp_path / "models"),
+                     "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "takes 16 inputs, space has 21" in err
+        assert "Traceback" not in err

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from surrokit.metamodel import (AnnModel, CallableModel, PolyModel, RbfModel,
-                                ann_predict, load_model, poly_predict,
-                                rbf_predict, save_model)
+                                ann_predict, load_model, poly_basis,
+                                poly_predict, rbf_predict, save_model)
 from surrokit.scaling import Scaler, fit_scaler
 
 
@@ -193,6 +193,58 @@ class TestPolyPredict:
         with pytest.raises(ValueError, match="degree"):
             PolyModel(input_dim=2, degree=1, terms=np.array([[1, 1]]),
                       coefficients=np.array([1.0]))
+
+
+def power_prod_basis(x, terms):
+    """Reference monomial basis: the rows x terms x vars power tensor."""
+    return np.prod(x[:, None, :] ** terms[None, :, :], axis=2)
+
+
+class TestPolyBasis:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_matches_power_prod(self, degree):
+        from surrokit.training import monomial_exponents
+        rng = np.random.default_rng(degree)
+        x = rng.uniform(-3, 3, (40, 4))
+        terms = monomial_exponents(4, degree)
+        got = poly_basis(x, terms)
+        want = power_prod_basis(x, terms)
+        assert got.shape == (40, len(terms))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def test_zero_terms(self):
+        x = np.ones((5, 3))
+        assert poly_basis(x, np.zeros((0, 3), dtype=int)).shape == (5, 0)
+        model = PolyModel(input_dim=3, degree=1,
+                          terms=np.zeros((0, 3), dtype=int),
+                          coefficients=np.zeros(0))
+        assert np.array_equal(model.predict(x), np.zeros(5))
+
+    def test_intercept_only(self):
+        x = np.random.default_rng(1).random((6, 2))
+        assert np.array_equal(poly_basis(x, np.zeros((1, 2), dtype=int)),
+                              np.ones((6, 1)))
+
+    def test_predict_memory_is_rows_times_terms(self):
+        """A 1e4-row predict of the 253-term PLL degree-2 model stays far
+        below the 425 MB of the power tensor."""
+        import tracemalloc
+        from surrokit.training import monomial_exponents
+        terms = monomial_exponents(21, 2)
+        assert len(terms) == 253
+        rng = np.random.default_rng(2)
+        model = PolyModel(input_dim=21, degree=2, terms=terms,
+                          coefficients=rng.standard_normal(253))
+        x = rng.random((10_000, 21))
+        tracemalloc.start()
+        try:
+            y = model.predict(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        ref = power_prod_basis(x[:100], terms) @ model.coefficients
+        assert np.allclose(y[:100], ref, rtol=1e-12, atol=1e-12)
 
 
 class TestCallableModel:

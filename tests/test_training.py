@@ -1,18 +1,23 @@
 """Trainer behavior: gradient correctness, convergence, early stopping,
 greedy RBF growth, stepwise selection."""
 
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from surrokit.design_space import DesignSpace, DesignVariable, lhs_disjoint, lhs_sample
 from surrokit.errors import TrainingDivergedError
 from surrokit.metrics import rmse
+from surrokit.oracles import BUILTIN_ORACLES, BUILTIN_SPACES, evaluate
+from surrokit.scaling import apply as scale_apply
 from surrokit.training import (SampleSet, TrainOptions, ann_loss_and_gradient,
-                               fit_polynomial, train_ann, train_anns,
-                               train_rbf, _Stack, _stacked_pass,
-                               _train_ann_full)
+                               fit_polynomial, monomial_exponents, train_ann,
+                               train_anns, train_rbf, _f_sf, _forward_select,
+                               _Stack, _stacked_pass, _train_ann_full)
 
 
 def sin_space():
@@ -386,3 +391,151 @@ class TestFitPolynomial:
         y = rng.normal(size=12)
         model, _ = fit_polynomial(SampleSet(x, {"y": y}), "y", degree=4)
         assert model.n_parameters <= 12
+
+
+def oracle_set(name, seed, n=120):
+    space = BUILTIN_SPACES[name]()
+    return evaluate(BUILTIN_ORACLES[name](), lhs_sample(space, n, seed),
+                    space.names)
+
+
+def reference_growth(x, y, spread, max_neurons):
+    """Greedy RBF growth that rebuilds and re-solves the whole design after
+    every neuron; returns (center rows, weights, bias)."""
+    n = len(y)
+    rows, used, pred = [], np.zeros(n, dtype=bool), np.full(n, np.mean(y))
+    while len(rows) < max_neurons:  # an error goal of 0 is never met
+        err = np.abs(pred - y)
+        err[used] = -np.inf
+        worst = int(np.argmax(err))
+        if not np.isfinite(err[worst]):
+            break
+        used |= np.all(x == x[worst], axis=1)
+        rows.append(worst)
+        centers = x[rows]
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        design = np.hstack([np.exp(-d2 / spread ** 2), np.ones((n, 1))])
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        pred = design @ coef
+    return rows, coef[:-1], float(coef[-1])
+
+
+class TestRbfGrowth:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weights_bit_identical_to_full_resolve(self, seed):
+        data = oracle_set("pll", seed)
+        for response in data.response_names:
+            model, _ = train_rbf(data, response, error_goal=0.0, spread=4.0,
+                                 max_neurons=30)
+            x = scale_apply(model.input_scaler, data.inputs)
+            y = scale_apply(model.output_scaler,
+                            data.response(response)[:, None])[:, 0]
+            rows, weights, bias = reference_growth(x, y, 4.0, 30)
+            assert np.array_equal(model.centers, x[rows])
+            assert np.array_equal(model.weights, weights)
+            assert model.bias == bias
+
+
+def reference_forward_select(x, y, exponents, p_enter):
+    """Stepwise selection that re-projects every remaining candidate on the
+    whole orthonormal basis Q at each step."""
+    n = x.shape[0]
+    candidates = np.prod(x[:, None, :] ** exponents[None, :, :], axis=2)
+    chosen = [0]
+    q = candidates[:, [0]] / np.linalg.norm(candidates[:, 0])
+    resid = y - q @ (q.T @ y)
+    available = np.ones(candidates.shape[1], dtype=bool)
+    available[0] = False
+    while True:
+        df_resid = n - len(chosen) - 1
+        if df_resid < 1 or not available.any():
+            break
+        sse = float(resid @ resid)
+        if sse <= 0:
+            break
+        cand = candidates[:, available]
+        perp = cand - q @ (q.T @ cand)
+        norms2 = np.einsum("ij,ij->j", perp, perp)
+        ok = norms2 > 1e-12 * np.einsum("ij,ij->j", cand, cand).clip(min=1e-300)
+        gain = np.zeros(cand.shape[1])
+        gain[ok] = (perp.T @ resid)[ok] ** 2 / norms2[ok]
+        best = int(np.argmax(gain))
+        sse_new = max(sse - float(gain[best]), 0.0)
+        if sse_new <= 0:
+            p_value = 0.0
+        else:
+            p_value = stats.f.sf(gain[best] / (sse_new / df_resid), 1,
+                                 df_resid)
+        if p_value >= p_enter:
+            break
+        k = int(np.flatnonzero(available)[best])
+        chosen.append(k)
+        available[k] = False
+        new_q = perp[:, best] / np.sqrt(norms2[best])
+        q = np.hstack([q, new_q[:, None]])
+        resid = resid - new_q * (new_q @ resid)
+    return chosen
+
+
+class TestStepwiseSelection:
+    @pytest.mark.parametrize("name", ["opamp", "pll"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_degree_two_matches_reprojection(self, name, seed):
+        data = oracle_set(name, seed)
+        exponents = monomial_exponents(data.n_inputs, 2)
+        for response in data.response_names:
+            y = data.response(response)
+            assert (_forward_select(data.inputs, y, exponents, 0.05)
+                    == reference_forward_select(data.inputs, y, exponents,
+                                                0.05))
+
+    def test_p_value_is_f_survival(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            df = int(rng.integers(1, 500))
+            f_stat = float(rng.exponential(5.0)) * rng.choice([1e-3, 1, 1e2])
+            assert _f_sf(f_stat, df) == stats.f.sf(f_stat, 1, df)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_exact_polynomial_stops_at_true_terms(self, seed):
+        """Once the true terms are in, the residual is rounding noise and
+        no further term enters on it."""
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (60, 4))
+        y = 2 + 3 * x[:, 0] - 1.5 * x[:, 1] * x[:, 2] + 0.5 * x[:, 2] ** 3
+        model, _ = fit_polynomial(SampleSet(x, {"y": y}), "y", degree=3,
+                                  stepwise=True)
+        assert {tuple(t) for t in model.terms} == {
+            (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 3, 0)}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_cubic_response_stops_when_complete(self, seed):
+        """The op-amp `pd` response is an exact cubic in ib, ws, wo, vb and
+        cc: selection stops with the term that completes it."""
+        data = oracle_set("opamp", seed)
+        index = {name: i for i, name in enumerate(data.variable_names)}
+
+        def term(*names):
+            e = [0] * data.n_inputs
+            for name in names:
+                e[index[name]] += 1
+            return tuple(e)
+        true = {term(), term("ib"), term("ib", "ws"), term("ib", "wo"),
+                term("ib", "vb"), term("ib", "ws", "vb"),
+                term("ib", "wo", "vb"), term("cc")}
+        model, _ = fit_polynomial(data, "pd", degree=3, stepwise=True)
+        terms = [tuple(t) for t in model.terms]
+        assert true <= set(terms)
+        assert not true <= set(terms[:-1])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    import os
+    import surrokit
+    code = ("import sys, surrokit, surrokit.cli; "
+            "print('scipy.stats' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(surrokit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
