@@ -11,8 +11,7 @@ from .errors import (DataFormatError, DegenerateColumnError,
                      InfeasibleRunError, RankDeficiencyError, SurrokitError,
                      TrainingDivergedError, UndefinedVarianceError)
 from .metamodel import (AnnModel, CallableModel, PolyModel, RbfModel,
-                        ann_predict, load_model, poly_predict, rbf_predict,
-                        save_model)
+                        load_model, save_model)
 from .metrics import (FitReport, fit_report, r_squared, rmae, rmse, rrse,
                       select_best)
 from .scaling import Scaler, fit_scaler

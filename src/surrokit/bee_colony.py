@@ -19,13 +19,13 @@ second candidate against the value its first candidate left.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .design_space import DesignSpace
 from .errors import DataFormatError
+from .files import write_csv
 
 __all__ = [
     "AbcParams", "WindowConstraint", "FomTerm", "FomProblem",
@@ -125,11 +125,7 @@ def trace_is_monotone(trace) -> bool:
 
 def write_trace_csv(trace, path) -> None:
     """Persist a per-cycle best-FoM trace as (cycle, best_fom) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cycle", "best_fom"])
-        for i, v in enumerate(trace):
-            writer.writerow([i, f"{v:.17g}"])
+    write_csv(path, ["cycle", "best_fom"], enumerate(trace))
 
 
 def abc_optimize(space: DesignSpace, problem: FomProblem,

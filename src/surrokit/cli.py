@@ -10,8 +10,10 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from .design_space import DesignSpace, lhs_disjoint, lhs_sample
 from .errors import (DataFormatError, DegenerateColumnError,
                      InfeasibleRunError, RankDeficiencyError, SurrokitError,
                      TrainingDivergedError, UndefinedVarianceError)
+from .files import atomic_write
 from .metamodel import load_model, save_model
 from .metrics import fit_report, render_report_table, select_best
 from .training import (MIN_ANN_ROWS, TrainOptions, check_poly_settings,
@@ -59,17 +62,16 @@ def _space(cfg: dict) -> DesignSpace:
         raise UsageError(f"bad space declaration: {exc}") from None
 
 
-def _oracle(cfg: dict) -> oracles.Oracle:
-    section = cfg.get("oracle", {})
-    name = section.get("name")
-    if name not in oracles.BUILTIN_ORACLES:
-        raise UsageError(
-            f"unknown oracle {name!r}; built-ins: "
-            f"{sorted(oracles.BUILTIN_ORACLES)}"
-        )
-    oracle = oracles.BUILTIN_ORACLES[name]()
-    delay = float(section.get("artificial_delay", 0.0))
-    return oracle.with_delay(delay) if delay > 0 else oracle
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def _objects(value) -> list[dict]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of JSON objects, got {value!r}")
+    return [_object(v) for v in value]
 
 
 def _flag(value) -> bool:
@@ -78,70 +80,101 @@ def _flag(value) -> bool:
     return value
 
 
-# the type of each key the CLI reads from a 'training.<kind>' section
-_FIELDS = {
-    "ann": {"activation": str, "max_epochs": int, "learning_rate": float,
-            "l2_penalty": float, "early_stop_patience": int,
-            "holdout_fraction": float, "seed": int, "momentum": float,
-            "input_scaling": str, "steepness": float},
-    "rbf": {"error_goal": float, "spread": float, "max_neurons": int,
-            "input_scaling": str},
-    "poly": {"degree": int, "stepwise": _flag, "p_enter": float},
-}
-_DEFAULTS = {
-    "ann": {},
-    "rbf": {"error_goal": 1e-4, "spread": 1.0, "max_neurons": 25,
-            "input_scaling": "meanstd"},
-    "poly": {"degree": 2, "stepwise": True, "p_enter": 0.05},
-}
-
-
-def _section(tcfg: dict, kind: str, build):
-    """`build` applied to the 'training.<kind>' values, cast to their types
-    over their defaults; a value either step rejects is a usage error
-    naming the section."""
-    section = tcfg.get(kind, {})
-    settings = dict(_DEFAULTS[kind])
+@contextmanager
+def _checked(path: str):
+    """Report a TypeError or ValueError of the block as a usage error naming
+    the config section at the dotted `path`."""
     try:
-        for key, cast in _FIELDS[kind].items():
-            if key in section:
-                try:
-                    settings[key] = cast(section[key])
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{key}: {exc}") from None
-        return build(settings)
+        yield
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad 'training.{kind}' section: {exc}") from None
+        raise UsageError(f"bad '{path}' section: {exc}") from None
 
 
-def _ann_settings(tcfg: dict) -> tuple[list[int], TrainOptions]:
-    """The hidden sizes and trainer options of the 'training.ann' section."""
-    def build(settings):
-        sizes = [int(m) for m in tcfg.get("ann", {}).get("hidden_sizes", [4])]
+def _section(cfg: dict, path: str, fields: dict, **overrides) -> dict:
+    """The settings of the config section at the dotted `path`, one per key
+    of `fields` {key: (cast, default)}: the configured value cast, else the
+    default. An override that is not None replaces the configured value. A
+    section that is not a JSON object and a value its cast rejects are usage
+    errors naming the section."""
+    section, settings = cfg, {}
+    with _checked(path):
+        for key in path.split("."):
+            section = _object(section.get(key, {}))
+        section = {**section, **{key: value for key, value in overrides.items()
+                                 if value is not None}}
+        for key, (cast, default) in fields.items():
+            try:
+                settings[key] = cast(section[key]) if key in section else default
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    return settings
+
+
+# the cast of each field type of the parameter dataclasses the CLI fills
+_CASTS = {"int": int, "float": float, "str": str,
+          "tuple[str, ...]": tuple, "tuple[float, ...]": tuple}
+
+
+def _fields(cls, *skip) -> dict:
+    """{field: (cast, default)} of the dataclass `cls`, but for `skip`."""
+    return {f.name: (_CASTS[f.type], f.default)
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+_ENTRIES = (_objects, [])
+_TRAINING = {"responses": (list, None), "kinds": (list, ["ann"]),
+             "selection": (str, "verify_rmse")}
+_ANN = {**_fields(TrainOptions, "hidden_size"),
+        "hidden_sizes": (lambda sizes: [int(m) for m in sizes], [4])}
+# the CLI's own defaults: `fit_polynomial` alone does not select stepwise
+_RBF = {"error_goal": (float, 1e-4), "spread": (float, 1.0),
+        "max_neurons": (int, 25), "input_scaling": (str, "meanstd")}
+_POLY = {"degree": (int, 2), "stepwise": (_flag, True),
+         "p_enter": (float, 0.05)}
+_MOFA = {**_fields(mofa.MofaParams), "objectives": _ENTRIES,
+         "constraints": _ENTRIES}
+_ABC = {**_fields(bee_colony.AbcParams),
+        **_fields(bee_colony.FomProblem, "terms", "windows"),
+        "objective": _ENTRIES, "window": _ENTRIES}
+_VAMS = {**_fields(vams_codegen.MacromodelSpec, "module_name",
+                  "variable_names", "parameter_defaults", "cpms"),
+         "module_name": (str, "analog_block"), "cpms": (_object, {}),
+         "parameter_defaults": (tuple, None)}
+
+
+def _oracle(cfg: dict) -> oracles.Oracle:
+    settings = _section(cfg, "oracle", {"name": (str, None),
+                                        "artificial_delay": (float, 0.0)})
+    name, delay = settings["name"], settings["artificial_delay"]
+    if name not in oracles.BUILTIN_ORACLES:
+        raise UsageError(
+            f"unknown oracle {name!r}; built-ins: "
+            f"{sorted(oracles.BUILTIN_ORACLES)}"
+        )
+    oracle = oracles.BUILTIN_ORACLES[name]()
+    return oracle.with_delay(delay) if delay > 0 else oracle
+
+
+def _training(cfg: dict, seed=None, kinds=None):
+    """The 'training' section settings, the hidden sizes and trainer options
+    of 'training.ann', and the `train_rbf` and `fit_polynomial` keyword
+    arguments of 'training.rbf' and 'training.poly' for the configured
+    kinds; every one of these sections is checked whatever the kinds."""
+    tcfg = _section(cfg, "training", _TRAINING, kinds=kinds)
+    ann = _section(cfg, "training.ann", _ANN, seed=seed)
+    sizes = ann.pop("hidden_sizes")
+    with _checked("training.ann"):
         # the options check the smallest hidden size
-        return sizes, TrainOptions(hidden_size=min(sizes, default=1),
-                                   **settings)
-    return _section(tcfg, "ann", build)
-
-
-def _rbf_kwargs(settings: dict) -> dict:
-    check_rbf_settings(**settings)
-    return settings
-
-
-def _poly_kwargs(settings: dict) -> dict:
-    check_poly_settings(settings["degree"], settings["p_enter"])
-    return settings
-
-
-def _fit_settings(tcfg: dict) -> dict[str, dict]:
-    """The `train_rbf` and `fit_polynomial` keyword arguments of the
-    'training.rbf' and 'training.poly' sections, for the configured kinds;
-    both sections are checked whatever the kinds."""
-    settings = {"rbf": _section(tcfg, "rbf", _rbf_kwargs),
-                "poly": _section(tcfg, "poly", _poly_kwargs)}
-    kinds = tcfg.get("kinds", ["ann"])
-    return {kind: kw for kind, kw in settings.items() if kind in kinds}
+        opts = TrainOptions(hidden_size=min(sizes, default=1), **ann)
+    rbf = _section(cfg, "training.rbf", _RBF)
+    with _checked("training.rbf"):
+        check_rbf_settings(**rbf)
+    poly = _section(cfg, "training.poly", _POLY)
+    with _checked("training.poly"):
+        check_poly_settings(poly["degree"], poly["p_enter"])
+    fits = {kind: kw for kind, kw in (("rbf", rbf), ("poly", poly))
+            if kind in tcfg["kinds"]}
+    return tcfg, sizes, opts, fits
 
 
 def _load_train_set(path, space: DesignSpace, with_anns: bool):
@@ -188,9 +221,9 @@ def _sweep_response(train_set, verify_set, response: str, fits: dict,
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
     space = _space(cfg)
-    sampling = cfg.get("sampling", {})
-    n = args.n if args.n is not None else int(sampling.get("n", 100))
-    seed = args.seed if args.seed is not None else int(sampling.get("seed", 0))
+    sampling = _section(cfg, "sampling", {"n": (int, 100), "seed": (int, 0)},
+                        n=args.n, seed=args.seed)
+    n, seed = sampling["n"], sampling["seed"]
     if n < 1:
         raise UsageError(f"sample count must be >= 1, got {n}")
 
@@ -214,16 +247,12 @@ def cmd_sample(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     space = _space(cfg)
-    tcfg = cfg.get("training", {})
-    if args.seed is not None:
-        tcfg.setdefault("ann", {})["seed"] = args.seed
-    sizes, opts = _ann_settings(tcfg)
-    fits = _fit_settings(tcfg)
-    with_anns = "ann" in tcfg.get("kinds", ["ann"])
+    tcfg, sizes, opts, fits = _training(cfg, seed=args.seed)
+    with_anns = "ann" in tcfg["kinds"]
     train_set = _load_train_set(args.train, space, with_anns)
     verify_set = oracles.load_csv(args.verify, space.names)
 
-    responses = tcfg.get("responses") or train_set.response_names
+    responses = tcfg["responses"] or train_set.response_names
     if not responses:
         raise UsageError("no responses configured and none found in the data")
     _check_responses(train_set, responses, args.train)
@@ -231,7 +260,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     anns = train_anns(train_set, responses, sizes, opts) if with_anns else {}
-    criterion = tcfg.get("selection", "verify_rmse")
+    criterion = tcfg["selection"]
     all_reports = {}
     for response in responses:
         ann_rows = [(f"ann-{m}", anns[response, m][0])
@@ -249,7 +278,7 @@ def cmd_train(args) -> int:
             {"model": label, **rep.to_dict()} for label, _, rep in rows
         ]
     if args.report_json:
-        with open(args.report_json, "w") as fh:
+        with atomic_write(args.report_json) as fh:
             json.dump(all_reports, fh, indent=1)
             fh.write("\n")
     return 0
@@ -288,17 +317,14 @@ def _load_models(models_dir, responses) -> dict:
 def cmd_optimize_mofa(args) -> int:
     cfg = _load_config(args.config)
     space = _space(cfg)
-    section = cfg.get("mofa")
-    if not section:
-        raise UsageError("config has no 'mofa' section")
-    obj_cfg = section.get("objectives", [])
-    con_cfg = section.get("constraints", [])
+    settings = _section(cfg, "mofa", _MOFA, seed=args.seed)
+    obj_cfg, con_cfg = settings.pop("objectives"), settings.pop("constraints")
     if len(obj_cfg) < 2:
         raise UsageError("mofa needs at least two objectives")
     names = [o["response"] for o in obj_cfg] + [c["response"] for c in con_cfg]
     models = _load_models(args.models, names)
 
-    try:
+    with _checked("mofa"):
         objectives = [mofa.ObjectiveSpec(o["response"], o["direction"],
                                          models[o["response"]])
                       for o in obj_cfg]
@@ -306,19 +332,7 @@ def cmd_optimize_mofa(args) -> int:
                                            models[c["response"]],
                                            float(c["bound"]), c["sense"])
                        for c in con_cfg]
-        params = mofa.MofaParams(
-            K=int(section.get("K", 20)),
-            t_max=int(section.get("t_max", 500)),
-            beta0=float(section.get("beta0", 1.0)),
-            gamma=float(section.get("gamma", 1.0)),
-            alpha=float(section.get("alpha", 0.25)),
-            alpha_decay=float(section.get("alpha_decay", 0.97)),
-            max_regen=int(section.get("max_regen", 5)),
-            seed=(args.seed if args.seed is not None
-                  else int(section.get("seed", 0))),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad 'mofa' section: {exc}") from None
+        params = mofa.MofaParams(**settings)
     archive = mofa.mofa_optimize(space, objectives, constraints, params)
     archive.write_csv(args.out)
     print(f"wrote {len(archive)} non-dominated designs to {args.out}",
@@ -329,17 +343,15 @@ def cmd_optimize_mofa(args) -> int:
 def cmd_optimize_abc(args) -> int:
     cfg = _load_config(args.config)
     space = _space(cfg)
-    section = cfg.get("abc")
-    if not section:
-        raise UsageError("config has no 'abc' section")
-    term_cfg = section.get("objective", [])
-    window_cfg = section.get("window", [])
+    settings = _section(cfg, "abc", _ABC, seed=args.seed)
+    term_cfg, window_cfg = settings.pop("objective"), settings.pop("window")
+    penalty_weight = settings.pop("penalty_weight")
     if not term_cfg:
         raise UsageError("abc needs at least one objective term")
     names = [t["response"] for t in term_cfg] + [w["response"] for w in window_cfg]
     models = _load_models(args.models, names)
 
-    try:
+    with _checked("abc"):
         problem = bee_colony.FomProblem(
             terms=tuple(bee_colony.FomTerm(models[t["response"]],
                                            float(t.get("weight", 1.0)))
@@ -348,17 +360,9 @@ def cmd_optimize_abc(args) -> int:
                 models[w["response"]], float(w["center"]),
                 float(w.get("relative_tolerance", 0.005)))
                 for w in window_cfg),
-            penalty_weight=float(section.get("penalty_weight", 1e3)),
+            penalty_weight=penalty_weight,
         )
-        params = bee_colony.AbcParams(
-            colony_size=int(section.get("colony_size", 20)),
-            limit=int(section.get("limit", 50)),
-            max_cycles=int(section.get("max_cycles", 500)),
-            seed=(args.seed if args.seed is not None
-                  else int(section.get("seed", 0))),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad 'abc' section: {exc}") from None
+        params = bee_colony.AbcParams(**settings)
     best_x, best_f, trace = bee_colony.abc_optimize(space, problem, params)
     bee_colony.write_trace_csv(trace, args.out)
     for name, value in zip(space.names, best_x):
@@ -371,12 +375,11 @@ def cmd_optimize_abc(args) -> int:
 def cmd_emit_vams(args) -> int:
     cfg = _load_config(args.config)
     space = _space(cfg)
-    section = cfg.get("vams", {})
-    cpm_files = section.get("cpms", {k: k for k in vams_codegen.CPM_KEYS})
+    settings = _section(cfg, "vams", _VAMS)
+    cpm_files = settings.pop("cpms")
     cpms = {}
     for key in vams_codegen.CPM_KEYS:
-        response = cpm_files.get(key, key)
-        path = Path(args.models) / f"{response}.json"
+        path = Path(args.models) / f"{cpm_files.get(key, key)}.json"
         if not path.exists():
             raise DataFormatError(f"missing model file {path}")
         model = load_model(path)
@@ -384,21 +387,16 @@ def cmd_emit_vams(args) -> int:
             raise DataFormatError(
                 f"{path} is not a network model; cannot emit weights"
             )
+        if model.input_dim != space.dim:
+            raise DataFormatError(f"{path} takes {model.input_dim} inputs, "
+                                  f"space has {space.dim}")
         cpms[key] = model
 
-    defaults = section.get("parameter_defaults")
-    if defaults is None:
-        defaults = ((space.lower + space.upper) / 2.0).tolist()
-    spec = vams_codegen.MacromodelSpec(
-        module_name=section.get("module_name", "analog_block"),
-        variable_names=tuple(space.names),
-        parameter_defaults=tuple(defaults),
-        cpms=cpms,
-        ports=tuple(section.get("ports", ("inp", "inn", "out"))),
-        hs_numerator=tuple(section.get("hs_numerator", (1.0,))),
-        hs_denominator=tuple(section.get("hs_denominator",
-                                         (1.0, 1.59155e-05))),
-    )
+    if settings["parameter_defaults"] is None:
+        settings["parameter_defaults"] = (space.lower + space.upper) / 2.0
+    with _checked("vams"):
+        spec = vams_codegen.MacromodelSpec(
+            variable_names=tuple(space.names), cpms=cpms, **settings)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundles = {}
@@ -407,7 +405,8 @@ def cmd_emit_vams(args) -> int:
                                                    prefix=f"{key}_")
     text = vams_codegen.emit_vams_module(spec, bundles)
     module_path = out_dir / f"{spec.module_name}.vams"
-    module_path.write_text(text)
+    with atomic_write(module_path) as fh:
+        fh.write(text)
     print(f"wrote {module_path} and {4 * len(bundles)} weight files",
           file=sys.stderr)
     return 0
@@ -416,13 +415,11 @@ def cmd_emit_vams(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args.config)
     space = _space(cfg)
-    tcfg = {**cfg.get("training", {}), "kinds": ["poly"]}
-    sizes, opts = _ann_settings(tcfg)
-    fits = _fit_settings(tcfg)
+    tcfg, sizes, opts, fits = _training(cfg, kinds=["poly"])
     train_set = _load_train_set(args.train, space, with_anns=True)
     verify_set = oracles.load_csv(args.verify, space.names)
     responses = ([args.response] if args.response
-                 else tcfg.get("responses") or train_set.response_names)
+                 else tcfg["responses"] or train_set.response_names)
     _check_responses(train_set, responses, args.train)
 
     anns = train_anns(train_set, responses, sizes, opts)

@@ -163,6 +163,7 @@ def lhs_disjoint(space: DesignSpace, n: int, training: np.ndarray,
 
 
 def _has_row_collision(candidate: np.ndarray, training: np.ndarray) -> bool:
-    # exact-value comparison; see module design notes
-    matches = (candidate[:, None, :] == training[None, :, :]).all(axis=2)
-    return bool(matches.any())
+    # exact float equality: adding 0.0 turns -0.0 into 0.0, so rows of
+    # equal values have equal bytes
+    taken = {row.tobytes() for row in training + 0.0}
+    return any(row.tobytes() in taken for row in candidate + 0.0)

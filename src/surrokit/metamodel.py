@@ -10,19 +10,17 @@ to share across threads.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
+from .files import atomic_write
 from .scaling import Scaler, apply as scale_apply, invert as scale_invert
 
 __all__ = [
     "AnnModel", "RbfModel", "PolyModel", "CallableModel",
-    "ann_hidden", "poly_basis", "ann_predict", "rbf_predict", "poly_predict",
-    "save_model", "load_model",
+    "ann_hidden", "poly_basis", "save_model", "load_model",
 ]
 
 ACTIVATIONS = ("tanh", "logsig")
@@ -266,113 +264,51 @@ class CallableModel:
         return 0
 
 
-def ann_predict(model: AnnModel, x) -> float:
-    """Evaluate an ANN metamodel at a single raw design point."""
-    return model.predict(np.asarray(x, dtype=float).reshape(-1))
-
-
-def rbf_predict(model: RbfModel, x) -> float:
-    """Evaluate a radial metamodel at a single raw design point."""
-    return model.predict(np.asarray(x, dtype=float).reshape(-1))
-
-
-def poly_predict(model: PolyModel, x) -> float:
-    """Evaluate a polynomial metamodel at a single design point."""
-    return model.predict(np.asarray(x, dtype=float).reshape(-1))
-
-
 # --- persistence ----------------------------------------------------------
 
+# kind -> (class, the fields a model file holds after "kind", in file order);
+# arrays are saved as lists and scalers as their dicts
+_KINDS = {
+    "ann": (AnnModel, ("input_dim", "hidden_size", "activation", "steepness",
+                       "W1", "b1", "W2", "b2", "input_scaler",
+                       "output_scaler", "role", "response_name")),
+    "rbf": (RbfModel, ("input_dim", "centers", "spread", "weights", "bias",
+                       "radial_kind", "input_scaler", "output_scaler", "role",
+                       "response_name")),
+    "poly": (PolyModel, ("input_dim", "degree", "terms", "coefficients",
+                         "role", "response_name")),
+}
+
+
 def _model_to_dict(model) -> dict:
-    if isinstance(model, AnnModel):
-        return {
-            "kind": "ann",
-            "input_dim": model.input_dim,
-            "hidden_size": model.hidden_size,
-            "activation": model.activation,
-            "steepness": model.steepness,
-            "W1": model.W1.tolist(),
-            "b1": model.b1.tolist(),
-            "W2": model.W2.tolist(),
-            "b2": model.b2,
-            "input_scaler": model.input_scaler.to_dict(),
-            "output_scaler": model.output_scaler.to_dict(),
-            "role": model.role,
-            "response_name": model.response_name,
-        }
-    if isinstance(model, RbfModel):
-        return {
-            "kind": "rbf",
-            "input_dim": model.input_dim,
-            "centers": model.centers.tolist(),
-            "spread": model.spread,
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "radial_kind": model.radial_kind,
-            "input_scaler": model.input_scaler.to_dict(),
-            "output_scaler": model.output_scaler.to_dict(),
-            "role": model.role,
-            "response_name": model.response_name,
-        }
-    if isinstance(model, PolyModel):
-        return {
-            "kind": "poly",
-            "input_dim": model.input_dim,
-            "degree": model.degree,
-            "terms": model.terms.tolist(),
-            "coefficients": model.coefficients.tolist(),
-            "role": model.role,
-            "response_name": model.response_name,
-        }
+    for kind, (cls, names) in _KINDS.items():
+        if isinstance(model, cls):
+            out = {"kind": kind}
+            for name in names:
+                value = getattr(model, name)
+                out[name] = (value.tolist() if isinstance(value, np.ndarray)
+                             else value.to_dict() if isinstance(value, Scaler)
+                             else value)
+            return out
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
 def _model_from_dict(d: dict):
     kind = d.get("kind")
-    if kind == "ann":
-        return AnnModel(
-            input_dim=d["input_dim"], hidden_size=d["hidden_size"],
-            activation=d["activation"], steepness=d["steepness"],
-            W1=np.asarray(d["W1"]), b1=np.asarray(d["b1"]),
-            W2=np.asarray(d["W2"]), b2=d["b2"],
-            input_scaler=Scaler.from_dict(d["input_scaler"]),
-            output_scaler=Scaler.from_dict(d["output_scaler"]),
-            role=d["role"], response_name=d["response_name"],
-        )
-    if kind == "rbf":
-        return RbfModel(
-            input_dim=d["input_dim"], centers=np.asarray(d["centers"]),
-            spread=d["spread"], weights=np.asarray(d["weights"]),
-            bias=d["bias"], radial_kind=d["radial_kind"],
-            input_scaler=Scaler.from_dict(d["input_scaler"]),
-            output_scaler=Scaler.from_dict(d["output_scaler"]),
-            role=d["role"], response_name=d["response_name"],
-        )
-    if kind == "poly":
-        return PolyModel(
-            input_dim=d["input_dim"], degree=d["degree"],
-            terms=np.asarray(d["terms"]),
-            coefficients=np.asarray(d["coefficients"]),
-            role=d["role"], response_name=d["response_name"],
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    cls, names = _KINDS[kind]
+    # the constructors turn the saved lists back into arrays
+    return cls(**{name: Scaler.from_dict(d[name]) if name.endswith("_scaler")
+                  else d[name] for name in names})
 
 
 def save_model(model, path) -> None:
-    """Write a model (any of the three families) to a JSON file.
-
-    The JSON goes to a temporary file in the same directory, which then
-    replaces `path`, so a failed write leaves any existing file intact.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(_model_to_dict(model), fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Write a model (any of the three families) to a JSON file; a failed
+    write leaves any existing file intact."""
+    with atomic_write(path) as fh:
+        json.dump(_model_to_dict(model), fh, indent=1)
+        fh.write("\n")
 
 
 def load_model(path):

@@ -19,13 +19,13 @@ non-finite prediction counts as infeasible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .design_space import DesignSpace
 from .errors import DataFormatError, InfeasibleRunError
+from .files import write_csv
 
 __all__ = [
     "ObjectiveSpec", "ConstraintSpec", "MofaParams", "ParetoArchive",
@@ -116,14 +116,8 @@ class ParetoArchive:
     def write_csv(self, path) -> None:
         header = (list(self.variable_names) + list(self.objective_names)
                   + list(self.constraint_names))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(len(self)):
-                row = np.concatenate([
-                    self.designs[i], self.objectives[i], self.constraints[i]
-                ])
-                writer.writerow([f"{v:.17g}" for v in row])
+        write_csv(path, header, np.hstack([self.designs, self.objectives,
+                                           self.constraints]))
 
 
 def non_dominated(points, directions) -> list[int]:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .design_space import DesignSpace, DesignVariable
 from .errors import DataFormatError
+from .files import write_csv
 from .metamodel import CallableModel
 from .training import SampleSet
 
@@ -202,14 +203,9 @@ def save_csv(sample_set: SampleSet, path) -> None:
     """Write a SampleSet: header of variable then response names, one data
     row per sample, 17 significant digits."""
     names = sample_set.response_names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(sample_set.variable_names) + names)
-        for i in range(sample_set.n_rows):
-            row = list(sample_set.inputs[i]) + [
-                sample_set.responses[n][i] for n in names
-            ]
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(path, list(sample_set.variable_names) + names,
+              np.column_stack([sample_set.inputs]
+                              + [sample_set.responses[n] for n in names]))
 
 
 def load_csv(path, variable_names, response_names=None) -> SampleSet:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
+from .files import atomic_write
 from .metamodel import AnnModel
 from .scaling import Scaler
 
@@ -85,7 +86,8 @@ class WeightBundle:
         for name, payload in (("w1", self.w1), ("w2", self.w2),
                               ("b1", self.b1), ("b2", self.b2)):
             path = directory / f"{self.prefix}{name}.txt"
-            path.write_text(payload)
+            with atomic_write(path) as fh:
+                fh.write(payload)
             written.append(path)
         return written
 

@@ -313,6 +313,20 @@ class TestEmitVams:
                      "--out-dir", str(tmp_path / "v")])
         assert code == 2
 
+    def test_model_space_mismatch_is_data_error(self, cpm_models, tmp_path,
+                                                capsys):
+        from surrokit.oracles import pll_space
+        config = json.loads(cpm_models.read_text())
+        config["space"] = pll_space().to_dicts()
+        cpm_models.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = main(["emit-vams", "--config", str(cpm_models),
+                     "--models", str(tmp_path / "models"),
+                     "--out-dir", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "takes 16 inputs, space has 21" in err
+
 
 class TestCompare:
     def test_nonlinear_oracle_ann_beats_poly(self, sin_project, capsys):
@@ -553,3 +567,65 @@ class TestModelSpaceMismatch:
         assert code == 2
         assert "takes 16 inputs, space has 21" in err
         assert "Traceback" not in err
+
+
+class TestMalformedSections:
+    """A section or section value of the wrong JSON type is a usage error
+    naming the section, never a traceback."""
+
+    @pytest.mark.parametrize("command,section,edit", [
+        ("sample", "sampling", {"sampling": {"n": "x"}}),
+        ("sample", "sampling", {"sampling": [1]}),
+        ("sample", "oracle", {"oracle": {"name": "opamp",
+                                         "artificial_delay": "x"}}),
+        ("sample", "oracle", {"oracle": ["opamp"]}),
+        ("train", "training.ann", {"training": {"ann": [3]}}),
+        ("train", "training", {"training": [1]}),
+        ("optimize-mofa", "mofa", {"mofa": [1]}),
+        ("optimize-mofa", "mofa", {"mofa": {"objectives": ["sr", "pd"]}}),
+        ("optimize-abc", "abc", {"abc": [1]}),
+        ("optimize-abc", "abc", {"abc": {"objective": [{"response": "pd"}],
+                                         "window": ["a0"]}}),
+        ("emit-vams", "vams", {"vams": [1]}),
+        ("emit-vams", "vams", {"vams": {"cpms": ["gm"]}}),
+    ])
+    def test_exit_1_naming_section(self, opamp_pipeline_config, tmp_path,
+                                   capsys, command, section, edit):
+        config = json.loads(opamp_pipeline_config.read_text())
+        config.update(edit)
+        opamp_pipeline_config.write_text(json.dumps(config))
+        d = str(tmp_path)
+        argv = {
+            "sample": ["--out", f"{d}/s.csv", "--evaluate"],
+            "train": ["--train", f"{d}/t.csv", "--verify", f"{d}/v.csv",
+                      "--out-dir", f"{d}/m"],
+            "optimize-mofa": ["--models", f"{d}/m", "--out", f"{d}/o.csv"],
+            "optimize-abc": ["--models", f"{d}/m", "--out", f"{d}/o.csv"],
+            "emit-vams": ["--models", f"{d}/m", "--out-dir", f"{d}/v"],
+        }[command]
+        code = main([command, "--config", str(opamp_pipeline_config)] + argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"'{section}'" in err and "Traceback" not in err
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command,section", [("optimize-mofa", "mofa"),
+                                                 ("optimize-abc", "abc")])
+    def test_flag_overrides_config_seed(self, opamp_pipeline_config, tmp_path,
+                                        capsys, command, section):
+        """`--seed 7` over a configured seed of 3 writes what a configured
+        seed of 7 writes."""
+        write_toy_models(tmp_path, opamp_pipeline_config)
+        config = json.loads(opamp_pipeline_config.read_text())
+        outputs = []
+        for seed, flag in ((3, ["--seed", "7"]), (7, [])):
+            config[section]["seed"] = seed
+            opamp_pipeline_config.write_text(json.dumps(config))
+            out = tmp_path / f"out-{seed}.csv"
+            capsys.readouterr()
+            assert main([command, "--config", str(opamp_pipeline_config),
+                         "--models", str(tmp_path / "models"),
+                         "--out", str(out)] + flag) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]

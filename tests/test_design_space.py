@@ -148,3 +148,32 @@ class TestLhsDisjoint:
         a = lhs_disjoint(space, 5, training, seed=2)
         b = lhs_disjoint(space, 5, training, seed=2)
         assert np.array_equal(a, b)
+
+    def test_colliding_draw_is_redrawn(self):
+        space = unit_space(2)
+        # the first draw of seed 2 is lhs_sample's: it collides with itself
+        training = lhs_sample(space, 5, seed=2)
+        extra = lhs_disjoint(space, 5, training, seed=2)
+        assert not (extra[:, None, :] == training[None, :, :]).all(axis=2).any()
+
+
+class TestRowCollision:
+    def test_signed_zeros_collide(self):
+        from surrokit.design_space import _has_row_collision
+        training = np.array([[-0.0, 1.0], [2.0, 3.0]])
+        assert _has_row_collision(np.array([[5.0, 5.0], [0.0, 1.0]]), training)
+        assert not _has_row_collision(np.array([[1.0, 0.0]]), training)
+
+    def test_memory_is_not_rows_times_rows(self):
+        import tracemalloc
+        from surrokit.design_space import _has_row_collision
+        rng = np.random.default_rng(7)
+        candidate, training = rng.random((2, 2000, 16))
+        tracemalloc.start()
+        try:
+            assert not _has_row_collision(candidate, training)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 2000 x 2000 x 16 comparison broadcast alone is 64 MB
+        assert peak < 8e6

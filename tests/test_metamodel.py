@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from surrokit.metamodel import (AnnModel, CallableModel, PolyModel, RbfModel,
-                                ann_predict, load_model, poly_basis,
-                                poly_predict, rbf_predict, save_model)
+                                load_model, poly_basis, save_model)
 from surrokit.scaling import Scaler, fit_scaler
 
 
@@ -42,40 +41,40 @@ class TestAnnPredict:
     def test_zero_weights_collapse_to_bias(self):
         model = make_ann(np.zeros((3, 2)), np.zeros(3), np.zeros(3), 4.5)
         for x in ([0.0, 0.0], [1.0, -2.0], [100.0, 3.0]):
-            assert ann_predict(model, x) == 4.5
+            assert model.predict(x) == 4.5
 
     def test_tanh_at_zero(self):
         model = make_ann([[1.0]], [0.0], [1.0], 0.0)
-        assert ann_predict(model, [0.0]) == 0.0
+        assert model.predict([0.0]) == 0.0
 
     def test_tanh_at_one(self):
         model = make_ann([[1.0]], [0.0], [1.0], 0.0)
-        assert ann_predict(model, [1.0]) == pytest.approx(math.tanh(1.0),
-                                                          abs=1e-15)
-        assert ann_predict(model, [1.0]) == pytest.approx(0.7615941559557649)
+        assert model.predict([1.0]) == pytest.approx(math.tanh(1.0),
+                                                     abs=1e-15)
+        assert model.predict([1.0]) == pytest.approx(0.7615941559557649)
 
     def test_logsig_formula(self):
         model = make_ann([[2.0]], [0.5], [1.0], 0.0, activation="logsig",
                          steepness=1.5)
         x = 0.7
         expected = 1.0 / (1.0 + math.exp(-1.5 * (0.5 + 2.0 * x)))
-        assert ann_predict(model, [x]) == pytest.approx(expected, rel=1e-14)
+        assert model.predict([x]) == pytest.approx(expected, rel=1e-14)
 
     def test_steepness_scales_net_input(self):
         lam = 2.5
         model = make_ann([[1.0]], [0.3], [1.0], 0.0, steepness=lam)
-        assert ann_predict(model, [0.4]) == pytest.approx(
+        assert model.predict([0.4]) == pytest.approx(
             math.tanh(lam * (0.3 + 0.4)), rel=1e-14)
 
     def test_dimension_mismatch(self):
         model = make_ann(np.ones((2, 3)), np.zeros(2), np.ones(2), 0.0)
         with pytest.raises(ValueError, match="columns"):
-            ann_predict(model, [1.0, 2.0])
+            model.predict([1.0, 2.0])
 
     def test_non_finite_input_rejected(self):
         model = make_ann([[1.0]], [0.0], [1.0], 0.0)
         with pytest.raises(ValueError, match="non-finite"):
-            ann_predict(model, [float("nan")])
+            model.predict([float("nan")])
 
     def test_batch_matches_single(self):
         # BLAS may pick different kernels per shape: allow last-bit noise
@@ -125,24 +124,24 @@ class TestRbfPredict:
 
     def test_at_center(self):
         model = self.make([[1.0, 2.0]], [3.5], bias=0.0)
-        assert rbf_predict(model, [1.0, 2.0]) == 3.5  # rho(0) = 1
+        assert model.predict([1.0, 2.0]) == 3.5  # rho(0) = 1
 
     def test_far_from_centers_approaches_bias(self):
         model = self.make([[0.0, 0.0]], [5.0], bias=2.0, spread=0.1)
-        assert rbf_predict(model, [50.0, 50.0]) == pytest.approx(2.0, abs=1e-12)
+        assert model.predict([50.0, 50.0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetric_centers(self):
         # x equidistant from both centers: contributions are equal
         a = 1.7
         model = self.make([[-1.0], [1.0]], [a, a], bias=0.0, spread=0.9)
         expected = 2 * a * math.exp(-((1.0 / 0.9) ** 2))
-        assert rbf_predict(model, [0.0]) == pytest.approx(expected, rel=1e-12)
+        assert model.predict([0.0]) == pytest.approx(expected, rel=1e-12)
 
     def test_gaussian_form(self):
         spread = 0.6
         model = self.make([[0.0]], [1.0], bias=0.0, spread=spread)
         r = 0.45
-        assert rbf_predict(model, [r]) == pytest.approx(
+        assert model.predict([r]) == pytest.approx(
             math.exp(-((r / spread) ** 2)), rel=1e-13)
 
     def test_zero_neurons_is_bias(self):
@@ -150,12 +149,12 @@ class TestRbfPredict:
                          weights=np.zeros(0), bias=1.5,
                          input_scaler=Scaler.identity(2),
                          output_scaler=Scaler.identity(1))
-        assert rbf_predict(model, [3.0, 4.0]) == 1.5
+        assert model.predict([3.0, 4.0]) == 1.5
 
     def test_dimension_mismatch(self):
         model = self.make([[0.0, 0.0]], [1.0], bias=0.0)
         with pytest.raises(ValueError):
-            rbf_predict(model, [1.0])
+            model.predict([1.0])
 
 
 class TestPolyPredict:
@@ -163,26 +162,26 @@ class TestPolyPredict:
         model = PolyModel(input_dim=2, degree=1,
                           terms=np.zeros((1, 2), dtype=int),
                           coefficients=np.array([4.25]))
-        assert poly_predict(model, [9.0, -3.0]) == 4.25
+        assert model.predict([9.0, -3.0]) == 4.25
 
     def test_univariate_quadratic(self):
         # 1 + 2x + 3x^2 at x = 2 -> 17
         model = PolyModel(input_dim=1, degree=2,
                           terms=np.array([[0], [1], [2]]),
                           coefficients=np.array([1.0, 2.0, 3.0]))
-        assert poly_predict(model, [2.0]) == 17.0
+        assert model.predict([2.0]) == 17.0
 
     def test_zero_coefficients(self):
         model = PolyModel(input_dim=3, degree=2,
                           terms=np.array([[0, 0, 0], [1, 1, 0]]),
                           coefficients=np.zeros(2))
-        assert poly_predict(model, [1.0, 2.0, 3.0]) == 0.0
+        assert model.predict([1.0, 2.0, 3.0]) == 0.0
 
     def test_cross_term(self):
         model = PolyModel(input_dim=2, degree=3,
                           terms=np.array([[1, 2]]),
                           coefficients=np.array([2.0]))
-        assert poly_predict(model, [3.0, 2.0]) == pytest.approx(2 * 3 * 4)
+        assert model.predict([3.0, 2.0]) == pytest.approx(2 * 3 * 4)
 
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -289,6 +288,34 @@ class TestPersistence:
         clone = load_model(tmp_path / "m.json")
         pts = np.random.default_rng(12).normal(size=(10, 2))
         assert np.array_equal(model.predict(pts), clone.predict(pts))
+
+    def test_saved_key_order(self, tmp_path):
+        """Each kind's file keeps its keys in this order, so files written
+        before and after a change to the persistence code stay identical."""
+        import json
+        rng = np.random.default_rng(15)
+        rbf = RbfModel(input_dim=2, centers=np.ones((1, 2)), spread=1.0,
+                       weights=np.ones(1), bias=0.0,
+                       input_scaler=Scaler.identity(2),
+                       output_scaler=Scaler.identity(1))
+        poly = PolyModel(input_dim=1, degree=1, terms=np.array([[1]]),
+                         coefficients=np.array([2.0]))
+        golden = {
+            "ann": (random_ann(rng, scaled=True),
+                    ["kind", "input_dim", "hidden_size", "activation",
+                     "steepness", "W1", "b1", "W2", "b2", "input_scaler",
+                     "output_scaler", "role", "response_name"]),
+            "rbf": (rbf, ["kind", "input_dim", "centers", "spread", "weights",
+                          "bias", "radial_kind", "input_scaler",
+                          "output_scaler", "role", "response_name"]),
+            "poly": (poly, ["kind", "input_dim", "degree", "terms",
+                            "coefficients", "role", "response_name"]),
+        }
+        for kind, (model, keys) in golden.items():
+            save_model(model, tmp_path / "m.json")
+            saved = json.loads((tmp_path / "m.json").read_text())
+            assert list(saved) == keys
+            assert saved["kind"] == kind
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
