@@ -25,7 +25,7 @@ from .errors import (DataFormatError, DegenerateColumnError,
                      TrainingDivergedError, UndefinedVarianceError)
 from .files import atomic_write
 from .metamodel import load_model, save_model
-from .metrics import fit_report, render_report_table, select_best
+from .metrics import CRITERIA, fit_report, render_report_table, select_best
 from .training import (MIN_ANN_ROWS, TrainOptions, check_poly_settings,
                        check_rbf_settings, fit_polynomial, train_anns,
                        train_rbf)
@@ -121,7 +121,19 @@ def _fields(cls, *skip) -> dict:
             for f in dataclasses.fields(cls) if f.name not in skip}
 
 
-_ENTRIES = (_objects, [])
+def _entries(path: str, *required) -> tuple:
+    """The (cast, default) of the list of JSON objects at the dotted `path`,
+    each of which must hold the `required` keys."""
+    def cast(value):
+        entries = _objects(value)
+        for i, entry in enumerate(entries):
+            for key in required:
+                if key not in entry:
+                    raise UsageError(f"{path}[{i}]: missing {key!r}")
+        return entries
+    return cast, []
+
+
 _TRAINING = {"responses": (list, None), "kinds": (list, ["ann"]),
              "selection": (str, "verify_rmse")}
 _ANN = {**_fields(TrainOptions, "hidden_size"),
@@ -131,11 +143,14 @@ _RBF = {"error_goal": (float, 1e-4), "spread": (float, 1.0),
         "max_neurons": (int, 25), "input_scaling": (str, "meanstd")}
 _POLY = {"degree": (int, 2), "stepwise": (_flag, True),
          "p_enter": (float, 0.05)}
-_MOFA = {**_fields(mofa.MofaParams), "objectives": _ENTRIES,
-         "constraints": _ENTRIES}
+_MOFA = {**_fields(mofa.MofaParams),
+         "objectives": _entries("mofa.objectives", "response", "direction"),
+         "constraints": _entries("mofa.constraints", "response", "bound",
+                                 "sense")}
 _ABC = {**_fields(bee_colony.AbcParams),
         **_fields(bee_colony.FomProblem, "terms", "windows"),
-        "objective": _ENTRIES, "window": _ENTRIES}
+        "objective": _entries("abc.objective", "response"),
+        "window": _entries("abc.window", "response", "center")}
 _VAMS = {**_fields(vams_codegen.MacromodelSpec, "module_name",
                   "variable_names", "parameter_defaults", "cpms"),
          "module_name": (str, "analog_block"), "cpms": (_object, {}),
@@ -161,6 +176,9 @@ def _training(cfg: dict, seed=None, kinds=None):
     arguments of 'training.rbf' and 'training.poly' for the configured
     kinds; every one of these sections is checked whatever the kinds."""
     tcfg = _section(cfg, "training", _TRAINING, kinds=kinds)
+    if tcfg["selection"] not in CRITERIA:
+        raise UsageError(f"training.selection must be one of "
+                         f"{', '.join(CRITERIA)}; got {tcfg['selection']!r}")
     ann = _section(cfg, "training.ann", _ANN, seed=seed)
     sizes = ann.pop("hidden_sizes")
     with _checked("training.ann"):

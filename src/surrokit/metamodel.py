@@ -20,11 +20,14 @@ from .scaling import Scaler, apply as scale_apply, invert as scale_invert
 
 __all__ = [
     "AnnModel", "RbfModel", "PolyModel", "CallableModel",
-    "ann_hidden", "poly_basis", "save_model", "load_model",
+    "ann_hidden", "rbf_design", "poly_basis", "save_model", "load_model",
 ]
 
 ACTIVATIONS = ("tanh", "logsig")
 ROLES = ("PMM", "CPM")
+# rows per block of a batch predict: a forward pass's temporaries scale with
+# this, so predict memory does not grow with the row count
+PREDICT_BLOCK = 8192
 
 
 def _as_matrix(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -39,6 +42,19 @@ def _as_matrix(x, dim: int) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
+def _blockwise(forward, pts: np.ndarray) -> np.ndarray:
+    """`forward(pts)` (one value per row) over blocks of at most
+    PREDICT_BLOCK rows of the raw points, written into one output array."""
+    n = pts.shape[0]
+    if n <= PREDICT_BLOCK:
+        return forward(pts)
+    out = np.empty(n)
+    for start in range(0, n, PREDICT_BLOCK):
+        block = slice(start, start + PREDICT_BLOCK)
+        out[block] = forward(pts[block])
+    return out
+
+
 def ann_hidden(xs: np.ndarray, W1: np.ndarray, b1: np.ndarray,
                steepness: float, activation: str) -> np.ndarray:
     """Hidden-layer outputs f(steepness * (xs @ W1.T + b1)) for the scaled
@@ -49,6 +65,22 @@ def ann_hidden(xs: np.ndarray, W1: np.ndarray, b1: np.ndarray,
     if activation == "tanh":
         return np.tanh(z)
     return 1.0 / (1.0 + np.exp(-z))  # logsig
+
+
+def rbf_design(xs: np.ndarray, centers: np.ndarray,
+               spread: float) -> np.ndarray:
+    """Gaussian columns exp(-||x - c||^2 / spread^2) of the scaled inputs
+    `xs`, one row per point and one column per center: the RBF forward pass
+    of `RbfModel.predict`. The squared distance is ||x||^2 - 2 x.c + ||c||^2
+    with one matrix product for the cross term, clamped at 0 because the
+    cancellation can leave it a rounding error below 0 near a center.
+    """
+    d2 = xs @ (-2.0 * centers).T  # -2 is exact, so this is -2 (xs @ c.T)
+    d2 += np.einsum("ij,ij->i", xs, xs)[:, None]
+    d2 += np.einsum("ij,ij->i", centers, centers)
+    np.maximum(d2, 0.0, out=d2)
+    np.divide(d2, -spread ** 2, out=d2)
+    return np.exp(d2, out=d2)
 
 
 def poly_basis(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -133,11 +165,14 @@ class AnnModel:
     def predict(self, x) -> float | np.ndarray:
         """Predict for one point (returns float) or a matrix of points."""
         pts, single = _as_matrix(x, self.input_dim)
+        y = _blockwise(self._forward, pts)
+        return float(y[0]) if single else y
+
+    def _forward(self, pts: np.ndarray) -> np.ndarray:
         xs = scale_apply(self.input_scaler, pts)
         h = ann_hidden(xs, self.W1, self.b1, self.steepness, self.activation)
         y = h @ self.W2 + self.b2
-        y = scale_invert(self.output_scaler, y[:, None])[:, 0]
-        return float(y[0]) if single else y
+        return scale_invert(self.output_scaler, y[:, None])[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,14 +223,17 @@ class RbfModel:
 
     def predict(self, x) -> float | np.ndarray:
         pts, single = _as_matrix(x, self.input_dim)
+        y = _blockwise(self._forward, pts)
+        return float(y[0]) if single else y
+
+    def _forward(self, pts: np.ndarray) -> np.ndarray:
         xs = scale_apply(self.input_scaler, pts)
         if self.n_neurons:
-            d2 = ((xs[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
-            y = np.exp(-d2 / self.spread ** 2) @ self.weights + self.bias
+            phi = rbf_design(xs, self.centers, self.spread)
+            y = phi @ self.weights + self.bias
         else:
             y = np.full(pts.shape[0], self.bias)
-        y = scale_invert(self.output_scaler, y[:, None])[:, 0]
-        return float(y[0]) if single else y
+        return scale_invert(self.output_scaler, y[:, None])[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +275,11 @@ class PolyModel:
 
     def predict(self, x) -> float | np.ndarray:
         pts, single = _as_matrix(x, self.input_dim)
-        y = poly_basis(pts, self.terms) @ self.coefficients
+        y = _blockwise(self._forward, pts)
         return float(y[0]) if single else y
+
+    def _forward(self, pts: np.ndarray) -> np.ndarray:
+        return poly_basis(pts, self.terms) @ self.coefficients
 
 
 @dataclass(frozen=True, eq=False)

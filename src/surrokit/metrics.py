@@ -17,8 +17,11 @@ from .errors import UndefinedVarianceError
 
 __all__ = [
     "FitReport", "rmse", "r_squared", "rmae", "rrse",
-    "select_best", "fit_report", "render_report_table",
+    "CRITERIA", "select_best", "fit_report", "render_report_table",
 ]
+
+# the model selection criteria of `select_best`
+CRITERIA = ("verify_rmse", "verify_r2")
 
 
 def _pair(y, yhat) -> tuple[np.ndarray, np.ndarray]:

@@ -337,10 +337,9 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
             f"was {best_violation:.6g}", best_violation,
         )
     front = feasible[non_dominated(f_pop[feasible], directions)]
-    # exact duplicate objective rows: keep the first occurrence
-    f_front = f_pop[front]
-    same = (f_front[:, None, :] == f_front[None, :, :]).all(axis=2)
-    front = front[~np.tril(same, k=-1).any(axis=1)]
+    # exact duplicate objective rows: keep the first occurrence, in order
+    _, first = np.unique(f_pop[front], axis=0, return_index=True)
+    front = front[np.sort(first)]
     return ParetoArchive(
         designs=pop[front], objectives=f_pop[front], constraints=g_pop[front],
         objective_names=[o.name for o in objectives],

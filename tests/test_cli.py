@@ -629,3 +629,53 @@ class TestSeedFlag:
                          "--out", str(out)] + flag) == 0
             outputs.append((out.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
+
+
+class TestUnknownSelection:
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an ANN trained before the check")
+        monkeypatch.setattr("surrokit.cli.train_anns", fail)
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_exit_1_before_any_work(self, sin_project, tmp_path, capsys,
+                                    command):
+        cfg, train_csv, verify_csv = sin_project
+        config = json.loads(cfg.read_text())
+        config["training"]["selection"] = "best"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg), "--train", str(train_csv),
+                "--verify", str(verify_csv)]
+        if command == "train":
+            argv += ["--out-dir", str(tmp_path / "m")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "training.selection" in err
+        assert "verify_rmse" in err and "verify_r2" in err
+        assert not (tmp_path / "m").exists()
+
+
+class TestListEntryMissingKey:
+    """A list entry without a key the command reads is a usage error naming
+    the entry and the key, raised before any model file is read."""
+
+    @pytest.mark.parametrize("command,section,entries,index,key", [
+        ("optimize-mofa", "mofa", "objectives", 0, "response"),
+        ("optimize-mofa", "mofa", "constraints", 1, "bound"),
+        ("optimize-abc", "abc", "objective", 0, "response"),
+        ("optimize-abc", "abc", "window", 0, "center"),
+    ])
+    def test_exit_1_naming_entry_and_key(self, opamp_pipeline_config,
+                                         tmp_path, capsys, command, section,
+                                         entries, index, key):
+        config = json.loads(opamp_pipeline_config.read_text())
+        del config[section][entries][index][key]
+        opamp_pipeline_config.write_text(json.dumps(config))
+        code = main([command, "--config", str(opamp_pipeline_config),
+                     "--models", str(tmp_path / "models"),
+                     "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{section}.{entries}[{index}]: missing '{key}'" in err

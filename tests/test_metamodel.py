@@ -1,12 +1,14 @@
 """Prediction math and persistence for the three model families."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from surrokit.metamodel import (AnnModel, CallableModel, PolyModel, RbfModel,
-                                load_model, poly_basis, save_model)
+from surrokit.metamodel import (PREDICT_BLOCK, AnnModel, CallableModel,
+                                PolyModel, RbfModel, load_model, poly_basis,
+                                rbf_design, save_model)
 from surrokit.scaling import Scaler, fit_scaler
 
 
@@ -244,6 +246,94 @@ class TestPolyBasis:
         assert peak < 64 * 2 ** 20
         ref = power_prod_basis(x[:100], terms) @ model.coefficients
         assert np.allclose(y[:100], ref, rtol=1e-12, atol=1e-12)
+
+
+def broadcast_rbf_design(xs, centers, spread):
+    """Reference Gaussian design: the rows x centers x vars difference
+    tensor."""
+    d2 = ((xs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return np.exp(-d2 / spread ** 2)
+
+
+class TestRbfDesign:
+    def test_matches_broadcast(self):
+        rng = np.random.default_rng(3)
+        centers = rng.normal(size=(7, 5))
+        xs = np.vstack([rng.normal(size=(50, 5)), centers])
+        got = rbf_design(xs, centers, 1.3)
+        want = broadcast_rbf_design(xs, centers, 1.3)
+        assert got.shape == (57, 7)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_at_centers_at_most_one(self):
+        rng = np.random.default_rng(4)
+        centers = rng.uniform(-3, 3, (40, 16))
+        phi = np.diagonal(rbf_design(centers, centers, 0.7))
+        assert np.all(phi > 1 - 1e-12) and np.all(phi <= 1.0)
+
+    def test_far_rows_are_zero_without_warning(self):
+        centers = np.random.default_rng(5).normal(size=(3, 4))
+        xs = np.full((2, 4), 1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = rbf_design(xs, centers, 0.1)
+        assert np.array_equal(phi, np.zeros((2, 3)))
+
+
+def screening_models(rng, n=16):
+    """An ANN (12 hidden), a degree-2 polynomial (153 terms) and an RBF (80
+    neurons) of `n` inputs, with scaled inputs and outputs."""
+    from surrokit.training import monomial_exponents
+    in_sc = Scaler("meanstd", rng.normal(size=n), rng.uniform(0.5, 2, n))
+    out_sc = Scaler("meanstd", [1.0], [2.0])
+    terms = monomial_exponents(n, 2)
+    return {
+        "ann": make_ann(rng.normal(size=(12, n)), rng.normal(size=12),
+                        rng.normal(size=12), 0.1, input_scaler=in_sc,
+                        output_scaler=out_sc),
+        "poly": PolyModel(input_dim=n, degree=2, terms=terms,
+                          coefficients=rng.normal(size=len(terms))),
+        "rbf": RbfModel(input_dim=n, centers=rng.normal(size=(80, n)),
+                        spread=2.0, weights=rng.normal(size=80), bias=0.3,
+                        input_scaler=in_sc, output_scaler=out_sc),
+    }
+
+
+class TestBlockwisePredict:
+    @pytest.mark.parametrize("family", ["ann", "poly", "rbf"])
+    def test_matches_row_blocks(self, family):
+        rng = np.random.default_rng(6)
+        model = screening_models(rng)[family]
+        x = rng.random((2 * PREDICT_BLOCK + 3, 16))
+        got = model.predict(x)
+        want = np.concatenate([model.predict(x[i:i + 1000])
+                               for i in range(0, len(x), 1000)])
+        assert got.shape == (len(x),)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def test_zero_neuron_rbf_is_bias(self):
+        model = RbfModel(input_dim=2, centers=np.zeros((0, 2)), spread=1.0,
+                         weights=np.zeros(0), bias=1.5,
+                         input_scaler=Scaler.identity(2),
+                         output_scaler=Scaler.identity(1))
+        x = np.ones((2 * PREDICT_BLOCK + 3, 2))
+        assert np.array_equal(model.predict(x), np.full(len(x), 1.5))
+
+    @pytest.mark.parametrize("family", ["ann", "poly", "rbf"])
+    def test_memory_does_not_grow_with_rows(self, family):
+        """A 2e5-row predict peaks far below its rows x (terms or neurons)
+        temporaries (490 MB for the polynomial)."""
+        import tracemalloc
+        rng = np.random.default_rng(7)
+        model = screening_models(rng)[family]
+        x = rng.random((200_000, 16))
+        tracemalloc.start()
+        try:
+            model.predict(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestCallableModel:
