@@ -6,15 +6,18 @@ exists yet, toward the best design under a randomly weighted scalarization
 of the objectives). The population moves in batched regeneration rounds:
 all pending fireflies draw their targets and steps at once, every
 destination is vetted in one batch per constraint model, and the moves that
-violate a constraint stay pending for the next round. After 1 + max_regen
-rounds the fireflies still pending stay put for the iteration. New
-positions are built from the old population only (a Jacobi-style update),
-so the order in which fireflies move does not matter. Once a firefly
-satisfies the constraints it never leaves them again, so the population
-accumulates feasibility; the returned archive is the feasible, mutually
-non-dominated subset of the final population (the run's K Pareto
-candidates), without exact duplicate objective rows. A row with any
-non-finite prediction counts as infeasible.
+violate a constraint stay pending for the next round. While no firefly is
+feasible, a move that lowers the mover's total constraint violation is
+accepted as well, so an infeasible population descends toward the
+feasible region instead of waiting for a random step to land in it. After
+1 + max_regen rounds the fireflies still pending stay put for the
+iteration. New positions are built from the old population only (a
+Jacobi-style update), so the order in which fireflies move does not
+matter. Once a firefly satisfies the constraints it never leaves them
+again, so the population accumulates feasibility; the returned archive is
+the feasible, mutually non-dominated subset of the final population (the
+run's K Pareto candidates), without exact duplicate objective rows. A row
+with any non-finite prediction counts as infeasible.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
 ]
 
 DIRECTIONS = ("maximize", "minimize")
+ND_BLOCK = 1 << 20  # elementwise comparisons per block of non_dominated
 SENSES = ("greater", "less")
 
 
@@ -127,8 +131,9 @@ def non_dominated(points, directions) -> list[int]:
     strictly better in at least one, respecting each objective's direction.
     Exact duplicates do not dominate each other, and a row holding a NaN
     neither dominates nor is dominated. Two objectives take an O(n log n)
-    sort-and-sweep (Kung, Luccio & Preparata 1975); more objectives take a
-    per-row scan.
+    sort-and-sweep (Kung, Luccio & Preparata 1975); more objectives compare
+    every row with all rows in one broadcast per block of rows, at most
+    ND_BLOCK comparisons at a time.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -140,13 +145,15 @@ def non_dominated(points, directions) -> list[int]:
     f = pts * sign  # now everything is minimization
     if f.shape[1] == 2:
         return _non_dominated_2d(f)
-    keep = []
-    for i in range(f.shape[0]):
-        no_worse = (f <= f[i]).all(axis=1)
-        strictly_better = (f < f[i]).any(axis=1)
-        if not np.any(no_worse & strictly_better):
-            keep.append(i)
-    return keep
+    n, k = f.shape
+    keep = np.empty(n, dtype=bool)
+    step = max(1, ND_BLOCK // (n * k))
+    for start in range(0, n, step):
+        block = f[start:start + step, None, :]
+        # [i, j]: row j dominates row i of the block
+        beaten = (f <= block).all(axis=2) & (f < block).any(axis=2)
+        keep[start:start + step] = ~beaten.any(axis=1)
+    return np.flatnonzero(keep).tolist()
 
 
 def _non_dominated_2d(f: np.ndarray) -> list[int]:
@@ -240,7 +247,9 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
     population in regeneration rounds: every pending firefly draws a target
     and a step, all destinations go to each constraint model as one batch,
     and only the rejected fireflies stay pending for the next round, so a
-    constraint model sees at most 1 + max_regen batches per iteration.
+    constraint model sees at most 1 + max_regen batches per iteration. A
+    move is accepted when its destination is feasible or, while no firefly
+    is feasible, when it lowers the mover's total violation.
     Constraint values computed while vetting a move are reused as the
     mover's values next iteration. A move with a non-finite constraint
     prediction is rejected, and a row with any non-finite prediction is
@@ -281,12 +290,13 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
         best_violation = min(best_violation, float(viol.min()))
         return viol
 
-    def feasible_rows(f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
-        return (total_violation(g_rows) == 0.0) & np.isfinite(f_rows).all(axis=1)
+    def feasible_rows(f_rows: np.ndarray, viol: np.ndarray) -> np.ndarray:
+        return (viol == 0.0) & np.isfinite(f_rows).all(axis=1)
 
     for _ in range(params.t_max):
         f_pop = _predict_batch(obj_models, pop)
-        feasible = np.flatnonzero(feasible_rows(f_pop, g_pop))
+        viol_pop = total_violation(g_pop)
+        feasible = np.flatnonzero(feasible_rows(f_pop, viol_pop))
         nd_idx = feasible[non_dominated(f_pop[feasible], directions)]
         if validate_archive and nd_idx.size:
             assert len(non_dominated(f_pop[nd_idx], directions)) == nd_idx.size
@@ -316,13 +326,16 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
             # overshoot a bound by an ulp
             dest = np.clip(current + delta, lower, upper)
             g_dest = _predict_batch(con_models, dest)
-            ok = total_violation(g_dest) == 0.0
+            viol_dest = total_violation(g_dest)
+            ok = viol_dest == 0.0
+            if not nd_idx.size:  # no feasible firefly yet: descend
+                ok |= viol_dest < viol_pop[pending]
             new_pop[pending[ok]] = dest[ok]
             new_g[pending[ok]] = g_dest[ok]
             pending = pending[~ok]
             if not pending.size:
                 break
-        # fireflies still pending violated a constraint on every attempt:
+        # fireflies still pending found no acceptable move on any attempt:
         # they stay put
 
         pop, g_pop = new_pop, new_g
@@ -330,7 +343,7 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
 
     # archive = feasible non-dominated subset of the final population
     f_pop = _predict_batch(obj_models, pop)
-    feasible = np.flatnonzero(feasible_rows(f_pop, g_pop))
+    feasible = np.flatnonzero(feasible_rows(f_pop, total_violation(g_pop)))
     if not feasible.size:
         raise InfeasibleRunError(
             "no feasible design found; smallest total constraint violation "

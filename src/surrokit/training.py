@@ -382,9 +382,14 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
     """Grow a Gaussian radial network one neuron at a time.
 
     Starts from a bias-only model (the response mean) and repeatedly adds a
-    neuron centered at the worst-error training input, re-solving the
-    linear output weights by least squares, until the training MSE drops
-    below `error_goal` or `max_neurons` is reached.
+    neuron centered at the worst-error training input, until the training
+    MSE drops below `error_goal` or `max_neurons` is reached. During growth
+    the prediction is the projection of the response onto an orthonormal
+    basis of the design's columns, which each new column extends by
+    Gram-Schmidt (orthogonal least squares, Chen, Cowan & Grant 1991); a
+    column that adds nothing numerically leaves the projection unchanged
+    but keeps its neuron. One least-squares solve on the final design
+    gives the output weights and bias.
     """
     if data.n_rows < 1:
         raise ValueError("need at least one training row")
@@ -396,30 +401,24 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
     x = scale_apply(in_scaler, data.inputs)
     y = scale_apply(out_scaler, y_raw[:, None])[:, 0]
     n = data.n_rows
+    # error_goal is expressed in response units
+    mse_scale = float(out_scaler.scale[0]) ** 2
 
     center_rows: list[int] = []
     used = np.zeros(n, dtype=bool)  # rows already claimed as (or equal to) a center
-    design = np.ones((n, 1))  # a Gaussian column per neuron, then the bias
-    weights = np.zeros(0)
-    bias = float(np.mean(y))
-    pred = np.full(n, bias)
+    cols = min(max_neurons, n) + 1
+    # a Gaussian column per neuron, then the bias; column-major, so each
+    # column is one contiguous run
+    design = np.empty((n, cols), order="F")
+    # an orthonormal basis of the filled columns' span
+    basis = np.empty((n, min(cols, n)), order="F")
+    basis[:, 0] = 1.0 / math.sqrt(n)
+    rank = 1
+    resid = y - np.mean(y)
 
-    def solve(design: np.ndarray):
-        try:
-            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(f"linear solve failed: {exc}") from exc
-        if not np.all(np.isfinite(coef)):
-            raise RankDeficiencyError("linear solve returned non-finite weights")
-        return coef[:-1], float(coef[-1]), design @ coef
-
-    def raw_mse(pred_scaled: np.ndarray) -> float:
-        # error_goal is expressed in response units
-        scale = float(out_scaler.scale[0])
-        return float(np.mean((pred_scaled - y) ** 2)) * scale ** 2
-
-    while raw_mse(pred) >= error_goal and len(center_rows) < max_neurons:
-        err = np.abs(pred - y)
+    while (float(np.mean(resid ** 2)) * mse_scale >= error_goal
+           and len(center_rows) < max_neurons):
+        err = np.abs(resid)
         err[used] = -np.inf
         worst = int(np.argmax(err))
         if not np.isfinite(err[worst]):
@@ -427,10 +426,28 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
         # mark every row identical to the chosen one
         dup = np.all(x == x[worst], axis=1)
         used |= dup
+        phi = np.exp(-((x - x[worst]) ** 2).sum(axis=1) / spread ** 2,
+                     out=design[:, len(center_rows)])
         center_rows.append(worst)
-        phi = np.exp(-((x - x[worst]) ** 2).sum(axis=1) / spread ** 2)
-        design = np.hstack([design[:, :-1], phi[:, None], design[:, -1:]])
-        weights, bias, pred = solve(design)
+        q = _orthogonalize(phi, basis[:, :rank])
+        norm = math.sqrt(float(q @ q))
+        if rank < basis.shape[1] and norm > 1e-10 * math.sqrt(float(phi @ phi)):
+            q /= norm
+            basis[:, rank] = q
+            rank += 1
+            resid -= q * (q @ resid)
+
+    weights, bias = np.zeros(0), float(np.mean(y))
+    if center_rows:
+        k = len(center_rows)
+        design[:, k] = 1.0
+        try:
+            coef, *_ = np.linalg.lstsq(design[:, :k + 1], y, rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficiencyError(f"linear solve failed: {exc}") from exc
+        if not np.all(np.isfinite(coef)):
+            raise RankDeficiencyError("linear solve returned non-finite weights")
+        weights, bias = coef[:-1], float(coef[-1])
 
     model = RbfModel(
         input_dim=data.n_inputs, centers=x[center_rows] if center_rows
@@ -444,6 +461,15 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
         descriptor=f"rbf(neurons={len(center_rows)}, spread={spread:g})",
     )
     return model, report
+
+
+def _orthogonalize(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """`v` less its projection on the orthonormal columns of `basis`:
+    classical Gram-Schmidt, applied twice so that the result is orthogonal
+    to working precision."""
+    for _ in range(2):
+        v = v - basis @ (basis.T @ v)
+    return v
 
 
 def monomial_exponents(n_vars: int, degree: int) -> np.ndarray:
@@ -523,30 +549,38 @@ def _forward_select(x: np.ndarray, y: np.ndarray, exponents: np.ndarray,
                     p_enter: float) -> list[int]:
     """Forward stepwise selection by the partial-F test.
 
-    The candidate columns are kept orthogonal to the current design, in
-    place: each entered term's unit direction is projected out of all of
-    them (one rank-one update), so a candidate's extra sum of squares is
-    the squared projection of the residual onto its column over the
-    column's squared norm. Selection stops once the residual is rounding
+    The candidate columns are built once and never written. The unit
+    directions of the entered terms form an orthonormal basis; each entered
+    column is orthogonalized against it. One product of [q; residual] with
+    the candidate matrix per step gives every candidate's projection on
+    the new direction q, which downdates its squared norm orthogonal to the
+    design, and its dot product with the residual, which equals that with
+    its orthogonalized column since the residual is orthogonal to the
+    design. A candidate's extra sum of squares is that dot product squared
+    over that squared norm. Selection stops once the residual is rounding
     noise, sse <= (n * eps)^2 * sst with sst the sum of squares about the
     mean, because a partial-F test on that noise is a coin flip.
     """
     n = x.shape[0]
     cand = poly_basis(x, exponents)
-    outer = np.empty_like(cand)  # the rank-one update, in one reused buffer
+    norms2 = np.einsum("ij,ij->j", cand, cand)
     # the collinearity test compares against the original column norms
-    floor = 1e-12 * np.einsum("ij,ij->j", cand, cand).clip(min=1e-300)
+    floor = 1e-12 * norms2.clip(min=1e-300)
     available = np.ones(cand.shape[1], dtype=bool)
-    resid = np.array(y, dtype=float)
+    basis = np.empty((n, min(n, cand.shape[1])), order="F")
+    rows = np.empty((2, n))  # [q; residual]
+    q, resid = rows
+    resid[:] = y
     chosen: list[int] = []
-    best, norm2, sst = 0, float(n), None  # the intercept enters first
+    best, sst = 0, None  # the intercept enters first
 
     while True:
+        v = _orthogonalize(cand[:, best], basis[:, :len(chosen)])
         chosen.append(best)
         available[best] = False
-        q = cand[:, best] / math.sqrt(norm2)
+        q[:] = v / math.sqrt(float(v @ v))
+        basis[:, len(chosen) - 1] = q
         resid -= q * (q @ resid)
-        cand -= np.einsum("i,j->ij", q, q @ cand, out=outer)
         sse = float(resid @ resid)
         if sst is None:
             sst = sse
@@ -555,12 +589,12 @@ def _forward_select(x: np.ndarray, y: np.ndarray, exponents: np.ndarray,
                 or sse <= (n * np.finfo(float).eps) ** 2 * sst):
             break
 
-        norms2 = np.einsum("ij,ij->j", cand, cand)
+        proj, dots = rows @ cand
+        norms2 -= proj * proj
         ok = available & (norms2 > floor)
         gain = np.zeros(cand.shape[1])
-        gain[ok] = (resid @ cand)[ok] ** 2 / norms2[ok]
+        gain[ok] = dots[ok] ** 2 / norms2[ok]
         best = int(np.argmax(np.where(available, gain, -1.0)))
-        norm2 = float(norms2[best])
         sse_new = max(sse - float(gain[best]), 0.0)
         if sse_new <= 0:
             p_value = 0.0

@@ -100,6 +100,34 @@ class TestNonDominated:
         assert non_dominated(pts, directions) == \
             brute_force_non_dominated(pts, directions)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("trial", range(10))
+    def test_many_objectives_with_ties_and_nan(self, k, trial):
+        # coarse rounding forces ties and duplicate rows; some rows hold
+        # NaN or infinities
+        rng = np.random.default_rng(1300 + 10 * k + trial)
+        n = int(rng.integers(1, 150))
+        pts = np.round(rng.normal(size=(n, k)), int(rng.integers(0, 2)))
+        pts[rng.random(n) < 0.2] = pts[0]
+        special = rng.random((n, k))
+        pts[special < 0.03] = np.nan
+        pts[special > 0.98] = np.inf
+        pts[(special > 0.96) & (special <= 0.98)] = -np.inf
+        directions = [("minimize", "maximize")[int(b)]
+                      for b in rng.integers(0, 2, k)]
+        assert non_dominated(pts, directions) == \
+            brute_force_non_dominated(pts, directions)
+
+    def test_many_objectives_in_several_blocks(self, monkeypatch):
+        # blocks of 7 rows: the block edges fall inside runs of duplicates
+        monkeypatch.setattr("surrokit.mofa.ND_BLOCK", 7 * 60 * 3)
+        rng = np.random.default_rng(17)
+        pts = np.repeat(np.round(rng.normal(size=(20, 3))), 3, axis=0)
+        pts[5] = np.nan
+        directions = ["minimize", "maximize", "minimize"]
+        assert non_dominated(pts, directions) == \
+            brute_force_non_dominated(pts, directions)
+
 
 class TestScalarize:
     def setup_method(self):
@@ -283,6 +311,23 @@ class TestMofaOptimize:
         with pytest.raises(InfeasibleRunError) as err:
             mofa_optimize(space, objectives, constraints, params)
         assert 4.0 <= err.value.best_violation <= 5.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_infeasible_start_descends_to_feasibility(self, seed):
+        # x1 + x2 >= 1.8 holds on 2 % of the square, so a population of 6
+        # almost never starts with a feasible firefly
+        space = unit_space(2)
+        objectives = [ObjectiveSpec(name, "minimize", CallableModel(
+            input_dim=2, fn=lambda X, j=j: X[:, j], response_name=name))
+            for j, name in enumerate(("x1", "x2"))]
+        g = CallableModel(input_dim=2, fn=lambda X: X[:, 0] + X[:, 1],
+                          response_name="g")
+        constraints = [ConstraintSpec("g", g, 1.8, "greater")]
+        params = MofaParams(K=6, t_max=60, max_regen=1, seed=seed)
+        archive = mofa_optimize(space, objectives, constraints, params,
+                                validate_archive=True)
+        assert len(archive) > 0
+        assert np.all(archive.designs.sum(axis=1) >= 1.8)
 
     def test_evaluation_budget(self):
         space, objectives = convex_problem()

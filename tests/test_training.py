@@ -3,6 +3,7 @@ greedy RBF growth, stepwise selection."""
 
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy import stats
 
 from surrokit.design_space import DesignSpace, DesignVariable, lhs_disjoint, lhs_sample
 from surrokit.errors import TrainingDivergedError
+from surrokit.metamodel import poly_basis
 from surrokit.metrics import rmse
 from surrokit.oracles import BUILTIN_ORACLES, BUILTIN_SPACES, evaluate
 from surrokit.scaling import apply as scale_apply
@@ -436,6 +438,66 @@ class TestRbfGrowth:
             assert model.bias == bias
 
 
+def reference_residual(x, y, spread, rows):
+    """Residual of the full re-solve on the neurons centered at `rows`."""
+    d2 = ((x[:, None, :] - x[rows][None, :, :]) ** 2).sum(axis=2)
+    design = np.hstack([np.exp(-d2 / spread ** 2), np.ones((len(y), 1))])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return y - design @ coef
+
+
+class TestRbfProjectionGrowth:
+    """Growth on the kept orthonormal basis against the full re-solve of
+    `reference_growth`, at a narrow and a wide spread."""
+
+    @staticmethod
+    def grow(data, response, spread, max_neurons):
+        model, _ = train_rbf(data, response, error_goal=0.0, spread=spread,
+                             max_neurons=max_neurons)
+        x = scale_apply(model.input_scaler, data.inputs)
+        y = scale_apply(model.output_scaler,
+                        data.response(response)[:, None])[:, 0]
+        return model, x, y, reference_growth(x, y, spread, max_neurons)
+
+    @pytest.mark.parametrize("spread", [0.5, 50.0])
+    @pytest.mark.parametrize("name", ["pll", "opamp"])
+    def test_bit_identical_to_full_resolve(self, name, spread):
+        data = oracle_set(name, 0)
+        for response in data.response_names:
+            model, x, _, (rows, weights, bias) = self.grow(
+                data, response, spread, 30)
+            assert np.array_equal(model.centers, x[rows])
+            assert np.array_equal(model.weights, weights)
+            assert model.bias == bias
+
+    @pytest.mark.parametrize("spread", [0.5, 50.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_growth_to_every_row(self, seed, spread):
+        """Every row becomes a center, so the final design has one column
+        more than rows. The picks match until the reference's worst errors
+        tie, which rounding breaks either way, and both networks
+        interpolate."""
+        data = oracle_set("pll", seed, n=40)
+        for response in data.response_names:
+            model, x, y, (rows, weights, bias) = self.grow(
+                data, response, spread, 60)
+            got = [int(np.flatnonzero((x == c).all(axis=1))[0])
+                   for c in model.centers]
+            assert model.n_neurons == 40 and sorted(got) == list(range(40))
+            same = next((k for k, (a, b) in enumerate(zip(got, rows))
+                         if a != b), len(rows))
+            if same < len(rows):
+                err = np.abs(reference_residual(x, y, spread, rows[:same]))
+                assert err[got[same]] == pytest.approx(err[rows[same]],
+                                                       rel=1e-9, abs=1e-12)
+            d2 = ((x[:, None, :] - x[rows][None, :, :]) ** 2).sum(axis=2)
+            reference = np.exp(-d2 / spread ** 2) @ weights + bias
+            pred = scale_apply(model.output_scaler,
+                               model.predict(data.inputs)[:, None])[:, 0]
+            assert np.max(np.abs(pred - reference)) < 1e-8
+            assert np.max(np.abs(pred - y)) < 1e-8
+
+
 def reference_forward_select(x, y, exponents, p_enter):
     """Stepwise selection that re-projects every remaining candidate on the
     whole orthonormal basis Q at each step."""
@@ -527,6 +589,47 @@ class TestStepwiseSelection:
         terms = [tuple(t) for t in model.terms]
         assert true <= set(terms)
         assert not true <= set(terms[:-1])
+
+
+class TestStepwiseOnePass:
+    """Selection from one product over the unwritten candidate matrix per
+    step, against `reference_forward_select`."""
+
+    @pytest.mark.parametrize("name", ["opamp", "pll"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_degree_three_matches_reprojection(self, name, seed):
+        """Degree 3 over 120 rows fits up to 119 terms; the picks made with
+        one or two residual degrees of freedom test the F statistic on
+        noise, so only those may differ."""
+        data = oracle_set(name, seed)
+        exponents = monomial_exponents(data.n_inputs, 3)
+        # pick k (0 is the intercept) is made with n - k - 1 residual df
+        last = data.n_rows - 4
+        for response in data.response_names:
+            y = data.response(response)
+            got = _forward_select(data.inputs, y, exponents, 0.05)
+            want = reference_forward_select(data.inputs, y, exponents, 0.05)
+            assert got[:last + 1] == want[:last + 1]
+
+    def test_candidate_matrix_unwritten(self, monkeypatch):
+        """The candidates are built once and only read: a read-only matrix
+        is accepted, and selection allocates no second rows x candidates
+        buffer."""
+        data = oracle_set("pll", 0)
+        exponents = monomial_exponents(data.n_inputs, 3)
+        cand = poly_basis(data.inputs, exponents)
+        cand.flags.writeable = False
+        monkeypatch.setattr("surrokit.training.poly_basis",
+                            lambda x, terms: cand)
+        y = data.response("power")
+        tracemalloc.start()
+        try:
+            chosen = _forward_select(data.inputs, y, exponents, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(chosen) > 100
+        assert peak < cand.nbytes / 2
 
 
 def test_import_leaves_scipy_stats_unloaded():
