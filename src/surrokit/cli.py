@@ -24,7 +24,7 @@ from .errors import (DataFormatError, DegenerateColumnError,
                      InfeasibleRunError, RankDeficiencyError, SurrokitError,
                      TrainingDivergedError, UndefinedVarianceError)
 from .files import atomic_write
-from .metamodel import load_model, save_model
+from .metamodel import _KINDS, AnnModel, load_model, save_model
 from .metrics import CRITERIA, fit_report, render_report_table, select_best
 from .training import (MIN_ANN_ROWS, TrainOptions, check_poly_settings,
                        check_rbf_settings, fit_polynomial, train_anns,
@@ -134,10 +134,27 @@ def _entries(path: str, *required) -> tuple:
     return cast, []
 
 
-_TRAINING = {"responses": (list, None), "kinds": (list, ["ann"]),
+def _names(value, allowed=None) -> list[str]:
+    """`value`: a JSON list of strings, non-empty and from `allowed` if given."""
+    if not (isinstance(value, list) and all(isinstance(v, str)
+                                            for v in value)):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    if allowed is not None and not (value and set(value) <= set(allowed)):
+        raise ValueError(f"expected a non-empty list drawn from "
+                         f"{list(allowed)}, got {value!r}")
+    return value
+
+
+def _sizes(value) -> list[int]:
+    if not isinstance(value, list) or not value:
+        raise TypeError(f"expected a non-empty list, got {value!r}")
+    return [int(m) for m in value]
+
+
+_TRAINING = {"responses": (_names, None),
+             "kinds": (lambda kinds: _names(kinds, _KINDS), ["ann"]),
              "selection": (str, "verify_rmse")}
-_ANN = {**_fields(TrainOptions, "hidden_size"),
-        "hidden_sizes": (lambda sizes: [int(m) for m in sizes], [4])}
+_ANN = {**_fields(TrainOptions, "hidden_size"), "hidden_sizes": (_sizes, [4])}
 # the CLI's own defaults: `fit_polynomial` alone does not select stepwise
 _RBF = {"error_goal": (float, 1e-4), "spread": (float, 1.0),
         "max_neurons": (int, 25), "input_scaling": (str, "meanstd")}
@@ -183,7 +200,7 @@ def _training(cfg: dict, seed=None, kinds=None):
     sizes = ann.pop("hidden_sizes")
     with _checked("training.ann"):
         # the options check the smallest hidden size
-        opts = TrainOptions(hidden_size=min(sizes, default=1), **ann)
+        opts = TrainOptions(hidden_size=min(sizes), **ann)
     rbf = _section(cfg, "training.rbf", _RBF)
     with _checked("training.rbf"):
         check_rbf_settings(**rbf)
@@ -302,13 +319,27 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_models(paths, space: DesignSpace) -> list:
+    """The models of the files `paths`; a missing or invalid file, or a model
+    not taking the space's input count, is a data error naming the file."""
+    models = []
+    for path in paths:
+        if not Path(path).is_file():
+            raise DataFormatError(f"missing model file {path}")
+        model = load_model(path)
+        if model.input_dim != space.dim:
+            raise DataFormatError(f"{path} takes {model.input_dim} inputs, "
+                                  f"space has {space.dim}")
+        models.append(model)
+    return models
+
+
 def cmd_report(args) -> int:
     cfg = _load_config(args.config)
     space = _space(cfg)
     data = oracles.load_csv(args.data, space.names)
     rows = []
-    for model_path in args.model:
-        model = load_model(model_path)
+    for model_path, model in zip(args.model, _load_models(args.model, space)):
         response = model.response_name
         if response not in data.responses:
             raise DataFormatError(
@@ -322,16 +353,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _load_models(models_dir, responses) -> dict:
-    out = {}
-    for r in responses:
-        path = Path(models_dir) / f"{r}.json"
-        if not path.exists():
-            raise DataFormatError(f"missing model file {path}")
-        out[r] = load_model(path)
-    return out
-
-
 def cmd_optimize_mofa(args) -> int:
     cfg = _load_config(args.config)
     space = _space(cfg)
@@ -340,7 +361,8 @@ def cmd_optimize_mofa(args) -> int:
     if len(obj_cfg) < 2:
         raise UsageError("mofa needs at least two objectives")
     names = [o["response"] for o in obj_cfg] + [c["response"] for c in con_cfg]
-    models = _load_models(args.models, names)
+    paths = [Path(args.models) / f"{name}.json" for name in names]
+    models = dict(zip(names, _load_models(paths, space)))
 
     with _checked("mofa"):
         objectives = [mofa.ObjectiveSpec(o["response"], o["direction"],
@@ -367,7 +389,8 @@ def cmd_optimize_abc(args) -> int:
     if not term_cfg:
         raise UsageError("abc needs at least one objective term")
     names = [t["response"] for t in term_cfg] + [w["response"] for w in window_cfg]
-    models = _load_models(args.models, names)
+    paths = [Path(args.models) / f"{name}.json" for name in names]
+    models = dict(zip(names, _load_models(paths, space)))
 
     with _checked("abc"):
         problem = bee_colony.FomProblem(
@@ -395,20 +418,12 @@ def cmd_emit_vams(args) -> int:
     space = _space(cfg)
     settings = _section(cfg, "vams", _VAMS)
     cpm_files = settings.pop("cpms")
-    cpms = {}
-    for key in vams_codegen.CPM_KEYS:
-        path = Path(args.models) / f"{cpm_files.get(key, key)}.json"
-        if not path.exists():
-            raise DataFormatError(f"missing model file {path}")
-        model = load_model(path)
-        if not hasattr(model, "W1"):
-            raise DataFormatError(
-                f"{path} is not a network model; cannot emit weights"
-            )
-        if model.input_dim != space.dim:
-            raise DataFormatError(f"{path} takes {model.input_dim} inputs, "
-                                  f"space has {space.dim}")
-        cpms[key] = model
+    paths = [Path(args.models) / f"{cpm_files.get(key, key)}.json"
+             for key in vams_codegen.CPM_KEYS]
+    cpms = dict(zip(vams_codegen.CPM_KEYS, _load_models(paths, space)))
+    for path, model in zip(paths, cpms.values()):
+        if not (isinstance(model, AnnModel) and model.activation == "tanh"):
+            raise DataFormatError(f"cannot emit {path}: not a tanh network")
 
     if settings["parameter_defaults"] is None:
         settings["parameter_defaults"] = (space.lower + space.upper) / 2.0
@@ -417,10 +432,9 @@ def cmd_emit_vams(args) -> int:
             variable_names=tuple(space.names), cpms=cpms, **settings)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundles = {}
-    for key, model in cpms.items():
-        bundles[key] = vams_codegen.export_weights(model, out_dir,
-                                                   prefix=f"{key}_")
+    bundles = {key: vams_codegen.export_weights(model, out_dir,
+                                                prefix=f"{key}_")
+               for key, model in cpms.items()}
     text = vams_codegen.emit_vams_module(spec, bundles)
     module_path = out_dir / f"{spec.module_name}.vams"
     with atomic_write(module_path) as fh:

@@ -7,7 +7,6 @@ matrix, CSV file, and model input downstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -87,16 +86,6 @@ class DesignSpace:
             DesignVariable(e["name"], float(e["lower"]), float(e["upper"]))
             for e in entries
         ))
-
-    @classmethod
-    def from_json_file(cls, path) -> "DesignSpace":
-        """Load a space declared as a JSON array of {name, lower, upper}.
-
-        Column order everywhere downstream equals declaration order.
-        """
-        with open(path) as fh:
-            data = json.load(fh)
-        return cls.from_dicts(data)
 
     def to_dicts(self) -> list[dict]:
         return [{"name": v.name, "lower": v.lower, "upper": v.upper}

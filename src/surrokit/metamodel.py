@@ -42,19 +42,6 @@ def _as_matrix(x, dim: int) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
-def _blockwise(forward, pts: np.ndarray) -> np.ndarray:
-    """`forward(pts)` (one value per row) over blocks of at most
-    PREDICT_BLOCK rows of the raw points, written into one output array."""
-    n = pts.shape[0]
-    if n <= PREDICT_BLOCK:
-        return forward(pts)
-    out = np.empty(n)
-    for start in range(0, n, PREDICT_BLOCK):
-        block = slice(start, start + PREDICT_BLOCK)
-        out[block] = forward(pts[block])
-    return out
-
-
 def ann_hidden(xs: np.ndarray, W1: np.ndarray, b1: np.ndarray,
                steepness: float, activation: str) -> np.ndarray:
     """Hidden-layer outputs f(steepness * (xs @ W1.T + b1)) for the scaled
@@ -105,8 +92,57 @@ def poly_basis(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Fitted:
+    """The model-file field checks and the predict of the fitted families."""
+
+    def _check(self, *counts: str) -> None:
+        """Check `input_dim` and `counts`, role, response name, scalers."""
+        for name in ("input_dim", *counts):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer: {value!r}")
+        if self.role not in ROLES or not isinstance(self.response_name, str):
+            raise ValueError(f"role must be PMM or CPM and response_name a "
+                             f"string: {self.role!r}, {self.response_name!r}")
+        for name, width in (("input_scaler", self.input_dim),
+                            ("output_scaler", 1)):
+            if hasattr(self, name) and getattr(self, name).n_columns != width:
+                raise ValueError(f"{name} must have {width} column(s)")
+
+    def _array(self, name: str, *shape: int, exponents: bool = False) -> None:
+        """Store the field `name` read-only as an array of exactly `shape`
+        (an empty list fits every empty shape) holding finite values, for
+        `exponents` non-negative integers."""
+        arr = np.asarray(getattr(self, name), dtype=float)
+        if arr.size == 0 and 0 in shape:
+            arr = arr.reshape(shape)
+        if arr.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
+        if exponents:  # integers in [0, 2^63), so the int64 cast is exact
+            if np.any((arr < 0) | (arr % 1 != 0) | (arr >= 2.0 ** 63)):
+                raise ValueError(f"{name} must be non-negative integers")
+            arr = arr.astype(int)
+        arr.setflags(write=False)
+        object.__setattr__(self, name, arr)
+
+    def predict(self, x) -> float | np.ndarray:
+        """Predict for one point (returns float) or a matrix of points, the
+        forward pass running over blocks of at most PREDICT_BLOCK rows."""
+        pts, single = _as_matrix(x, self.input_dim)
+        if pts.shape[0] <= PREDICT_BLOCK:
+            y = self._forward(pts)
+        else:
+            y = np.empty(pts.shape[0])
+            for start in range(0, pts.shape[0], PREDICT_BLOCK):
+                block = slice(start, start + PREDICT_BLOCK)
+                y[block] = self._forward(pts[block])
+        return float(y[0]) if single else y
+
+
 @dataclass(frozen=True, eq=False)
-class AnnModel:
+class AnnModel(_Fitted):
     """Feed-forward network with one nonlinear hidden layer and a linear
     output neuron.
 
@@ -132,41 +168,23 @@ class AnnModel:
     response_name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "W1", np.asarray(self.W1, dtype=float))
-        object.__setattr__(self, "b1", np.asarray(self.b1, dtype=float))
-        object.__setattr__(self, "W2", np.asarray(self.W2, dtype=float))
+        self._check("hidden_size")
+        self._array("W1", self.hidden_size, self.input_dim)
+        self._array("b1", self.hidden_size)
+        self._array("W2", self.hidden_size)
         object.__setattr__(self, "b2", float(self.b2))
-        for arr in (self.W1, self.b1, self.W2):
-            arr.setflags(write=False)
-        m, n = self.hidden_size, self.input_dim
-        if self.W1.shape != (m, n):
-            raise ValueError(f"W1 must be {m}x{n}, got {self.W1.shape}")
-        if self.b1.shape != (m,) or self.W2.shape != (m,):
-            raise ValueError("b1 and W2 must have one entry per hidden neuron")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not self.steepness > 0:
-            raise ValueError("steepness must be positive")
-        if self.role not in ROLES:
-            raise ValueError(f"role must be PMM or CPM, got {self.role!r}")
-        finite = (np.all(np.isfinite(self.W1)) and np.all(np.isfinite(self.b1))
-                  and np.all(np.isfinite(self.W2)) and np.isfinite(self.b2))
-        if not finite:
-            raise ValueError("model weights must be finite")
-        if self.input_scaler.n_columns != n:
-            raise ValueError("input scaler column count does not match input_dim")
-        if self.output_scaler.n_columns != 1:
-            raise ValueError("output scaler must be single-column")
+        if not (self.steepness > 0  # isfinite also rejects ints beyond float
+                and np.all(np.isfinite([self.steepness, self.b2]))):
+            raise ValueError("steepness must be positive and finite, b2 finite")
 
     @property
     def n_parameters(self) -> int:
         return self.hidden_size * (self.input_dim + 2) + 1
 
-    def predict(self, x) -> float | np.ndarray:
-        """Predict for one point (returns float) or a matrix of points."""
-        pts, single = _as_matrix(x, self.input_dim)
-        y = _blockwise(self._forward, pts)
-        return float(y[0]) if single else y
+    # bound in each family's own body, where the benchmark's tracer wraps it
+    predict = _Fitted.predict
 
     def _forward(self, pts: np.ndarray) -> np.ndarray:
         xs = scale_apply(self.input_scaler, pts)
@@ -176,7 +194,7 @@ class AnnModel:
 
 
 @dataclass(frozen=True, eq=False)
-class RbfModel:
+class RbfModel(_Fitted):
     """Radial network: weighted sum of Gaussian bumps plus a bias.
 
     rho(r) = exp(-(r / spread)^2); prediction on a raw point x is
@@ -196,22 +214,15 @@ class RbfModel:
     response_name: str = ""
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=float).reshape(-1, self.input_dim)
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "weights", weights)
+        self._check()
+        self._array("weights", np.size(self.weights))  # any 1-D length
+        self._array("centers", self.weights.shape[0], self.input_dim)
         object.__setattr__(self, "bias", float(self.bias))
-        centers.setflags(write=False)
-        weights.setflags(write=False)
         if self.radial_kind != "gaussian":
             raise ValueError("only the gaussian radial kind is supported")
-        if not self.spread > 0:
-            raise ValueError("spread must be positive")
-        if centers.shape[0] != weights.shape[0]:
-            raise ValueError("one linear weight per center required")
-        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(weights))
-                and np.isfinite(self.bias)):
-            raise ValueError("model parameters must be finite")
+        if not (self.spread > 0
+                and np.all(np.isfinite([self.spread, self.bias]))):
+            raise ValueError("spread must be positive and finite, bias finite")
 
     @property
     def n_neurons(self) -> int:
@@ -221,10 +232,7 @@ class RbfModel:
     def n_parameters(self) -> int:
         return self.n_neurons * (self.input_dim + 1) + 1
 
-    def predict(self, x) -> float | np.ndarray:
-        pts, single = _as_matrix(x, self.input_dim)
-        y = _blockwise(self._forward, pts)
-        return float(y[0]) if single else y
+    predict = _Fitted.predict
 
     def _forward(self, pts: np.ndarray) -> np.ndarray:
         xs = scale_apply(self.input_scaler, pts)
@@ -237,7 +245,7 @@ class RbfModel:
 
 
 @dataclass(frozen=True, eq=False)
-class PolyModel:
+class PolyModel(_Fitted):
     """Multivariate polynomial: sum_k coeff[k] * prod_i x_i^terms[k, i].
 
     Operates on raw inputs (no scalers); `terms` is the exponent matrix,
@@ -252,31 +260,20 @@ class PolyModel:
     response_name: str = ""
 
     def __post_init__(self):
-        terms = np.asarray(self.terms, dtype=int).reshape(-1, self.input_dim)
-        coeff = np.asarray(self.coefficients, dtype=float).reshape(-1)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "coefficients", coeff)
-        terms.setflags(write=False)
-        coeff.setflags(write=False)
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if terms.shape[0] != coeff.shape[0]:
-            raise ValueError("one coefficient per term required")
-        if terms.size and terms.sum(axis=1).max() > self.degree:
+        self._check("degree")
+        self._array("coefficients", np.size(self.coefficients))
+        self._array("terms", self.coefficients.shape[0], self.input_dim,
+                    exponents=True)
+        if self.terms.size and self.terms.sum(axis=1).max() > self.degree:
             raise ValueError("term total degree exceeds model degree")
-        if terms.shape[0] != len({tuple(t) for t in terms}):
+        if self.terms.shape[0] != len({tuple(t) for t in self.terms}):
             raise ValueError("duplicate exponent vectors")
-        if not np.all(np.isfinite(coeff)):
-            raise ValueError("coefficients must be finite")
 
     @property
     def n_parameters(self) -> int:
         return self.coefficients.shape[0]
 
-    def predict(self, x) -> float | np.ndarray:
-        pts, single = _as_matrix(x, self.input_dim)
-        y = _blockwise(self._forward, pts)
-        return float(y[0]) if single else y
+    predict = _Fitted.predict
 
     def _forward(self, pts: np.ndarray) -> np.ndarray:
         return poly_basis(pts, self.terms) @ self.coefficients
@@ -361,7 +358,7 @@ def load_model(path):
     with open(path) as fh:
         try:
             return _model_from_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise DataFormatError(
-                f"{path} is not a valid model file: {type(exc).__name__}: {exc}"
-            ) from None
+        except (ValueError, KeyError, TypeError, AttributeError,
+                OverflowError) as exc:  # OverflowError: an integer beyond float
+            raise DataFormatError(f"{path} is not a valid model file: "
+                                  f"{type(exc).__name__}: {exc}") from None

@@ -239,8 +239,8 @@ def _predict_batch(models, points: np.ndarray) -> np.ndarray:
 
 
 def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
-                  constraints: list[ConstraintSpec], params: MofaParams,
-                  validate_archive: bool = False) -> ParetoArchive:
+                  constraints: list[ConstraintSpec],
+                  params: MofaParams) -> ParetoArchive:
     """Run the firefly loop and return the feasible Pareto archive.
 
     Deterministic for a given seed. Each iteration moves the whole
@@ -298,8 +298,6 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
         viol_pop = total_violation(g_pop)
         feasible = np.flatnonzero(feasible_rows(f_pop, viol_pop))
         nd_idx = feasible[non_dominated(f_pop[feasible], directions)]
-        if validate_archive and nd_idx.size:
-            assert len(non_dominated(f_pop[nd_idx], directions)) == nd_idx.size
         scored = np.flatnonzero(np.isfinite(f_pop).all(axis=1))
 
         new_pop = pop.copy()

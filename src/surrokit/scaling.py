@@ -39,10 +39,11 @@ class Scaler:
         object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
         self.shift.setflags(write=False)
         self.scale.setflags(write=False)
-        if self.shift.shape != self.scale.shape:
-            raise ValueError("shift and scale must have the same shape")
-        if np.any(self.scale <= 0):
-            raise ValueError("scale entries must be positive")
+        if self.shift.ndim != 1 or self.shift.shape != self.scale.shape:
+            raise ValueError("shift and scale must be 1-D of the same shape")
+        ok = np.isfinite(self.shift) & (self.scale > 0) & (self.scale < np.inf)
+        if not np.all(ok):
+            raise ValueError("shift must be finite, scale positive and finite")
 
     @property
     def n_columns(self) -> int:

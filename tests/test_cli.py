@@ -1,9 +1,12 @@
 """End-to-end command behavior and exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surrokit.cli import main
 from surrokit.design_space import DesignSpace, DesignVariable, lhs_disjoint, lhs_sample
@@ -516,6 +519,38 @@ class TestFitSectionsCheckedFirst:
         assert next(iter(values)) in err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("train", "training", "kinds", ["foo"]),
+        ("train", "training", "kinds", []),
+        ("train", "training", "kinds", "ann"),
+        ("train", "training", "responses", "y"),
+        ("train", "training", "responses", [1]),
+        ("train", "training.ann", "hidden_sizes", []),
+        ("train", "training.ann", "hidden_sizes", "4"),
+        ("compare", "training", "responses", "y"),
+        ("compare", "training.ann", "hidden_sizes", []),
+    ])
+    def test_rejected_list(self, sin_project, tmp_path, capsys, command,
+                           section, key, value):
+        """`responses` must be a list of strings, `kinds` a non-empty list
+        of model kinds and `hidden_sizes` a non-empty list."""
+        cfg, train_csv, verify_csv = sin_project
+        config = json.loads(cfg.read_text())
+        holder = config["training"]
+        if section == "training.ann":
+            holder = holder["ann"]
+        holder[key] = value
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg), "--train", str(train_csv),
+                "--verify", str(verify_csv)]
+        if command == "train":
+            argv += ["--out-dir", str(tmp_path / "m")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"'{section}'" in err and key in err
+        assert not (tmp_path / "m").exists()
+
 
 class TestTrainInputFaults:
     def test_bad_max_epochs_is_usage_error(self, sin_project, tmp_path,
@@ -679,3 +714,197 @@ class TestListEntryMissingKey:
         err = capsys.readouterr().err
         assert code == 1
         assert f"{section}.{entries}[{index}]: missing '{key}'" in err
+
+
+@pytest.fixture(scope="module")
+def model_project(tmp_path_factory):
+    """A 2-variable config, a data CSV of response "y", and one valid saved
+    model dict per family, all predicting "y"."""
+    from surrokit.metamodel import AnnModel, PolyModel, RbfModel, save_model
+    from surrokit.scaling import Scaler
+    d = tmp_path_factory.mktemp("model_project")
+    space = DesignSpace((DesignVariable("x1", 0.0, 1.0),
+                         DesignVariable("x2", 0.0, 2.0)))
+    cfg = d / "config.json"
+    cfg.write_text(json.dumps({"space": space.to_dicts()}))
+    x = lhs_sample(space, 20, seed=0)
+    save_csv(SampleSet(x, {"y": x[:, 0] + x[:, 1] ** 2}, space.names),
+             d / "data.csv")
+    rng = np.random.default_rng(0)
+    scaled = {"input_scaler": Scaler("meanstd", [0.5, 1.0], [0.3, 0.6]),
+              "output_scaler": Scaler("minmax", [1.0], [2.0])}
+    models = {
+        "ann": AnnModel(input_dim=2, hidden_size=3, activation="tanh",
+                        W1=rng.normal(size=(3, 2)), b1=rng.normal(size=3),
+                        W2=rng.normal(size=3), b2=0.1, response_name="y",
+                        **scaled),
+        "rbf": RbfModel(input_dim=2, centers=rng.normal(size=(4, 2)),
+                        spread=1.5, weights=rng.normal(size=4), bias=0.2,
+                        response_name="y", **scaled),
+        "poly": PolyModel(input_dim=2, degree=2,
+                          terms=[[0, 0], [1, 0], [0, 1], [0, 2], [1, 1]],
+                          coefficients=rng.normal(size=5),
+                          response_name="y"),
+    }
+    saved = {}
+    for kind, model in models.items():
+        save_model(model, d / f"{kind}.json")
+        saved[kind] = json.loads((d / f"{kind}.json").read_text())
+    return cfg, d / "data.csv", saved
+
+
+def run_report(model_project, model: dict):
+    """`surrokit report` on the model dict `model`: (exit code, stderr)."""
+    cfg, data, _ = model_project
+    path = data.parent / "mutated.json"
+    path.write_text(json.dumps(model))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["report", "--config", str(cfg), "--data", str(data),
+                     "--model", str(path)])
+    return code, err.getvalue()
+
+
+class TestModelFileContract:
+    """A model file that breaks the model-file contract is a data error:
+    exit 2 with one stderr line naming the file, never a traceback."""
+
+    def assert_rejected(self, model_project, model):
+        code, err = run_report(model_project, model)
+        assert code == 2
+        assert err.startswith("data error:") and "mutated.json" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["ann", "rbf", "poly"])
+    def test_valid_files_report(self, model_project, kind):
+        code, err = run_report(model_project, model_project[2][kind])
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("scaler,width", [("input_scaler", 3),
+                                              ("output_scaler", 2)])
+    def test_rbf_scaler_width(self, model_project, scaler, width):
+        model = json.loads(json.dumps(model_project[2]["rbf"]))
+        model[scaler] = {"kind": "none", "shift": [0.0] * width,
+                         "scale": [1.0] * width}
+        self.assert_rejected(model_project, model)
+
+    @pytest.mark.parametrize("kind", ["rbf", "poly"])
+    def test_unknown_role(self, model_project, kind):
+        self.assert_rejected(model_project,
+                             {**model_project[2][kind], "role": "XYZ"})
+
+    @pytest.mark.parametrize("exponent", [1.5, -1])
+    def test_exponent_not_a_non_negative_integer(self, model_project,
+                                                 exponent):
+        model = {**model_project[2]["poly"], "terms":
+                 [[0, 0], [exponent, 0], [0, 1], [0, 2], [1, 1]]}
+        self.assert_rejected(model_project, model)
+
+    @pytest.mark.parametrize("shift,scale", [
+        ([float("nan"), 1.0], [0.3, 0.6]), ([0.5, 1.0], [float("inf"), 0.6]),
+        ([[0.5, 1.0]], [[0.3, 0.6]]),
+    ])
+    def test_scaler_statistics(self, model_project, shift, scale):
+        # json writes and reads NaN and Infinity
+        model = {**model_project[2]["ann"], "input_scaler":
+                 {"kind": "meanstd", "shift": shift, "scale": scale}}
+        self.assert_rejected(model_project, model)
+
+    @pytest.mark.parametrize("kind,field", [
+        ("ann", "steepness"), ("ann", "b2"), ("rbf", "spread"),
+        ("rbf", "bias"), ("poly", "coefficients")])
+    def test_integer_beyond_float_range(self, model_project, kind, field):
+        # json reads a 401-digit literal as a Python int
+        model = json.loads(json.dumps(model_project[2][kind]))
+        model[field] = ([10 ** 400] * len(model[field])
+                        if isinstance(model[field], list) else 10 ** 400)
+        self.assert_rejected(model_project, model)
+
+    def test_input_count_differs_from_space(self, model_project):
+        model = json.loads(json.dumps(model_project[2]["poly"]))
+        model["input_dim"] = 3
+        model["terms"] = [t + [0] for t in model["terms"]]
+        code, err = run_report(model_project, model)
+        assert code == 2
+        assert "mutated.json takes 3 inputs, space has 2" in err
+
+    def test_emit_vams_rejects_logsig_network(self, cpm_models, tmp_path,
+                                              capsys):
+        path = tmp_path / "models" / "ip.json"
+        model = json.loads(path.read_text())
+        model["activation"] = "logsig"
+        path.write_text(json.dumps(model))
+        capsys.readouterr()
+        code = main(["emit-vams", "--config", str(cpm_models),
+                     "--models", str(tmp_path / "models"),
+                     "--out-dir", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(path) in err and "tanh" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "v").exists()
+
+
+
+def _field_paths(model: dict) -> list[tuple[str, ...]]:
+    """Every key of a saved model dict, and every key of its scalers."""
+    return [(key,) for key in model] + [
+        (key, sub) for key, value in model.items() if isinstance(value, dict)
+        for sub in value]
+
+
+def _mutations(value) -> list[str]:
+    out = ["drop", "string", "none", "nan", "list", "huge"]
+    if isinstance(value, list) and value:
+        out += ["shorter", "longer"]
+        if isinstance(value[0], list):
+            out.append("transpose")
+    if np.size(value) and np.asarray(value).dtype.kind in "if":
+        out += ["negative", "fraction"]
+    return out
+
+
+def _mutate(value, how: str, entry: int):
+    """`value` changed by the mutation `how`, at flat index `entry` for the
+    numeric ones; DROP means the key is removed."""
+    if how == "shorter":
+        return value[:-1]
+    if how == "longer":
+        return value + value[-1:]
+    if how == "transpose":
+        return np.array(value).T.tolist()
+    if how in ("negative", "fraction"):
+        arr = np.array(value, dtype=float)
+        flat = arr.reshape(-1)
+        i = entry % flat.size
+        flat[i] = -1.0 if how == "negative" else flat[i] + 0.5
+        return arr.tolist()
+    return {"drop": DROP, "string": "x", "none": None, "nan": float("nan"),
+            "list": [1.0, 2.0], "huge": 10 ** 400}[how]
+
+
+DROP = object()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_model_file_exits_0_or_2(model_project, data):
+    """`surrokit report` on a saved ANN, RBF or poly file with one key
+    dropped or one value replaced by a string, null, NaN, an integer beyond
+    float range, a wrong-length list, its transpose, or a negative or
+    fractional number (among them the polynomial exponents) exits 0 or 2,
+    never with a traceback."""
+    kind = data.draw(st.sampled_from(["ann", "rbf", "poly"]))
+    model = json.loads(json.dumps(model_project[2][kind]))
+    path = data.draw(st.sampled_from(_field_paths(model)))
+    holder = model if len(path) == 1 else model[path[0]]
+    how = data.draw(st.sampled_from(_mutations(holder[path[-1]])))
+    value = _mutate(holder[path[-1]], how, data.draw(st.integers(0, 50)))
+    if value is DROP:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    code, err = run_report(model_project, model)
+    assert code in (0, 2), err
+    assert "Traceback" not in err

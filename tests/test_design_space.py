@@ -49,16 +49,6 @@ class TestDesignSpace:
         with pytest.raises(ValueError):
             DesignSpace(())
 
-    def test_json_round_trip(self, tmp_path):
-        space = random_space(np.random.default_rng(0), 4)
-        path = tmp_path / "space.json"
-        import json
-        path.write_text(json.dumps(space.to_dicts()))
-        loaded = DesignSpace.from_json_file(path)
-        assert loaded.names == space.names
-        assert np.allclose(loaded.lower, space.lower)
-        assert np.allclose(loaded.upper, space.upper)
-
     def test_bounds_cached_read_only(self):
         space = random_space(np.random.default_rng(1), 3)
         assert space.lower is space.lower and space.upper is space.upper

@@ -441,3 +441,74 @@ class TestPersistence:
             save_model(random_ann(rng), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+class TestFieldContract:
+    """Every family checks each array field for its exact shape and finite
+    values, and its role and scaler widths, the same way."""
+
+    def rbf(self, **fields):
+        return RbfModel(**{"input_dim": 2, "centers": np.zeros((1, 2)),
+                           "spread": 1.0, "weights": np.ones(1), "bias": 0.0,
+                           "input_scaler": Scaler.identity(2),
+                           "output_scaler": Scaler.identity(1), **fields})
+
+    def poly(self, **fields):
+        return PolyModel(**{"input_dim": 2, "degree": 3,
+                            "terms": np.array([[0, 0], [1, 2]]),
+                            "coefficients": np.ones(2), **fields})
+
+    @pytest.mark.parametrize("scaler,width", [("input_scaler", 3),
+                                              ("output_scaler", 2)])
+    def test_rbf_scaler_width(self, scaler, width):
+        with pytest.raises(ValueError, match=scaler):
+            self.rbf(**{scaler: Scaler.identity(width)})
+
+    def test_role(self):
+        for build in (self.rbf, self.poly):
+            with pytest.raises(ValueError, match="role"):
+                build(role="XYZ")
+
+    def test_centers_exact_shape(self):
+        # a 2x2 matrix of centers with one weight is not one 4-D center
+        with pytest.raises(ValueError, match="centers"):
+            self.rbf(input_dim=4, centers=np.arange(4.0).reshape(2, 2),
+                     input_scaler=Scaler.identity(4))
+
+    def test_terms_exact_shape(self):
+        with pytest.raises(ValueError, match="terms"):
+            self.poly(terms=np.array([[0, 0, 1, 2]]))
+
+    @pytest.mark.parametrize("exponent", [1.5, -1, 1e20])
+    def test_exponents_non_negative_integers(self, exponent):
+        # [[-1, 2]] used to predict 3.0 at (2, 3), where x^-1 y^2 is 4.5
+        with pytest.raises(ValueError, match="terms"):
+            self.poly(terms=np.array([[0, 0], [exponent, 2]]))
+
+    def test_integer_fields(self):
+        with pytest.raises(ValueError, match="input_dim"):
+            self.poly(input_dim=2.0)
+        with pytest.raises(ValueError, match="degree"):
+            self.poly(degree=0)
+
+    def test_loaded_fields_read_only_and_exact(self, tmp_path):
+        for model in (self.rbf(), self.poly(), self.rbf(
+                centers=np.zeros((0, 2)), weights=np.zeros(0))):
+            save_model(model, tmp_path / "m.json")
+            clone = load_model(tmp_path / "m.json")
+            for name in ("centers", "weights", "terms", "coefficients"):
+                if hasattr(model, name):
+                    arr = getattr(clone, name)
+                    assert arr.shape == getattr(model, name).shape
+                    assert arr.dtype == getattr(model, name).dtype
+                    assert not arr.flags.writeable
+
+    def test_non_finite_scaler_in_file_is_rejected(self, tmp_path):
+        import json
+        from surrokit.errors import DataFormatError
+        save_model(self.rbf(), tmp_path / "m.json")
+        saved = json.loads((tmp_path / "m.json").read_text())
+        saved["input_scaler"]["shift"] = [float("nan"), 0.0]
+        (tmp_path / "m.json").write_text(json.dumps(saved))
+        with pytest.raises(DataFormatError, match="shift"):
+            load_model(tmp_path / "m.json")

@@ -116,3 +116,13 @@ def test_round_trip_property(seed):
         except DegenerateColumnError:
             continue
         assert np.max(np.abs(invert(scaler, apply(scaler, data)) - data)) < 1e-12
+
+
+@pytest.mark.parametrize("shift,scale", [
+    ([np.nan, 0.0], [1.0, 1.0]), ([np.inf, 0.0], [1.0, 1.0]),
+    ([0.0, 0.0], [np.nan, 1.0]), ([0.0, 0.0], [np.inf, 1.0]),
+    ([[0.0, 0.0]], [[1.0, 1.0]]), (0.0, 1.0),
+])
+def test_statistics_must_be_finite_1d(shift, scale):
+    with pytest.raises(ValueError):
+        Scaler("meanstd", np.array(shift), np.array(scale))
