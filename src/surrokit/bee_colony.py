@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design_space import DesignSpace
-from .errors import DataFormatError
 from .files import write_csv
+from .metamodel import predict_columns
 
 __all__ = [
     "AbcParams", "WindowConstraint", "FomTerm", "FomProblem",
@@ -106,12 +106,14 @@ class FomProblem:
     def evaluate(self, points: np.ndarray):
         """Penalized FoM and total window violation for each row."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        cols = predict_columns([t.model for t in self.terms]
+                               + [w.model for w in self.windows], pts)
         fom = np.zeros(pts.shape[0])
-        for term in self.terms:
-            fom += term.weight * np.asarray(term.model.predict(pts)).reshape(-1)
+        for term, col in zip(self.terms, cols.T):
+            fom += term.weight * col
         viol = np.zeros(pts.shape[0])
-        for win in self.windows:
-            viol += win.violation(np.asarray(win.model.predict(pts)).reshape(-1))
+        for win, col in zip(self.windows, cols.T[len(self.terms):]):
+            viol += win.violation(col)
         return fom + self.penalty_weight * viol, viol
 
 
@@ -141,13 +143,6 @@ def abc_optimize(space: DesignSpace, problem: FomProblem,
     every model sees at most 1 + 3 * max_cycles predict calls.
     Deterministic for a given seed.
     """
-    for holder in list(problem.terms) + list(problem.windows):
-        dim = getattr(holder.model, "input_dim", space.dim)
-        if dim != space.dim:
-            raise DataFormatError(
-                f"problem model takes {dim} inputs, space has {space.dim}"
-            )
-
     rng = np.random.default_rng(params.seed)
     n_src = params.n_sources
     dim = space.dim

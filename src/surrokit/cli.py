@@ -26,9 +26,9 @@ from .errors import (DataFormatError, DegenerateColumnError,
 from .files import atomic_write
 from .metamodel import _KINDS, AnnModel, load_model, save_model
 from .metrics import CRITERIA, fit_report, render_report_table, select_best
-from .training import (MIN_ANN_ROWS, TrainOptions, check_poly_settings,
-                       check_rbf_settings, fit_polynomial, train_anns,
-                       train_rbf)
+from .training import (MIN_ANN_ROWS, SampleSet, TrainOptions,
+                       check_poly_settings, check_rbf_settings,
+                       fit_polynomial, train_anns, train_rbf)
 
 __all__ = ["main", "entry"]
 
@@ -42,7 +42,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(path) -> dict:
+def _load_config(path) -> tuple[dict, DesignSpace]:
+    """The config of the JSON file `path` and the design space it declares."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -50,14 +51,10 @@ def _load_config(path) -> dict:
         raise UsageError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from None
-    if "space" not in cfg:
-        raise UsageError("config must declare a 'space' section")
-    return cfg
-
-
-def _space(cfg: dict) -> DesignSpace:
+    if not isinstance(cfg, dict) or "space" not in cfg:
+        raise UsageError("config must be a JSON object with a 'space' section")
     try:
-        return DesignSpace.from_dicts(cfg["space"])
+        return cfg, DesignSpace.from_dicts(cfg["space"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad space declaration: {exc}") from None
 
@@ -80,13 +77,25 @@ def _flag(value) -> bool:
     return value
 
 
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _int(value) -> int:
+    if not _float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @contextmanager
 def _checked(path: str):
-    """Report a TypeError or ValueError of the block as a usage error naming
-    the config section at the dotted `path`."""
+    """Report a TypeError, ValueError or OverflowError of the block as a
+    usage error naming the config section at the dotted `path`."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad '{path}' section: {exc}") from None
 
 
@@ -105,13 +114,13 @@ def _section(cfg: dict, path: str, fields: dict, **overrides) -> dict:
         for key, (cast, default) in fields.items():
             try:
                 settings[key] = cast(section[key]) if key in section else default
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{key}: {exc}") from None
     return settings
 
 
 # the cast of each field type of the parameter dataclasses the CLI fills
-_CASTS = {"int": int, "float": float, "str": str,
+_CASTS = {"int": _int, "float": _float, "str": str,
           "tuple[str, ...]": tuple, "tuple[float, ...]": tuple}
 
 
@@ -148,7 +157,7 @@ def _names(value, allowed=None) -> list[str]:
 def _sizes(value) -> list[int]:
     if not isinstance(value, list) or not value:
         raise TypeError(f"expected a non-empty list, got {value!r}")
-    return [int(m) for m in value]
+    return [_int(m) for m in value]
 
 
 _TRAINING = {"responses": (_names, None),
@@ -156,10 +165,10 @@ _TRAINING = {"responses": (_names, None),
              "selection": (str, "verify_rmse")}
 _ANN = {**_fields(TrainOptions, "hidden_size"), "hidden_sizes": (_sizes, [4])}
 # the CLI's own defaults: `fit_polynomial` alone does not select stepwise
-_RBF = {"error_goal": (float, 1e-4), "spread": (float, 1.0),
-        "max_neurons": (int, 25), "input_scaling": (str, "meanstd")}
-_POLY = {"degree": (int, 2), "stepwise": (_flag, True),
-         "p_enter": (float, 0.05)}
+_RBF = {"error_goal": (_float, 1e-4), "spread": (_float, 1.0),
+        "max_neurons": (_int, 25), "input_scaling": (str, "meanstd")}
+_POLY = {"degree": (_int, 2), "stepwise": (_flag, True),
+         "p_enter": (_float, 0.05)}
 _MOFA = {**_fields(mofa.MofaParams),
          "objectives": _entries("mofa.objectives", "response", "direction"),
          "constraints": _entries("mofa.constraints", "response", "bound",
@@ -176,7 +185,7 @@ _VAMS = {**_fields(vams_codegen.MacromodelSpec, "module_name",
 
 def _oracle(cfg: dict) -> oracles.Oracle:
     settings = _section(cfg, "oracle", {"name": (str, None),
-                                        "artificial_delay": (float, 0.0)})
+                                        "artificial_delay": (_float, 0.0)})
     name, delay = settings["name"], settings["artificial_delay"]
     if name not in oracles.BUILTIN_ORACLES:
         raise UsageError(
@@ -187,12 +196,12 @@ def _oracle(cfg: dict) -> oracles.Oracle:
     return oracle.with_delay(delay) if delay > 0 else oracle
 
 
-def _training(cfg: dict, seed=None, kinds=None):
+def _training(cfg: dict, seed=None):
     """The 'training' section settings, the hidden sizes and trainer options
     of 'training.ann', and the `train_rbf` and `fit_polynomial` keyword
-    arguments of 'training.rbf' and 'training.poly' for the configured
-    kinds; every one of these sections is checked whatever the kinds."""
-    tcfg = _section(cfg, "training", _TRAINING, kinds=kinds)
+    arguments of 'training.rbf' and 'training.poly' by kind; every one of
+    these sections is checked whatever the kinds."""
+    tcfg = _section(cfg, "training", _TRAINING)
     if tcfg["selection"] not in CRITERIA:
         raise UsageError(f"training.selection must be one of "
                          f"{', '.join(CRITERIA)}; got {tcfg['selection']!r}")
@@ -207,26 +216,7 @@ def _training(cfg: dict, seed=None, kinds=None):
     poly = _section(cfg, "training.poly", _POLY)
     with _checked("training.poly"):
         check_poly_settings(poly["degree"], poly["p_enter"])
-    fits = {kind: kw for kind, kw in (("rbf", rbf), ("poly", poly))
-            if kind in tcfg["kinds"]}
-    return tcfg, sizes, opts, fits
-
-
-def _load_train_set(path, space: DesignSpace, with_anns: bool):
-    train_set = oracles.load_csv(path, space.names)
-    if with_anns and train_set.n_rows < MIN_ANN_ROWS:
-        raise DataFormatError(
-            f"{path} has {train_set.n_rows} rows; ANN training needs at "
-            f"least {MIN_ANN_ROWS}")
-    return train_set
-
-
-def _check_responses(train_set, responses, path) -> None:
-    for response in responses:
-        if response not in train_set.responses:
-            raise DataFormatError(
-                f"response {response!r} not present in {path}"
-            )
+    return tcfg, sizes, opts, {"rbf": rbf, "poly": poly}
 
 
 def _sweep_response(train_set, verify_set, response: str, fits: dict,
@@ -253,10 +243,47 @@ def _sweep_response(train_set, verify_set, response: str, fits: dict,
     return reported
 
 
-def cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
-    space = _space(cfg)
-    sampling = _section(cfg, "sampling", {"n": (int, 100), "seed": (int, 0)},
+def _fit_sweep(args, space: DesignSpace, training, compare=False):
+    """Fit the configured model kinds of `training` (what `_training`
+    returns) to each response, print the response's fit-report table and
+    yield (response, [(label, model, report)]). `compare` fits the ANN of
+    least holdout error and a polynomial whatever the kinds."""
+    tcfg, sizes, opts, fits = training
+    kinds = ["ann", "poly"] if compare else tcfg["kinds"]
+    train_set = oracles.load_csv(args.train, space.names)
+    if "ann" in kinds and train_set.n_rows < MIN_ANN_ROWS:
+        raise DataFormatError(
+            f"{args.train} has {train_set.n_rows} rows; ANN training needs at "
+            f"least {MIN_ANN_ROWS}")
+    verify_set = oracles.load_csv(args.verify, space.names)
+    responses = ([args.response] if getattr(args, "response", None)
+                 else tcfg["responses"] or train_set.response_names)
+    if not responses:
+        raise UsageError("no responses configured and none found in the data")
+    for response in responses:
+        if response not in train_set.responses:
+            raise DataFormatError(
+                f"response {response!r} not present in {args.train}")
+
+    fits = {kind: kw for kind, kw in fits.items() if kind in kinds}
+    anns = (train_anns(train_set, responses, sizes, opts)
+            if "ann" in kinds else {})
+    for response in responses:
+        ann_rows = [(f"ann-{m}", anns[response, m][0])
+                    for m in sizes if (response, m) in anns]
+        if compare:  # pick by holdout so the verification set stays unbiased
+            best = select_best([anns[response, m][1] for m in sizes],
+                               "verify_rmse")
+            ann_rows = [ann_rows[best]]
+        rows = _sweep_response(train_set, verify_set, response, fits,
+                               ann_rows)
+        print(f"# response: {response}")
+        print(render_report_table([(label, rep) for label, _, rep in rows]))
+        yield response, rows
+
+
+def cmd_sample(args, cfg: dict, space: DesignSpace) -> int:
+    sampling = _section(cfg, "sampling", {"n": (_int, 100), "seed": (_int, 0)},
                         n=args.n, seed=args.seed)
     n, seed = sampling["n"], sampling["seed"]
     if n < 1:
@@ -272,40 +299,21 @@ def cmd_sample(args) -> int:
         oracle = _oracle(cfg)
         sample_set = oracles.evaluate(oracle, points, space.names)
     else:
-        from .training import SampleSet
-        sample_set = SampleSet(points, {}, space.names, provenance="imported")
+        sample_set = SampleSet(points, {}, space.names)
     oracles.save_csv(sample_set, args.out)
     print(f"wrote {n} samples to {args.out}", file=sys.stderr)
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    space = _space(cfg)
-    tcfg, sizes, opts, fits = _training(cfg, seed=args.seed)
-    with_anns = "ann" in tcfg["kinds"]
-    train_set = _load_train_set(args.train, space, with_anns)
-    verify_set = oracles.load_csv(args.verify, space.names)
-
-    responses = tcfg["responses"] or train_set.response_names
-    if not responses:
-        raise UsageError("no responses configured and none found in the data")
-    _check_responses(train_set, responses, args.train)
+def cmd_train(args, cfg: dict, space: DesignSpace) -> int:
+    training = _training(cfg, seed=args.seed)
+    criterion = training[0]["selection"]
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    anns = train_anns(train_set, responses, sizes, opts) if with_anns else {}
-    criterion = tcfg["selection"]
     all_reports = {}
-    for response in responses:
-        ann_rows = [(f"ann-{m}", anns[response, m][0])
-                    for m in sizes if (response, m) in anns]
-        rows = _sweep_response(train_set, verify_set, response, fits,
-                               ann_rows)
-        print(f"# response: {response}")
-        print(render_report_table([(label, rep) for label, _, rep in rows]))
+    for response, rows in _fit_sweep(args, space, training):
         best = select_best([rep for _, _, rep in rows], criterion)
         label, model, _ = rows[best]
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{response}.json"
         save_model(model, path)
         print(f"selected {label} for {response} -> {path}", file=sys.stderr)
@@ -334,9 +342,7 @@ def _load_models(paths, space: DesignSpace) -> list:
     return models
 
 
-def cmd_report(args) -> int:
-    cfg = _load_config(args.config)
-    space = _space(cfg)
+def cmd_report(args, cfg: dict, space: DesignSpace) -> int:
     data = oracles.load_csv(args.data, space.names)
     rows = []
     for model_path, model in zip(args.model, _load_models(args.model, space)):
@@ -353,9 +359,7 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_optimize_mofa(args) -> int:
-    cfg = _load_config(args.config)
-    space = _space(cfg)
+def cmd_optimize_mofa(args, cfg: dict, space: DesignSpace) -> int:
     settings = _section(cfg, "mofa", _MOFA, seed=args.seed)
     obj_cfg, con_cfg = settings.pop("objectives"), settings.pop("constraints")
     if len(obj_cfg) < 2:
@@ -370,7 +374,7 @@ def cmd_optimize_mofa(args) -> int:
                       for o in obj_cfg]
         constraints = [mofa.ConstraintSpec(c["response"],
                                            models[c["response"]],
-                                           float(c["bound"]), c["sense"])
+                                           _float(c["bound"]), c["sense"])
                        for c in con_cfg]
         params = mofa.MofaParams(**settings)
     archive = mofa.mofa_optimize(space, objectives, constraints, params)
@@ -380,9 +384,7 @@ def cmd_optimize_mofa(args) -> int:
     return 0
 
 
-def cmd_optimize_abc(args) -> int:
-    cfg = _load_config(args.config)
-    space = _space(cfg)
+def cmd_optimize_abc(args, cfg: dict, space: DesignSpace) -> int:
     settings = _section(cfg, "abc", _ABC, seed=args.seed)
     term_cfg, window_cfg = settings.pop("objective"), settings.pop("window")
     penalty_weight = settings.pop("penalty_weight")
@@ -395,11 +397,11 @@ def cmd_optimize_abc(args) -> int:
     with _checked("abc"):
         problem = bee_colony.FomProblem(
             terms=tuple(bee_colony.FomTerm(models[t["response"]],
-                                           float(t.get("weight", 1.0)))
+                                           _float(t.get("weight", 1.0)))
                         for t in term_cfg),
             windows=tuple(bee_colony.WindowConstraint(
-                models[w["response"]], float(w["center"]),
-                float(w.get("relative_tolerance", 0.005)))
+                models[w["response"]], _float(w["center"]),
+                _float(w.get("relative_tolerance", 0.005)))
                 for w in window_cfg),
             penalty_weight=penalty_weight,
         )
@@ -413,9 +415,7 @@ def cmd_optimize_abc(args) -> int:
     return 0
 
 
-def cmd_emit_vams(args) -> int:
-    cfg = _load_config(args.config)
-    space = _space(cfg)
+def cmd_emit_vams(args, cfg: dict, space: DesignSpace) -> int:
     settings = _section(cfg, "vams", _VAMS)
     cpm_files = settings.pop("cpms")
     paths = [Path(args.models) / f"{cpm_files.get(key, key)}.json"
@@ -444,25 +444,9 @@ def cmd_emit_vams(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    space = _space(cfg)
-    tcfg, sizes, opts, fits = _training(cfg, kinds=["poly"])
-    train_set = _load_train_set(args.train, space, with_anns=True)
-    verify_set = oracles.load_csv(args.verify, space.names)
-    responses = ([args.response] if args.response
-                 else tcfg["responses"] or train_set.response_names)
-    _check_responses(train_set, responses, args.train)
-
-    anns = train_anns(train_set, responses, sizes, opts)
-    for response in responses:
-        # pick by holdout so the verification set stays unbiased
-        nets = [anns[response, m] for m in sizes]
-        model = nets[select_best([rep for _, rep in nets], "verify_rmse")][0]
-        rows = _sweep_response(train_set, verify_set, response, fits,
-                               [(f"ann-{model.hidden_size}", model)])
-        print(f"# response: {response}")
-        print(render_report_table([(label, rep) for label, _, rep in rows]))
+def cmd_compare(args, cfg: dict, space: DesignSpace) -> int:
+    for _ in _fit_sweep(args, space, _training(cfg), compare=True):
+        pass
     return 0
 
 
@@ -470,9 +454,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="surrokit",
                      description="surrogate-assisted design optimization")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _Parser(add_help=False)
+    common.add_argument("--config", required=True)
 
-    p = sub.add_parser("sample", help="draw LHS samples, optionally evaluate")
-    p.add_argument("--config", required=True)
+    def command(name: str, fn, help_text: str) -> _Parser:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("sample", cmd_sample, "draw LHS samples, optionally evaluate")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int)
@@ -480,50 +470,39 @@ def build_parser() -> _Parser:
                    help="run the configured oracle over the samples")
     p.add_argument("--disjoint-from",
                    help="existing sample CSV the new set must not collide with")
-    p.set_defaults(fn=cmd_sample)
 
-    p = sub.add_parser("train", help="fit metamodels, print fit reports")
-    p.add_argument("--config", required=True)
+    p = command("train", cmd_train, "fit metamodels, print fit reports")
     p.add_argument("--train", required=True)
     p.add_argument("--verify", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--report-json",
                    help="also write the full fit-report sweep as JSON")
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("report", help="evaluate saved models against a CSV")
-    p.add_argument("--config", required=True)
+    p = command("report", cmd_report, "evaluate saved models against a CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, action="append")
-    p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("optimize-mofa", help="multi-objective firefly run")
-    p.add_argument("--config", required=True)
+    p = command("optimize-mofa", cmd_optimize_mofa,
+                "multi-objective firefly run")
     p.add_argument("--models", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_optimize_mofa)
 
-    p = sub.add_parser("optimize-abc", help="constrained bee-colony run")
-    p.add_argument("--config", required=True)
+    p = command("optimize-abc", cmd_optimize_abc, "constrained bee-colony run")
     p.add_argument("--models", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_optimize_abc)
 
-    p = sub.add_parser("emit-vams", help="export weights and the AMS module")
-    p.add_argument("--config", required=True)
+    p = command("emit-vams", cmd_emit_vams,
+                "export weights and the AMS module")
     p.add_argument("--models", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(fn=cmd_emit_vams)
 
-    p = sub.add_parser("compare", help="ANN vs polynomial on the same data")
-    p.add_argument("--config", required=True)
+    p = command("compare", cmd_compare, "ANN vs polynomial on the same data")
     p.add_argument("--train", required=True)
     p.add_argument("--verify", required=True)
     p.add_argument("--response")
-    p.set_defaults(fn=cmd_compare)
     return parser
 
 
@@ -531,7 +510,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        return args.fn(args, *_load_config(args.config))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -550,3 +529,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

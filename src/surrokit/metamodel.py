@@ -20,7 +20,8 @@ from .scaling import Scaler, apply as scale_apply, invert as scale_invert
 
 __all__ = [
     "AnnModel", "RbfModel", "PolyModel", "CallableModel",
-    "ann_hidden", "rbf_design", "poly_basis", "save_model", "load_model",
+    "ann_hidden", "rbf_design", "poly_basis", "predict_columns",
+    "save_model", "load_model",
 ]
 
 ACTIVATIONS = ("tanh", "logsig")
@@ -36,7 +37,8 @@ def _as_matrix(x, dim: int) -> tuple[np.ndarray, bool]:
     single = arr.ndim == 1
     arr = np.atleast_2d(arr)
     if arr.shape[1] != dim:
-        raise ValueError(f"input has {arr.shape[1]} columns, model expects {dim}")
+        raise ValueError(f"input has {arr.shape[1]} columns, model takes "
+                         f"{dim} inputs")
     if not np.all(np.isfinite(arr)):
         raise ValueError("input contains non-finite values")
     return arr, single
@@ -297,9 +299,13 @@ class CallableModel:
         y = np.asarray(self.fn(pts), dtype=float).reshape(-1)
         return float(y[0]) if single else y
 
-    @property
-    def n_parameters(self) -> int:
-        return 0
+
+def predict_columns(models, x) -> np.ndarray:
+    """The (n, len(models)) matrix of each model's predictions for the n
+    rows of `x`, one column per model: the one model evaluator of the
+    optimizers."""
+    cols = [np.asarray(m.predict(x)).reshape(-1) for m in models]
+    return np.column_stack(cols) if cols else np.zeros((len(x), 0))
 
 
 # --- persistence ----------------------------------------------------------

@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design_space import DesignSpace
-from .errors import DataFormatError, InfeasibleRunError
+from .errors import InfeasibleRunError
 from .files import write_csv
+from .metamodel import predict_columns
 
 __all__ = [
     "ObjectiveSpec", "ConstraintSpec", "MofaParams", "ParetoArchive",
@@ -233,11 +234,6 @@ def move_vector(space: DesignSpace, current, target, params: MofaParams,
     return space.from_unit(dest) - space.from_unit(cur)
 
 
-def _predict_batch(models, points: np.ndarray) -> np.ndarray:
-    cols = [np.asarray(m.predict(points)).reshape(-1) for m in models]
-    return np.column_stack(cols) if cols else np.zeros((points.shape[0], 0))
-
-
 def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
                   constraints: list[ConstraintSpec],
                   params: MofaParams) -> ParetoArchive:
@@ -259,13 +255,6 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
     """
     if len(objectives) < 2:
         raise ValueError("need at least two objectives for Pareto optimization")
-    for spec in list(objectives) + list(constraints):
-        dim = getattr(spec.model, "input_dim", space.dim)
-        if dim != space.dim:
-            raise DataFormatError(
-                f"model for {spec.name!r} takes {dim} inputs, space has "
-                f"{space.dim}"
-            )
     directions = [o.direction for o in objectives]
     n_obj = len(objectives)
     obj_models = [o.model for o in objectives]
@@ -274,7 +263,7 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
     rng = np.random.default_rng(params.seed)
     lower, upper = space.lower, space.upper
     pop = space.from_unit(rng.random((params.K, space.dim)))
-    g_pop = _predict_batch(con_models, pop)
+    g_pop = predict_columns(con_models, pop)
 
     best_violation = np.inf
     alpha = params.alpha
@@ -294,7 +283,7 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
         return (viol == 0.0) & np.isfinite(f_rows).all(axis=1)
 
     for _ in range(params.t_max):
-        f_pop = _predict_batch(obj_models, pop)
+        f_pop = predict_columns(obj_models, pop)
         viol_pop = total_violation(g_pop)
         feasible = np.flatnonzero(feasible_rows(f_pop, viol_pop))
         nd_idx = feasible[non_dominated(f_pop[feasible], directions)]
@@ -323,7 +312,7 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
             # re-clamp: float round-trip through unit coordinates can
             # overshoot a bound by an ulp
             dest = np.clip(current + delta, lower, upper)
-            g_dest = _predict_batch(con_models, dest)
+            g_dest = predict_columns(con_models, dest)
             viol_dest = total_violation(g_dest)
             ok = viol_dest == 0.0
             if not nd_idx.size:  # no feasible firefly yet: descend
@@ -340,7 +329,7 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
         alpha *= params.alpha_decay
 
     # archive = feasible non-dominated subset of the final population
-    f_pop = _predict_batch(obj_models, pop)
+    f_pop = predict_columns(obj_models, pop)
     feasible = np.flatnonzero(feasible_rows(f_pop, total_violation(g_pop)))
     if not feasible.size:
         raise InfeasibleRunError(

@@ -177,7 +177,6 @@ def evaluate(oracle: Oracle, inputs: np.ndarray,
         inputs=inputs, responses=responses,
         variable_names=list(variable_names) if variable_names
         else [f"x{i + 1}" for i in range(oracle.input_dim)],
-        provenance="oracle",
     )
 
 
@@ -237,8 +236,6 @@ def load_csv(path, variable_names, response_names=None) -> SampleSet:
             raise DataFormatError(
                 f"{path}: expected header {expected}, got {header}"
             )
-        if not resp_cols and response_names is None:
-            resp_cols = []
 
         rows = []
         for r, line in enumerate(reader, start=1):
@@ -271,5 +268,4 @@ def load_csv(path, variable_names, response_names=None) -> SampleSet:
         inputs=data[:, :n_vars],
         responses={name: data[:, n_vars + j] for j, name in enumerate(resp_cols)},
         variable_names=variable_names,
-        provenance="imported",
     )

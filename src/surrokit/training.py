@@ -36,14 +36,12 @@ class SampleSet:
     """Paired input matrix and named response vectors.
 
     Column order of `inputs` matches `variable_names`; every response vector
-    has one entry per input row. `provenance` records whether the responses
-    came from a built-in oracle or were imported from a file.
+    has one entry per input row.
     """
 
     inputs: np.ndarray
     responses: dict[str, np.ndarray]
     variable_names: list[str] = field(default_factory=list)
-    provenance: str = "imported"
 
     def __post_init__(self):
         self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -51,8 +49,6 @@ class SampleSet:
             self.variable_names = [f"x{i + 1}" for i in range(self.inputs.shape[1])]
         if len(self.variable_names) != self.inputs.shape[1]:
             raise ValueError("one variable name per input column required")
-        if self.provenance not in ("oracle", "imported"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         self.responses = {k: np.asarray(v, dtype=float).reshape(-1)
                           for k, v in self.responses.items()}
         n = self.inputs.shape[0]

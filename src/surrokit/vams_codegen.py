@@ -79,29 +79,12 @@ class WeightBundle:
         b2 = _parse_payload(self.b2, 1, names["b2"])
         return w1.reshape(self.nl, self.size_x), w2, b1, float(b2[0])
 
-    def write(self, directory) -> list[Path]:
+    def write(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name, payload in (("w1", self.w1), ("w2", self.w2),
-                              ("b1", self.b1), ("b2", self.b2)):
-            path = directory / f"{self.prefix}{name}.txt"
-            with atomic_write(path) as fh:
-                fh.write(payload)
-            written.append(path)
-        return written
-
-    @classmethod
-    def from_dir(cls, directory, nl: int, size_x: int,
-                 prefix: str = "") -> "WeightBundle":
-        directory = Path(directory)
-        payloads = {}
-        for name in ("w1", "w2", "b1", "b2"):
-            path = directory / f"{prefix}{name}.txt"
-            if not path.exists():
-                raise DataFormatError(f"missing weight file {path}")
-            payloads[name] = path.read_text()
-        return cls(nl=nl, size_x=size_x, prefix=prefix, **payloads)
+        for name, file_name in self.file_names().items():
+            with atomic_write(directory / file_name) as fh:
+                fh.write(getattr(self, name))
 
 
 def fold_scalers(model: AnnModel) -> AnnModel:

@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import surrokit
 from surrokit.cli import main
 from surrokit.design_space import DesignSpace, DesignVariable, lhs_disjoint, lhs_sample
 from surrokit.oracles import load_csv, save_csv
@@ -459,6 +463,34 @@ class TestBadSectionValues:
         assert "'training.ann'" in err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda abc: abc["objective"][0].update(weight=True),
+        lambda abc: abc["window"][0].update(center=10 ** 400),
+    ], ids=["weight-true", "center-huge"])
+    def test_abc_entry_numbers(self, opamp_pipeline_config, tmp_path, capsys,
+                               edit):
+        """A boolean or an integer beyond float range in an entry is a
+        usage error, not a traceback."""
+        write_toy_models(tmp_path, opamp_pipeline_config)
+        code, err = self.run_with(
+            opamp_pipeline_config, tmp_path, capsys,
+            lambda config: edit(config["abc"]),
+            ["optimize-abc", "--config", str(opamp_pipeline_config),
+             "--models", str(tmp_path / "models"),
+             "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert err.startswith("usage error: bad 'abc' section")
+
+
+@pytest.mark.parametrize("text", ["3", "[1]", "null"])
+def test_config_not_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    code = main(["sample", "--config", str(cfg),
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert "JSON object with a 'space' section" in capsys.readouterr().err
+
 
 class TestTrainAllResponses:
     def test_sweep_matches_per_response_runs(self, opamp_pipeline_config,
@@ -499,6 +531,7 @@ class TestFitSectionsCheckedFirst:
         ("poly", {"p_enter": 0.0}), ("poly", {"stepwise": "no"}),
         ("rbf", {"spread": 0.0}), ("rbf", {"max_neurons": "many"}),
         ("rbf", {"error_goal": -1.0}), ("rbf", {"input_scaling": "log"}),
+        ("rbf", {"max_neurons": 2.5}), ("poly", {"degree": True}),
     ])
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_rejected_value(self, sin_project, tmp_path, capsys, section,
@@ -529,11 +562,15 @@ class TestFitSectionsCheckedFirst:
         ("train", "training.ann", "hidden_sizes", "4"),
         ("compare", "training", "responses", "y"),
         ("compare", "training.ann", "hidden_sizes", []),
+        ("train", "training.ann", "hidden_sizes", [2.5]),
+        ("train", "training.ann", "hidden_sizes", [True]),
+        ("compare", "training", "kinds", ["foo"]),
+        ("compare", "training", "kinds", "ann"),
     ])
     def test_rejected_list(self, sin_project, tmp_path, capsys, command,
                            section, key, value):
         """`responses` must be a list of strings, `kinds` a non-empty list
-        of model kinds and `hidden_sizes` a non-empty list."""
+        of model kinds and `hidden_sizes` a non-empty list of integers."""
         cfg, train_csv, verify_csv = sin_project
         config = json.loads(cfg.read_text())
         holder = config["training"]
@@ -623,6 +660,10 @@ class TestMalformedSections:
                                          "window": ["a0"]}}),
         ("emit-vams", "vams", {"vams": [1]}),
         ("emit-vams", "vams", {"vams": {"cpms": ["gm"]}}),
+        ("sample", "sampling", {"sampling": {"n": float("inf")}}),
+        ("sample", "sampling", {"sampling": {"seed": 10 ** 400}}),
+        ("optimize-abc", "abc", {"abc": {"objective": [{"response": "pd"}],
+                                         "max_cycles": 10 ** 400}}),
     ])
     def test_exit_1_naming_section(self, opamp_pipeline_config, tmp_path,
                                    capsys, command, section, edit):
@@ -908,3 +949,19 @@ def test_mutated_model_file_exits_0_or_2(model_project, data):
     code, err = run_report(model_project, model)
     assert code in (0, 2), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["surrokit", "surrokit.cli"])
+def test_python_m_runs_the_cli(module):
+    """Both `python -m` forms run the CLI: no command is a usage error
+    (exit 1) and `--help` exits 0."""
+    src = os.path.dirname(os.path.dirname(surrokit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True, env=env)
+    bare = run()
+    assert bare.returncode == 1 and "usage error" in bare.stderr
+    helped = run("--help")
+    assert helped.returncode == 0 and "optimize-mofa" in helped.stdout

@@ -8,7 +8,7 @@ import pytest
 
 from surrokit.metamodel import (PREDICT_BLOCK, AnnModel, CallableModel,
                                 PolyModel, RbfModel, load_model, poly_basis,
-                                rbf_design, save_model)
+                                predict_columns, rbf_design, save_model)
 from surrokit.scaling import Scaler, fit_scaler
 
 
@@ -512,3 +512,18 @@ class TestFieldContract:
         (tmp_path / "m.json").write_text(json.dumps(saved))
         with pytest.raises(DataFormatError, match="shift"):
             load_model(tmp_path / "m.json")
+
+
+def test_predict_columns_is_each_models_predict():
+    rng = np.random.default_rng(41)
+    models = [random_ann(rng, n=3, scaled=True),
+              CallableModel(input_dim=3, fn=lambda x: x[:, 0] * x[:, 2]),
+              random_ann(rng, n=3)]
+    x = rng.normal(size=(17, 3))
+    cols = predict_columns(models, x)
+    assert cols.shape == (17, 3)
+    for j, model in enumerate(models):
+        np.testing.assert_array_equal(cols[:, j], model.predict(x))
+    assert predict_columns([], x).shape == (17, 0)
+    with pytest.raises(ValueError, match="4 columns, model takes 3 inputs"):
+        predict_columns(models, np.zeros((2, 4)))

@@ -87,7 +87,6 @@ class TestEvaluate:
         assert out.n_rows == 100
         for name in out.response_names:
             assert out.response(name).shape == (100,)
-        assert out.provenance == "oracle"
 
     def test_empty_input(self):
         out = evaluate(builtin_opamp_oracle(), np.zeros((0, 16)))
