@@ -42,8 +42,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(path) -> tuple[dict, DesignSpace]:
-    """The config of the JSON file `path` and the design space it declares."""
+def _load_config(path, args) -> tuple[dict, DesignSpace]:
+    """The settings of each section of the JSON config file `path` by dotted
+    path, the `_FLAGGED` section taking the `--n`/`--seed` flags of `args`,
+    and the design space; a top-level key naming no section is rejected."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -54,21 +56,22 @@ def _load_config(path) -> tuple[dict, DesignSpace]:
     if not isinstance(cfg, dict) or "space" not in cfg:
         raise UsageError("config must be a JSON object with a 'space' section")
     try:
-        return cfg, DesignSpace.from_dicts(cfg["space"])
-    except (KeyError, TypeError, ValueError) as exc:
+        space = DesignSpace.from_dicts(cfg["space"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad space declaration: {exc}") from None
+    for key in cfg:
+        if "." in key or key not in {"space", *_SECTIONS}:
+            raise UsageError(f"config: unknown key {key!r}")
+    flags = {key: getattr(args, key, None) for key in ("n", "seed")}
+    return {section: _section(cfg, section, fields, **(
+        flags if _FLAGGED.get(args.command) == section else {}))
+        for section, fields in _SECTIONS.items()}, space
 
 
 def _object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"expected a JSON object, got {value!r}")
     return value
-
-
-def _objects(value) -> list[dict]:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of JSON objects, got {value!r}")
-    return [_object(v) for v in value]
 
 
 def _flag(value) -> bool:
@@ -84,8 +87,8 @@ def _float(value) -> float:
 
 
 def _int(value) -> int:
-    if not _float(value).is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
+    if not _float(value).is_integer() or float(value) < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
     return int(value)
 
 
@@ -103,12 +106,16 @@ def _section(cfg: dict, path: str, fields: dict, **overrides) -> dict:
     """The settings of the config section at the dotted `path`, one per key
     of `fields` {key: (cast, default)}: the configured value cast, else the
     default. An override that is not None replaces the configured value. A
-    section that is not a JSON object and a value its cast rejects are usage
-    errors naming the section."""
+    section that is not a JSON object, a key that is neither a field nor a
+    subsection name, and a value its cast rejects are usage errors naming
+    the section."""
     section, settings = cfg, {}
     with _checked(path):
         for key in path.split("."):
             section = _object(section.get(key, {}))
+        for key in section:
+            if key not in fields and f"{path}.{key}" not in _SECTIONS:
+                raise ValueError(f"unknown key {key!r}")
         section = {**section, **{key: value for key, value in overrides.items()
                                  if value is not None}}
         for key, (cast, default) in fields.items():
@@ -130,15 +137,21 @@ def _fields(cls, *skip) -> dict:
             for f in dataclasses.fields(cls) if f.name not in skip}
 
 
-def _entries(path: str, *required) -> tuple:
+def _entries(path: str, required, optional=()) -> tuple:
     """The (cast, default) of the list of JSON objects at the dotted `path`,
-    each of which must hold the `required` keys."""
+    each of which holds the `required` keys, may hold the `optional` ones
+    {key: default}, which fill in what it lacks, and holds no other key."""
     def cast(value):
-        entries = _objects(value)
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list of JSON objects, got {value!r}")
+        entries = [dict(optional, **_object(entry)) for entry in value]
         for i, entry in enumerate(entries):
             for key in required:
                 if key not in entry:
                     raise UsageError(f"{path}[{i}]: missing {key!r}")
+            for key in entry:
+                if key not in required and key not in optional:
+                    raise UsageError(f"{path}[{i}]: unknown key {key!r}")
         return entries
     return cast, []
 
@@ -160,63 +173,72 @@ def _sizes(value) -> list[int]:
     return [_int(m) for m in value]
 
 
-_TRAINING = {"responses": (_names, None),
-             "kinds": (lambda kinds: _names(kinds, _KINDS), ["ann"]),
-             "selection": (str, "verify_rmse")}
-_ANN = {**_fields(TrainOptions, "hidden_size"), "hidden_sizes": (_sizes, [4])}
-# the CLI's own defaults: `fit_polynomial` alone does not select stepwise
-_RBF = {"error_goal": (_float, 1e-4), "spread": (_float, 1.0),
-        "max_neurons": (_int, 25), "input_scaling": (str, "meanstd")}
-_POLY = {"degree": (_int, 2), "stepwise": (_flag, True),
-         "p_enter": (_float, 0.05)}
-_MOFA = {**_fields(mofa.MofaParams),
-         "objectives": _entries("mofa.objectives", "response", "direction"),
-         "constraints": _entries("mofa.constraints", "response", "bound",
-                                 "sense")}
-_ABC = {**_fields(bee_colony.AbcParams),
-        **_fields(bee_colony.FomProblem, "terms", "windows"),
-        "objective": _entries("abc.objective", "response"),
-        "window": _entries("abc.window", "response", "center")}
-_VAMS = {**_fields(vams_codegen.MacromodelSpec, "module_name",
-                  "variable_names", "parameter_defaults", "cpms"),
-         "module_name": (str, "analog_block"), "cpms": (_object, {}),
-         "parameter_defaults": (tuple, None)}
+# every config section: dotted path -> {key: (cast, default)}
+_SECTIONS = {
+    "sampling": {"n": (_int, 100), "seed": (_int, 0)},
+    "oracle": {"name": (str, None), "artificial_delay": (_float, 0.0)},
+    "training": {"responses": (_names, None),
+                 "kinds": (lambda kinds: _names(kinds, _KINDS), ["ann"]),
+                 "selection": (str, "verify_rmse")},
+    "training.ann": {**_fields(TrainOptions, "hidden_size"),
+                     "hidden_sizes": (_sizes, [4])},
+    # the CLI's own defaults: `fit_polynomial` alone does not select stepwise
+    "training.rbf": {"error_goal": (_float, 1e-4), "spread": (_float, 1.0),
+                     "max_neurons": (_int, 25),
+                     "input_scaling": (str, "meanstd")},
+    "training.poly": {"degree": (_int, 2), "stepwise": (_flag, True),
+                      "p_enter": (_float, 0.05)},
+    "mofa": {**_fields(mofa.MofaParams),
+             "objectives": _entries("mofa.objectives",
+                                    ("response", "direction")),
+             "constraints": _entries("mofa.constraints",
+                                     ("response", "bound", "sense"))},
+    "abc": {**_fields(bee_colony.AbcParams),
+            **_fields(bee_colony.FomProblem, "terms", "windows"),
+            "objective": _entries("abc.objective", ("response",),
+                                  {"weight": 1.0}),
+            "window": _entries("abc.window", ("response", "center"),
+                               {"relative_tolerance": 0.005})},
+    "vams": {**_fields(vams_codegen.MacromodelSpec, "module_name",
+                       "variable_names", "parameter_defaults", "cpms"),
+             "module_name": (str, "analog_block"), "cpms": (_object, {}),
+             "parameter_defaults": (tuple, None)},
+}
+# the section whose settings each command's --n and --seed flags override
+_FLAGGED = {"sample": "sampling", "train": "training.ann",
+            "optimize-mofa": "mofa", "optimize-abc": "abc"}
 
 
-def _oracle(cfg: dict) -> oracles.Oracle:
-    settings = _section(cfg, "oracle", {"name": (str, None),
-                                        "artificial_delay": (_float, 0.0)})
-    name, delay = settings["name"], settings["artificial_delay"]
+def _oracle(settings: dict) -> oracles.Oracle:
+    name = settings["name"]
     if name not in oracles.BUILTIN_ORACLES:
         raise UsageError(
             f"unknown oracle {name!r}; built-ins: "
             f"{sorted(oracles.BUILTIN_ORACLES)}"
         )
-    oracle = oracles.BUILTIN_ORACLES[name]()
-    return oracle.with_delay(delay) if delay > 0 else oracle
+    return oracles.BUILTIN_ORACLES[name]().with_delay(
+        settings["artificial_delay"])
 
 
-def _training(cfg: dict, seed=None):
+def _training(cfg: dict):
     """The 'training' section settings, the hidden sizes and trainer options
     of 'training.ann', and the `train_rbf` and `fit_polynomial` keyword
     arguments of 'training.rbf' and 'training.poly' by kind; every one of
     these sections is checked whatever the kinds."""
-    tcfg = _section(cfg, "training", _TRAINING)
+    tcfg, ann = cfg["training"], cfg["training.ann"]
     if tcfg["selection"] not in CRITERIA:
         raise UsageError(f"training.selection must be one of "
                          f"{', '.join(CRITERIA)}; got {tcfg['selection']!r}")
-    ann = _section(cfg, "training.ann", _ANN, seed=seed)
     sizes = ann.pop("hidden_sizes")
     with _checked("training.ann"):
         # the options check the smallest hidden size
         opts = TrainOptions(hidden_size=min(sizes), **ann)
-    rbf = _section(cfg, "training.rbf", _RBF)
+    fits = {"rbf": cfg["training.rbf"], "poly": cfg["training.poly"]}
     with _checked("training.rbf"):
-        check_rbf_settings(**rbf)
-    poly = _section(cfg, "training.poly", _POLY)
+        check_rbf_settings(**fits["rbf"])
     with _checked("training.poly"):
-        check_poly_settings(poly["degree"], poly["p_enter"])
-    return tcfg, sizes, opts, {"rbf": rbf, "poly": poly}
+        check_poly_settings(fits["poly"]["degree"], fits["poly"]["p_enter"])
+    return tcfg, sizes, opts, fits
 
 
 def _sweep_response(train_set, verify_set, response: str, fits: dict,
@@ -243,12 +265,12 @@ def _sweep_response(train_set, verify_set, response: str, fits: dict,
     return reported
 
 
-def _fit_sweep(args, space: DesignSpace, training, compare=False):
-    """Fit the configured model kinds of `training` (what `_training`
-    returns) to each response, print the response's fit-report table and
-    yield (response, [(label, model, report)]). `compare` fits the ANN of
-    least holdout error and a polynomial whatever the kinds."""
-    tcfg, sizes, opts, fits = training
+def _fit_sweep(args, space: DesignSpace, cfg: dict, compare=False):
+    """Fit the model kinds of the config settings `cfg` to each response,
+    print the response's fit-report table and yield (response, [(label,
+    model, report)]). `compare` fits the ANN of least holdout error and a
+    polynomial whatever the kinds."""
+    tcfg, sizes, opts, fits = _training(cfg)
     kinds = ["ann", "poly"] if compare else tcfg["kinds"]
     train_set = oracles.load_csv(args.train, space.names)
     if "ann" in kinds and train_set.n_rows < MIN_ANN_ROWS:
@@ -283,9 +305,7 @@ def _fit_sweep(args, space: DesignSpace, training, compare=False):
 
 
 def cmd_sample(args, cfg: dict, space: DesignSpace) -> int:
-    sampling = _section(cfg, "sampling", {"n": (_int, 100), "seed": (_int, 0)},
-                        n=args.n, seed=args.seed)
-    n, seed = sampling["n"], sampling["seed"]
+    n, seed = cfg["sampling"]["n"], cfg["sampling"]["seed"]
     if n < 1:
         raise UsageError(f"sample count must be >= 1, got {n}")
 
@@ -296,8 +316,9 @@ def cmd_sample(args, cfg: dict, space: DesignSpace) -> int:
         points = lhs_sample(space, n, seed)
 
     if args.evaluate:
-        oracle = _oracle(cfg)
-        sample_set = oracles.evaluate(oracle, points, space.names)
+        with _checked("oracle"):  # also an oracle that cannot take the space
+            sample_set = oracles.evaluate(_oracle(cfg["oracle"]), points,
+                                          space.names)
     else:
         sample_set = SampleSet(points, {}, space.names)
     oracles.save_csv(sample_set, args.out)
@@ -306,11 +327,10 @@ def cmd_sample(args, cfg: dict, space: DesignSpace) -> int:
 
 
 def cmd_train(args, cfg: dict, space: DesignSpace) -> int:
-    training = _training(cfg, seed=args.seed)
-    criterion = training[0]["selection"]
+    criterion = cfg["training"]["selection"]
     out_dir = Path(args.out_dir)
     all_reports = {}
-    for response, rows in _fit_sweep(args, space, training):
+    for response, rows in _fit_sweep(args, space, cfg):
         best = select_best([rep for _, _, rep in rows], criterion)
         label, model, _ = rows[best]
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -360,7 +380,7 @@ def cmd_report(args, cfg: dict, space: DesignSpace) -> int:
 
 
 def cmd_optimize_mofa(args, cfg: dict, space: DesignSpace) -> int:
-    settings = _section(cfg, "mofa", _MOFA, seed=args.seed)
+    settings = cfg["mofa"]
     obj_cfg, con_cfg = settings.pop("objectives"), settings.pop("constraints")
     if len(obj_cfg) < 2:
         raise UsageError("mofa needs at least two objectives")
@@ -385,7 +405,7 @@ def cmd_optimize_mofa(args, cfg: dict, space: DesignSpace) -> int:
 
 
 def cmd_optimize_abc(args, cfg: dict, space: DesignSpace) -> int:
-    settings = _section(cfg, "abc", _ABC, seed=args.seed)
+    settings = cfg["abc"]
     term_cfg, window_cfg = settings.pop("objective"), settings.pop("window")
     penalty_weight = settings.pop("penalty_weight")
     if not term_cfg:
@@ -397,11 +417,11 @@ def cmd_optimize_abc(args, cfg: dict, space: DesignSpace) -> int:
     with _checked("abc"):
         problem = bee_colony.FomProblem(
             terms=tuple(bee_colony.FomTerm(models[t["response"]],
-                                           _float(t.get("weight", 1.0)))
+                                           _float(t["weight"]))
                         for t in term_cfg),
             windows=tuple(bee_colony.WindowConstraint(
                 models[w["response"]], _float(w["center"]),
-                _float(w.get("relative_tolerance", 0.005)))
+                _float(w["relative_tolerance"]))
                 for w in window_cfg),
             penalty_weight=penalty_weight,
         )
@@ -416,7 +436,7 @@ def cmd_optimize_abc(args, cfg: dict, space: DesignSpace) -> int:
 
 
 def cmd_emit_vams(args, cfg: dict, space: DesignSpace) -> int:
-    settings = _section(cfg, "vams", _VAMS)
+    settings = cfg["vams"]
     cpm_files = settings.pop("cpms")
     paths = [Path(args.models) / f"{cpm_files.get(key, key)}.json"
              for key in vams_codegen.CPM_KEYS]
@@ -445,7 +465,7 @@ def cmd_emit_vams(args, cfg: dict, space: DesignSpace) -> int:
 
 
 def cmd_compare(args, cfg: dict, space: DesignSpace) -> int:
-    for _ in _fit_sweep(args, space, _training(cfg), compare=True):
+    for _ in _fit_sweep(args, space, cfg, compare=True):
         pass
     return 0
 
@@ -510,7 +530,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args, *_load_config(args.config))
+        return args.fn(args, *_load_config(args.config, args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -85,8 +85,6 @@ def poly_basis(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
     rows, n = x.shape
     cum = np.cumsum(terms, axis=1)
     degree = int(cum[:, -1].max()) if terms.size else 0
-    if degree == 0:
-        return np.ones((rows, terms.shape[0]))
     ext = np.hstack([x, np.ones((rows, 1))])
     out = ext[:, (cum <= 0).sum(axis=1)]
     for j in range(1, degree):

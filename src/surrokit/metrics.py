@@ -9,7 +9,7 @@ true response. The identity rrse^2 = 1 - r^2 holds exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,13 +97,7 @@ class FitReport:
         return abs(self.r2_train - self.r2_verify) > threshold
 
     def to_dict(self) -> dict:
-        return {
-            "r2_train": self.r2_train, "r2_verify": self.r2_verify,
-            "rmse": self.rmse, "rmae": self.rmae, "rrse": self.rrse,
-            "n_train": self.n_train, "n_verify": self.n_verify,
-            "model_descriptor": self.model_descriptor,
-            "n_parameters": self.n_parameters,
-        }
+        return asdict(self)
 
 
 def _safe_r2(y, yhat) -> float:

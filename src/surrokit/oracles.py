@@ -47,8 +47,8 @@ class Oracle:
 
     def __post_init__(self):
         object.__setattr__(self, "response_names", tuple(self.response_names))
-        if self.artificial_delay < 0:
-            raise ValueError("artificial_delay must be >= 0")
+        if not 0 <= self.artificial_delay < math.inf:
+            raise ValueError("artificial_delay must be finite and >= 0")
 
     def with_delay(self, seconds: float) -> "Oracle":
         return Oracle(self.name, self.input_dim, self.response_names,
@@ -154,7 +154,7 @@ BUILTIN_SPACES = {"opamp": opamp_space, "pll": pll_space}
 
 
 def evaluate(oracle: Oracle, inputs: np.ndarray,
-             variable_names=None) -> SampleSet:
+             variable_names=()) -> SampleSet:
     """Run the oracle over each input row, producing a SampleSet.
 
     Sleeps artificial_delay seconds per row when the oracle carries one.
@@ -175,8 +175,7 @@ def evaluate(oracle: Oracle, inputs: np.ndarray,
             time.sleep(oracle.artificial_delay * inputs.shape[0])
     return SampleSet(
         inputs=inputs, responses=responses,
-        variable_names=list(variable_names) if variable_names
-        else [f"x{i + 1}" for i in range(oracle.input_dim)],
+        variable_names=list(variable_names),
     )
 
 
@@ -207,12 +206,12 @@ def save_csv(sample_set: SampleSet, path) -> None:
                               + [sample_set.responses[n] for n in names]))
 
 
-def load_csv(path, variable_names, response_names=None) -> SampleSet:
+def load_csv(path, variable_names) -> SampleSet:
     """Read a SampleSet written by :func:`save_csv`.
 
     The header must start with `variable_names` in order; remaining columns
-    are responses (validated against `response_names` when given). Cells
-    must parse as finite numbers; failures name the data row and column.
+    are responses. Cells must parse as finite numbers; failures name the
+    data row and column. A file without data rows is a data error.
     """
     variable_names = list(variable_names)
     with open(path, newline="") as fh:
@@ -224,18 +223,12 @@ def load_csv(path, variable_names, response_names=None) -> SampleSet:
         header = [h.strip() for h in header]
 
         n_vars = len(variable_names)
-        expected = variable_names + (list(response_names)
-                                     if response_names is not None else [])
         if header[:n_vars] != variable_names:
             raise DataFormatError(
                 f"{path}: header must start with variables "
                 f"{variable_names}, got {header[:n_vars]}"
             )
         resp_cols = header[n_vars:]
-        if response_names is not None and resp_cols != list(response_names):
-            raise DataFormatError(
-                f"{path}: expected header {expected}, got {header}"
-            )
 
         rows = []
         for r, line in enumerate(reader, start=1):
@@ -262,6 +255,8 @@ def load_csv(path, variable_names, response_names=None) -> SampleSet:
                     )
                 vals.append(v)
             rows.append(vals)
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
 
     data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     return SampleSet(

@@ -341,11 +341,6 @@ def train_anns(data: SampleSet, responses, hidden_sizes,
             _train_anns_full(data, responses, hidden_sizes, opts).items()}
 
 
-def _train_ann_full(data: SampleSet, response: str, opts: TrainOptions):
-    return _train_anns_full(data, [response], [opts.hidden_size],
-                            opts)[response, opts.hidden_size]
-
-
 def train_ann(data: SampleSet, response: str,
               opts: TrainOptions) -> tuple[AnnModel, FitReport]:
     """Fit a single-hidden-layer ANN to one response of `data`.
@@ -356,7 +351,8 @@ def train_ann(data: SampleSet, response: str,
     The returned model carries the weights of the best holdout epoch, and
     the report's verify side is that holdout split.
     """
-    return _train_ann_full(data, response, opts)[:2]
+    return train_anns(data, [response], [opts.hidden_size],
+                      opts)[response, opts.hidden_size]
 
 
 def check_rbf_settings(error_goal: float, spread: float, max_neurons: int,

@@ -146,22 +146,19 @@ def export_weights(model: AnnModel, destination,
     return bundle
 
 
-def import_weights(bundle: WeightBundle, activation: str = "tanh",
-                   input_scaler: Scaler | None = None,
-                   output_scaler: Scaler | None = None,
-                   response_name: str = "", role: str = "CPM") -> AnnModel:
+def import_weights(bundle: WeightBundle) -> AnnModel:
     """Reconstruct an AnnModel from a weight bundle.
 
-    By default the model has identity scalers and steepness 1, i.e. it
-    computes exactly what the emitted Verilog-AMS reader computes.
+    The model is a tanh network with identity scalers and steepness 1, i.e.
+    it computes exactly what the emitted Verilog-AMS reader computes.
     """
     w1, w2, b1, b2 = bundle.values()
     return AnnModel(
         input_dim=bundle.size_x, hidden_size=bundle.nl,
-        activation=activation, W1=w1, b1=b1, W2=w2, b2=b2,
-        input_scaler=input_scaler or Scaler.identity(bundle.size_x),
-        output_scaler=output_scaler or Scaler.identity(1),
-        steepness=1.0, role=role, response_name=response_name,
+        activation="tanh", W1=w1, b1=b1, W2=w2, b2=b2,
+        input_scaler=Scaler.identity(bundle.size_x),
+        output_scaler=Scaler.identity(1),
+        steepness=1.0, role="CPM",
     )
 
 

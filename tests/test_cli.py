@@ -6,15 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import surrokit
 from surrokit.cli import main
 from surrokit.design_space import DesignSpace, DesignVariable, lhs_disjoint, lhs_sample
-from surrokit.oracles import load_csv, save_csv
+from surrokit.oracles import load_csv, opamp_space, save_csv
 from surrokit.training import SampleSet
 
 
@@ -664,6 +665,16 @@ class TestMalformedSections:
         ("sample", "sampling", {"sampling": {"seed": 10 ** 400}}),
         ("optimize-abc", "abc", {"abc": {"objective": [{"response": "pd"}],
                                          "max_cycles": 10 ** 400}}),
+        ("sample", "sampling", {"sampling": {"seed": -1}}),
+        ("train", "training.ann", {"training": {"ann": {"seed": -1}}}),
+        ("optimize-mofa", "mofa", {"mofa": {"seed": -1}}),
+        ("optimize-abc", "abc", {"abc": {"seed": -1}}),
+        ("sample", "oracle", {"oracle": {"name": "opamp",
+                                         "artificial_delay": -1}}),
+        ("sample", "oracle", {"oracle": {"name": "opamp",
+                                         "artificial_delay": float("nan")}}),
+        ("sample", "oracle", {"oracle": {"name": "opamp",
+                                         "artificial_delay": float("inf")}}),
     ])
     def test_exit_1_naming_section(self, opamp_pipeline_config, tmp_path,
                                    capsys, command, section, edit):
@@ -683,6 +694,16 @@ class TestMalformedSections:
         err = capsys.readouterr().err
         assert code == 1
         assert f"'{section}'" in err and "Traceback" not in err
+
+    def test_negative_seed_flag(self, opamp_pipeline_config, tmp_path,
+                                capsys):
+        """A flag goes through the cast of the setting it overrides."""
+        code = main(["sample", "--config", str(opamp_pipeline_config),
+                     "--out", str(tmp_path / "s.csv"), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'sampling'" in err and "non-negative" in err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestSeedFlag:
@@ -755,6 +776,82 @@ class TestListEntryMissingKey:
         err = capsys.readouterr().err
         assert code == 1
         assert f"{section}.{entries}[{index}]: missing '{key}'" in err
+
+
+class TestUnknownKeys:
+    """A config key the CLI does not know is a usage error naming where it
+    is, whatever the command: every section is read before any runs."""
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda config: config["training"]["ann"].update(max_epoch=10),
+         "bad 'training.ann' section: unknown key 'max_epoch'"),
+        (lambda config: config["training"].update(rfb={}),
+         "bad 'training' section: unknown key 'rfb'"),
+        (lambda config: config.update(trainng={}),
+         "config: unknown key 'trainng'"),
+        (lambda config: config.update({"training.ann": {}}),
+         "config: unknown key 'training.ann'"),
+        (lambda config: config["mofa"]["objectives"][0].update(wieght=1.0),
+         "mofa.objectives[0]: unknown key 'wieght'"),
+        (lambda config: config["abc"]["window"][0].update(tolerance=0.1),
+         "abc.window[0]: unknown key 'tolerance'"),
+    ], ids=["section", "subsection", "top-level", "dotted-top-level",
+            "mofa-entry", "abc-entry"])
+    def test_exit_1(self, opamp_pipeline_config, tmp_path, capsys, edit,
+                    message):
+        config = json.loads(opamp_pipeline_config.read_text())
+        edit(config)
+        opamp_pipeline_config.write_text(json.dumps(config))
+        code = main(["train", "--config", str(opamp_pipeline_config),
+                     "--train", str(tmp_path / "t.csv"),
+                     "--verify", str(tmp_path / "v.csv"),
+                     "--out-dir", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err
+
+    def test_entry_defaults(self, opamp_pipeline_config, tmp_path, capsys):
+        """An `abc` entry without `weight` or `relative_tolerance` runs as
+        one that sets the defaults, 1 and 0.005."""
+        write_toy_models(tmp_path, opamp_pipeline_config)
+        config = json.loads(opamp_pipeline_config.read_text())
+        outputs = []
+        for term, window in (({"weight": 1.0}, {"relative_tolerance": 0.005}),
+                             ({}, {})):
+            config["abc"]["objective"] = [{"response": "pd", **term}]
+            config["abc"]["window"] = [{"response": "a0", "center": 50.0,
+                                        **window}]
+            opamp_pipeline_config.write_text(json.dumps(config))
+            out = tmp_path / f"trace-{len(term)}.csv"
+            capsys.readouterr()
+            assert main(["optimize-abc", "--config",
+                         str(opamp_pipeline_config), "--models",
+                         str(tmp_path / "models"), "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["sample", "train", "report"])
+def test_header_only_csv_is_data_error(model_project, tmp_path, capsys,
+                                       command):
+    """A CSV with a header but no rows exits 2 naming the file, whether it
+    is a set to stay disjoint from, a verification set or report data."""
+    cfg, data, _ = model_project
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x1,x2,y\n")
+    argv = {
+        "sample": ["--out", str(tmp_path / "s.csv"), "--n", "5",
+                   "--disjoint-from", str(empty)],
+        "train": ["--train", str(data), "--verify", str(empty),
+                  "--out-dir", str(tmp_path / "m")],
+        "report": ["--data", str(empty),
+                   "--model", str(data.parent / "poly.json")],
+    }[command]
+    code = main([command, "--config", str(cfg)] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error:") and str(empty) in err
+    assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -949,6 +1046,81 @@ def test_mutated_model_file_exits_0_or_2(model_project, data):
     code, err = run_report(model_project, model)
     assert code in (0, 2), err
     assert "Traceback" not in err
+
+
+def _config_paths(value, path=()) -> list[tuple]:
+    """The path (dict keys and list indices) of every value inside
+    `value`, whose own path is `path`."""
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    return [path] + [p for key, sub in items
+                     for p in _config_paths(sub, path + (key,))]
+
+
+def _config_values(key):
+    """The values a config value at `key` may be set to. Numbers stay in
+    ranges that keep a valid `sample` run short: n <= 64 rows and at most
+    1 ms of oracle delay a row."""
+    numbers = (st.floats(-1e-3, 1e-3) if key == "artificial_delay"
+               else st.integers(-64, 64) | st.floats(-64.0, 64.0))
+    return numbers | st.sampled_from([
+        True, "x", None, [], float("nan"), float("inf"), -float("inf"),
+        10 ** 400])
+
+
+# each example only reads the fixture's file and writes its own files
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_config_exits_0_to_3(opamp_pipeline_config, tmp_path, data):
+    """`surrokit sample --evaluate` on the pipeline config, with every
+    section present, after one change exits 0, 1, 2 or 3, never with a
+    traceback. The change drops a key or list entry, adds an unknown key to
+    an object, or sets a value (a section among them) to a bounded number,
+    `true`, a string, `null`, `[]`, NaN, an infinity or an integer beyond
+    float range. Every section is read before any command runs, so this
+    one command exercises the whole config reader."""
+    config = json.loads(opamp_pipeline_config.read_text())
+    config["oracle"]["artificial_delay"] = 0.0
+    config["sampling"] = {"n": 16, "seed": 1}
+    config["vams"] = {"module_name": "opamp_block", "cpms": {"gm": "gm"}}
+    section = data.draw(st.sampled_from(sorted(config)))
+    path = data.draw(st.sampled_from(
+        [()] + _config_paths(config[section], (section,))))
+    holder, value = None, config
+    for key in path:
+        holder, value = value, value[key]
+    how = data.draw(st.sampled_from(
+        (["add"] if isinstance(value, dict) else [])
+        + (["drop", "set"] if path else [])))
+    if how == "add":
+        value["unknown_key"] = 1
+    elif how == "drop":
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = data.draw(_config_values(path[-1]))
+    cfg = tmp_path / "mutated.json"
+    cfg.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["sample", "--config", str(cfg),
+                     "--out", str(tmp_path / "s.csv"), "--evaluate"])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_readme_config_runs(tmp_path, capsys):
+    """The README's example config, with the full op-amp space its note
+    asks for, is accepted: `sample --evaluate` reads every section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    config["space"] = opamp_space().to_dicts()
+    cfg = tmp_path / "project.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["sample", "--config", str(cfg),
+                 "--out", str(tmp_path / "train.csv"), "--evaluate"])
+    assert code == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["surrokit", "surrokit.cli"])

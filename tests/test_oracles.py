@@ -104,6 +104,11 @@ class TestEvaluate:
         evaluate(oracle, pts)
         assert time.perf_counter() - start >= 1.0
 
+    @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf")])
+    def test_delay_must_be_finite_and_non_negative(self, delay):
+        with pytest.raises(ValueError, match="artificial_delay"):
+            builtin_opamp_oracle().with_delay(delay)
+
     def test_response_model_wraps_single_response(self):
         oracle = builtin_opamp_oracle()
         model = response_model(oracle, "gm")
@@ -153,11 +158,11 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="row 1, column 2"):
             load_csv(path, ["a"])
 
-    def test_unknown_extra_column_rejected(self, tmp_path):
+    def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,y,extra\n1.0,2.0,3.0\n")
-        with pytest.raises(DataFormatError, match="expected header"):
-            load_csv(path, ["a"], response_names=["y"])
+        path.write_text("a,y\n")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            load_csv(path, ["a"])
 
     def test_wrong_variables_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

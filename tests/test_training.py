@@ -19,7 +19,7 @@ from surrokit.scaling import apply as scale_apply
 from surrokit.training import (SampleSet, TrainOptions, ann_loss_and_gradient,
                                fit_polynomial, monomial_exponents, train_ann,
                                train_anns, train_rbf, _f_sf, _forward_select,
-                               _Stack, _stacked_pass, _train_ann_full)
+                               _Stack, _stacked_pass, _train_anns_full)
 
 
 def sin_space():
@@ -161,7 +161,8 @@ class TestTrainAnn:
             opts = TrainOptions(hidden_size=8, max_epochs=2000,
                                 learning_rate=0.05, l2_penalty=0.0,
                                 early_stop_patience=2000, seed=seed)
-            best_model, _, final_model = _train_ann_full(train, "y", opts)
+            best_model, _, final_model = _train_anns_full(
+                train, ["y"], [8], opts)["y", 8]
             best_err = rmse(yv, best_model.predict(xv))
             final_err = rmse(yv, final_model.predict(xv))
             wins += best_err <= final_err
@@ -189,6 +190,12 @@ def weights(model):
     return np.concatenate([model.W1.ravel(), model.b1, model.W2, [model.b2]])
 
 
+def final_weights(data, response, opts):
+    """The weights of the final-epoch network of `train_ann`'s fit."""
+    m = opts.hidden_size
+    return weights(_train_anns_full(data, [response], [m], opts)[response, m][2])
+
+
 class TestTrainAnns:
     RESPONSES = ["smooth", "flat", "noise"]
 
@@ -206,12 +213,10 @@ class TestTrainAnns:
             one = replace(opts, hidden_size=m)
             short = replace(one, max_epochs=250)
             almost = replace(one, max_epochs=599)
-            assert np.array_equal(
-                weights(_train_ann_full(data, "noise", one)[2]),
-                weights(_train_ann_full(data, "noise", short)[2]))
-            assert not np.array_equal(
-                weights(_train_ann_full(data, "smooth", one)[2]),
-                weights(_train_ann_full(data, "smooth", almost)[2]))
+            assert np.array_equal(final_weights(data, "noise", one),
+                                  final_weights(data, "noise", short))
+            assert not np.array_equal(final_weights(data, "smooth", one),
+                                      final_weights(data, "smooth", almost))
 
         stacked = train_anns(data, self.RESPONSES, [2, 5], opts)
         assert list(stacked) == [(r, m) for r in self.RESPONSES
