@@ -7,8 +7,8 @@ scouts replace sources that have gone too long without improvement.
 Window-style constraints (prediction within a relative tolerance of a
 target) are handled with a penalty added to the figure of merit.
 
-Each phase runs as one batch: every model sees one predict call for all
-employed bees, one for all onlookers and one for the scouts of a cycle.
+Each phase runs as one batch: the problem's `ModelBank` sees one call for
+all employed bees, one for all onlookers and one for the scouts of a cycle.
 The employed and onlooker phases perturb against a snapshot of the sources
 taken when the phase starts (a Jacobi-style update), unlike the sequential
 cycle of Karaboga & Basturk (2007), where each bee already sees the
@@ -25,7 +25,7 @@ import numpy as np
 
 from .design_space import DesignSpace
 from .files import write_csv
-from .metamodel import predict_columns
+from .metamodel import ModelBank
 
 __all__ = [
     "AbcParams", "WindowConstraint", "FomTerm", "FomProblem",
@@ -90,7 +90,8 @@ class FomProblem:
 
     The figure of merit is sum(weight_i * model_i(x)); infeasible points
     are penalized by penalty_weight times the summed relative window
-    violation.
+    violation. The term models, then the window models, are evaluated
+    through one `ModelBank`, built with the problem.
     """
 
     terms: tuple[FomTerm, ...]
@@ -102,12 +103,13 @@ class FomProblem:
         object.__setattr__(self, "windows", tuple(self.windows))
         if not self.terms:
             raise ValueError("need at least one objective term")
+        object.__setattr__(self, "_bank", ModelBank(
+            [t.model for t in self.terms] + [w.model for w in self.windows]))
 
     def evaluate(self, points: np.ndarray):
         """Penalized FoM and total window violation for each row."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cols = predict_columns([t.model for t in self.terms]
-                               + [w.model for w in self.windows], pts)
+        cols = self._bank.predict(pts)
         fom = np.zeros(pts.shape[0])
         for term, col in zip(self.terms, cols.T):
             fom += term.weight * col

@@ -56,8 +56,8 @@ def _load_config(path, args) -> tuple[dict, DesignSpace]:
     if not isinstance(cfg, dict) or "space" not in cfg:
         raise UsageError("config must be a JSON object with a 'space' section")
     try:
-        space = DesignSpace.from_dicts(cfg["space"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        space = DesignSpace.from_dicts(_SPACE_ENTRIES(cfg["space"]))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad space declaration: {exc}") from None
     for key in cfg:
         if "." in key or key not in {"space", *_SECTIONS}:
@@ -167,6 +167,19 @@ def _names(value, allowed=None) -> list[str]:
     return value
 
 
+def _cpms(value) -> dict:
+    """`value`: a JSON object naming, for some of `vams_codegen.CPM_KEYS`,
+    the model file (without `.json`) to load for that circuit parameter."""
+    for key, name in _object(value).items():
+        if key not in vams_codegen.CPM_KEYS:
+            raise ValueError(f"unknown key {key!r}; expected one of "
+                             f"{list(vams_codegen.CPM_KEYS)}")
+        if not isinstance(name, str):
+            raise TypeError(f"{key}: expected a model name string, "
+                            f"got {name!r}")
+    return value
+
+
 def _sizes(value) -> list[int]:
     if not isinstance(value, list) or not value:
         raise TypeError(f"expected a non-empty list, got {value!r}")
@@ -201,9 +214,10 @@ _SECTIONS = {
                                {"relative_tolerance": 0.005})},
     "vams": {**_fields(vams_codegen.MacromodelSpec, "module_name",
                        "variable_names", "parameter_defaults", "cpms"),
-             "module_name": (str, "analog_block"), "cpms": (_object, {}),
+             "module_name": (str, "analog_block"), "cpms": (_cpms, {}),
              "parameter_defaults": (tuple, None)},
 }
+_SPACE_ENTRIES, _ = _entries("space", ("name", "lower", "upper"))
 # the section whose settings each command's --n and --seed flags override
 _FLAGGED = {"sample": "sampling", "train": "training.ann",
             "optimize-mofa": "mofa", "optimize-abc": "abc"}
@@ -316,7 +330,10 @@ def cmd_sample(args, cfg: dict, space: DesignSpace) -> int:
         points = lhs_sample(space, n, seed)
 
     if args.evaluate:
-        with _checked("oracle"):  # also an oracle that cannot take the space
+        # an oracle that cannot take the space reports it once, as the
+        # usage error, not also as numpy warnings
+        with _checked("oracle"), np.errstate(invalid="ignore",
+                                             divide="ignore", over="ignore"):
             sample_set = oracles.evaluate(_oracle(cfg["oracle"]), points,
                                           space.names)
     else:

@@ -20,7 +20,7 @@ from .scaling import Scaler, apply as scale_apply, invert as scale_invert
 
 __all__ = [
     "AnnModel", "RbfModel", "PolyModel", "CallableModel",
-    "ann_hidden", "rbf_design", "poly_basis", "predict_columns",
+    "ModelBank", "ann_hidden", "stack_block", "rbf_design", "poly_basis",
     "save_model", "load_model",
 ]
 
@@ -39,7 +39,7 @@ def _as_matrix(x, dim: int) -> tuple[np.ndarray, bool]:
     if arr.shape[1] != dim:
         raise ValueError(f"input has {arr.shape[1]} columns, model takes "
                          f"{dim} inputs")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("input contains non-finite values")
     return arr, single
 
@@ -54,6 +54,15 @@ def ann_hidden(xs: np.ndarray, W1: np.ndarray, b1: np.ndarray,
     if activation == "tanh":
         return np.tanh(z)
     return 1.0 / (1.0 + np.exp(-z))  # logsig
+
+
+def stack_block(sizes) -> np.ndarray:
+    """The (sum(sizes), len(sizes)) 0/1 matrix of networks stacked on one
+    hidden layer, network k owning the k-th run of `sizes[k]` hidden units:
+    entry [i, k] is 1 when hidden unit i feeds output k. Shared by the
+    stacked trainer and `ModelBank`."""
+    unit_net = np.repeat(np.arange(len(sizes)), sizes)
+    return (unit_net[:, None] == np.arange(len(sizes))).astype(float)
 
 
 def rbf_design(xs: np.ndarray, centers: np.ndarray,
@@ -298,12 +307,75 @@ class CallableModel:
         return float(y[0]) if single else y
 
 
-def predict_columns(models, x) -> np.ndarray:
-    """The (n, len(models)) matrix of each model's predictions for the n
-    rows of `x`, one column per model: the one model evaluator of the
-    optimizers."""
-    cols = [np.asarray(m.predict(x)).reshape(-1) for m in models]
-    return np.column_stack(cols) if cols else np.zeros((len(x), 0))
+class _AnnStack:
+    """ANNs sharing input scaling, activation and steepness, stacked on one
+    hidden layer with a block output matrix (`stack_block`), so one forward
+    pass gives every network's prediction."""
+
+    def __init__(self, models: list[AnnModel]):
+        first = models[0]
+        self.input_dim, self.input_scaler = first.input_dim, first.input_scaler
+        self.activation, self.steepness = first.activation, first.steepness
+        self.W1 = np.vstack([m.W1 for m in models])
+        self.b1 = np.concatenate([m.b1 for m in models])
+        self.W2 = (stack_block([m.hidden_size for m in models])
+                   * np.concatenate([m.W2 for m in models])[:, None])
+        self.b2 = np.array([m.b2 for m in models])
+        # each column's output step y * scale + shift as `scale_invert` takes
+        # it: the identity for a "none" scaler, whatever values it holds
+        outs = [m.output_scaler for m in models]
+        self.out_scale = np.array([1.0 if s.kind == "none" else s.scale[0]
+                                   for s in outs])
+        self.out_shift = np.array([0.0 if s.kind == "none" else s.shift[0]
+                                   for s in outs])
+
+    def forward(self, pts: np.ndarray) -> np.ndarray:
+        xs = scale_apply(self.input_scaler, pts)
+        h = ann_hidden(xs, self.W1, self.b1, self.steepness, self.activation)
+        return (h @ self.W2 + self.b2) * self.out_scale + self.out_shift
+
+
+class ModelBank:
+    """Models that see the same rows, evaluated together: `predict(x)` is the
+    (n, len(models)) matrix of each model's predictions for the n rows of
+    `x`, one column per model in the given order. The one model evaluator
+    of the optimizers.
+
+    ANNs whose input scalers are equal by value and which share input count,
+    activation and steepness run as one stack: one input check, one input
+    scaling and one hidden layer for the whole group, in blocks of at most
+    PREDICT_BLOCK rows. Any other model runs its own `predict` on the rows.
+    A stack's predictions equal each network's `predict` up to rounding.
+    """
+
+    def __init__(self, models):
+        models = list(models)
+        self.width = len(models)
+        groups: dict[tuple, list[int]] = {}
+        self._others = []
+        for col, model in enumerate(models):
+            if isinstance(model, AnnModel):
+                sc = model.input_scaler
+                key = (model.input_dim, model.activation, model.steepness,
+                       sc.kind, tuple(sc.shift.tolist()),
+                       tuple(sc.scale.tolist()))
+                groups.setdefault(key, []).append(col)
+            else:
+                self._others.append((col, model))
+        self._stacks = [(np.array(cols), _AnnStack([models[c] for c in cols]))
+                        for cols in groups.values()]
+
+    def predict(self, x) -> np.ndarray:
+        rows = np.atleast_2d(np.asarray(x, dtype=float))
+        out = np.empty((rows.shape[0], self.width))
+        for cols, stack in self._stacks:
+            pts, _ = _as_matrix(rows, stack.input_dim)
+            for start in range(0, pts.shape[0], PREDICT_BLOCK):
+                block = slice(start, start + PREDICT_BLOCK)
+                out[block, cols] = stack.forward(pts[block])
+        for col, model in self._others:
+            out[:, col] = np.asarray(model.predict(rows)).reshape(-1)
+        return out
 
 
 # --- persistence ----------------------------------------------------------

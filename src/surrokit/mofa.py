@@ -3,13 +3,14 @@
 Keeps a population of K designs; each iteration every design moves toward a
 randomly chosen non-dominated feasible peer (or, when no feasible design
 exists yet, toward the best design under a randomly weighted scalarization
-of the objectives). The population moves in batched regeneration rounds:
-all pending fireflies draw their targets and steps at once, every
-destination is vetted in one batch per constraint model, and the moves that
-violate a constraint stay pending for the next round. While no firefly is
-feasible, a move that lowers the mover's total constraint violation is
-accepted as well, so an infeasible population descends toward the
-feasible region instead of waiting for a random step to land in it. After
+of the objectives). The population moves in unit-cube coordinates, in
+batched regeneration rounds: all pending fireflies draw their targets and
+steps at once, every destination is vetted in one batch through the
+constraint models' `ModelBank`, and the moves that violate a constraint
+stay pending for the next round. While no firefly is feasible, a move that
+lowers the mover's total constraint violation is accepted as well, so an
+infeasible population descends toward the feasible region instead of
+waiting for a random step to land in it. After
 1 + max_regen rounds the fireflies still pending stay put for the
 iteration. New positions are built from the old population only (a
 Jacobi-style update), so the order in which fireflies move does not
@@ -29,7 +30,7 @@ import numpy as np
 from .design_space import DesignSpace
 from .errors import InfeasibleRunError
 from .files import write_csv
-from .metamodel import predict_columns
+from .metamodel import ModelBank
 
 __all__ = [
     "ObjectiveSpec", "ConstraintSpec", "MofaParams", "ParetoArchive",
@@ -61,7 +62,9 @@ class ObjectiveSpec:
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Requirement that a model's prediction stays above/below a bound."""
+    """Requirement that a model's prediction stays above ("greater") or below
+    ("less") a bound; a prediction past the bound violates it by its
+    distance to the bound."""
 
     name: str
     model: object
@@ -73,13 +76,6 @@ class ConstraintSpec:
             raise ValueError(f"sense must be one of {SENSES}")
         if not np.isfinite(self.bound):
             raise ValueError("bound must be finite")
-
-    def violation(self, value) -> np.ndarray:
-        """Nonnegative violation magnitude, 0 when satisfied."""
-        value = np.asarray(value, dtype=float)
-        if self.sense == "greater":
-            return np.maximum(0.0, self.bound - value)
-        return np.maximum(0.0, value - self.bound)
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,8 @@ def _non_dominated_2d(f: np.ndarray) -> list[int]:
     group = np.cumsum(new_group) - 1
     group_first = f2[new_group]
     # NaN compares false: the first group has no earlier rows
-    earlier_min = np.r_[np.nan, np.minimum.accumulate(group_first)[:-1]]
+    earlier_min = np.concatenate(
+        ([np.nan], np.minimum.accumulate(group_first)[:-1]))
     dominated = (earlier_min[group] <= f2) | (group_first[group] < f2)
     keep = np.zeros(f.shape[0], dtype=bool)
     keep[order[~dominated]] = True
@@ -209,29 +206,28 @@ def scalarize(objective_values, w, directions) -> np.ndarray:
     return (centered / norm) @ (weights * sign).T
 
 
-def move_vector(space: DesignSpace, current, target, params: MofaParams,
+def move_vector(current, target, params: MofaParams,
                 rng: np.random.Generator, alpha: float | None = None) -> np.ndarray:
-    """Attraction step toward `target` plus a random walk term.
+    """Destination of an attraction step toward `target` plus a random walk
+    term, all in unit-cube coordinates.
 
-    Works in unit-cube coordinates: delta = beta0 * exp(-gamma * r^2) *
-    (target - current) + alpha * (u - 0.5) per coordinate, where r is the
-    unit-cube distance between the two designs. The result is clamped so
-    the destination stays inside the bounds, and returned in raw units.
-    `current` and `target` are either single designs or (n, dim) arrays
-    giving one step per row; the rows draw their random terms in order, so
-    a batch equals n single-design calls on the same generator.
+    The step is beta0 * exp(-gamma * r^2) * (target - current) + alpha *
+    (u - 0.5) per coordinate, where r is the distance between the two
+    positions; the destination current + step is clamped to [0, 1].
+    `current` and `target` are either single positions or (n, dim) arrays
+    giving one move per row; the rows draw their random terms in order, so
+    a batch equals n single-position calls on the same generator.
     """
-    cur = space.to_unit(np.asarray(current, dtype=float))
-    tgt = space.to_unit(np.asarray(target, dtype=float))
+    cur = np.asarray(current, dtype=float)
+    tgt = np.asarray(target, dtype=float)
     if cur.shape != tgt.shape:
         raise ValueError("current and target dimensions differ")
     a = params.alpha if alpha is None else alpha
     diff = tgt - cur
-    r2 = np.sum(diff ** 2, axis=-1, keepdims=True)
+    r2 = (diff * diff).sum(axis=-1, keepdims=True)
     step = params.beta0 * np.exp(-params.gamma * r2) * diff
     step = step + a * (rng.random(cur.shape) - 0.5)
-    dest = np.clip(cur + step, 0.0, 1.0)
-    return space.from_unit(dest) - space.from_unit(cur)
+    return np.clip(cur + step, 0.0, 1.0)
 
 
 def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
@@ -241,11 +237,12 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
 
     Deterministic for a given seed. Each iteration moves the whole
     population in regeneration rounds: every pending firefly draws a target
-    and a step, all destinations go to each constraint model as one batch,
-    and only the rejected fireflies stay pending for the next round, so a
-    constraint model sees at most 1 + max_regen batches per iteration. A
-    move is accepted when its destination is feasible or, while no firefly
-    is feasible, when it lowers the mover's total violation.
+    and a step, all destinations go to the constraint models as one batch
+    (one `ModelBank` call), and only the rejected fireflies stay pending
+    for the next round, so a constraint model sees at most 1 + max_regen
+    batches per iteration. A move is accepted when its destination is
+    feasible or, while no firefly is feasible, when it lowers the mover's
+    total violation.
     Constraint values computed while vetting a move are reused as the
     mover's values next iteration. A move with a non-finite constraint
     prediction is rejected, and a row with any non-finite prediction is
@@ -257,13 +254,20 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
         raise ValueError("need at least two objectives for Pareto optimization")
     directions = [o.direction for o in objectives]
     n_obj = len(objectives)
-    obj_models = [o.model for o in objectives]
-    con_models = [c.model for c in constraints]
+    obj_bank = ModelBank(o.model for o in objectives)
+    con_bank = ModelBank(c.model for c in constraints)
+    # constraint j is violated by max(0, sense_j * (bound_j - g_j)), sense
+    # +1 for "greater" and -1 for "less"
+    bounds = np.array([c.bound for c in constraints])
+    senses = np.array([1.0 if c.sense == "greater" else -1.0
+                       for c in constraints])
 
+    # the population moves in unit-cube coordinates; `pop` is its raw image
     rng = np.random.default_rng(params.seed)
     lower, upper = space.lower, space.upper
-    pop = space.from_unit(rng.random((params.K, space.dim)))
-    g_pop = predict_columns(con_models, pop)
+    unit = rng.random((params.K, space.dim))
+    pop = space.from_unit(unit)
+    g_pop = con_bank.predict(pop)
 
     best_violation = np.inf
     alpha = params.alpha
@@ -272,10 +276,9 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
         """Summed violation per row, +inf where a prediction is non-finite;
         also folds the smallest value into best_violation."""
         nonlocal best_violation
-        viol = np.zeros(g_rows.shape[0])
-        for j, c in enumerate(constraints):
-            viol += c.violation(g_rows[:, j])
-        viol[~np.isfinite(g_rows).all(axis=1)] = np.inf
+        viol = np.where(np.isfinite(g_rows).all(axis=1),
+                        np.maximum(0.0, senses * (bounds - g_rows)).sum(axis=1),
+                        np.inf)
         best_violation = min(best_violation, float(viol.min()))
         return viol
 
@@ -283,20 +286,19 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
         return (viol == 0.0) & np.isfinite(f_rows).all(axis=1)
 
     for _ in range(params.t_max):
-        f_pop = predict_columns(obj_models, pop)
+        f_pop = obj_bank.predict(pop)
         viol_pop = total_violation(g_pop)
         feasible = np.flatnonzero(feasible_rows(f_pop, viol_pop))
         nd_idx = feasible[non_dominated(f_pop[feasible], directions)]
         scored = np.flatnonzero(np.isfinite(f_pop).all(axis=1))
 
-        new_pop = pop.copy()
-        new_g = g_pop.copy()
+        new_unit, new_pop, new_g = unit.copy(), pop.copy(), g_pop.copy()
         pending = np.arange(params.K)
         for _ in range(1 + params.max_regen):
             n = pending.size
-            current = pop[pending]
+            current = unit[pending]
             if nd_idx.size:
-                target = pop[nd_idx[rng.integers(nd_idx.size, size=n)]]
+                target = unit[nd_idx[rng.integers(nd_idx.size, size=n)]]
             elif scored.size:
                 if n_obj == 2:
                     w = rng.random(n)
@@ -304,32 +306,31 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
                 else:
                     weights = rng.dirichlet(np.ones(n_obj), size=n)
                 psi = scalarize(f_pop[scored], weights, directions)
-                target = pop[scored[np.argmax(psi, axis=0)]]
+                target = unit[scored[np.argmax(psi, axis=0)]]
             else:  # no finite objective row to aim at: random walk only
                 target = current
-            delta = move_vector(space, current, target, params, rng,
-                                alpha=alpha)
-            # re-clamp: float round-trip through unit coordinates can
-            # overshoot a bound by an ulp
-            dest = np.clip(current + delta, lower, upper)
-            g_dest = predict_columns(con_models, dest)
+            dest_unit = move_vector(current, target, params, rng, alpha=alpha)
+            # re-clamp: mapping to raw units can overshoot a bound by an ulp
+            dest = np.clip(space.from_unit(dest_unit), lower, upper)
+            g_dest = con_bank.predict(dest)
             viol_dest = total_violation(g_dest)
             ok = viol_dest == 0.0
             if not nd_idx.size:  # no feasible firefly yet: descend
                 ok |= viol_dest < viol_pop[pending]
-            new_pop[pending[ok]] = dest[ok]
-            new_g[pending[ok]] = g_dest[ok]
+            moved = pending[ok]
+            new_unit[moved], new_pop[moved] = dest_unit[ok], dest[ok]
+            new_g[moved] = g_dest[ok]
             pending = pending[~ok]
             if not pending.size:
                 break
         # fireflies still pending found no acceptable move on any attempt:
         # they stay put
 
-        pop, g_pop = new_pop, new_g
+        unit, pop, g_pop = new_unit, new_pop, new_g
         alpha *= params.alpha_decay
 
     # archive = feasible non-dominated subset of the final population
-    f_pop = predict_columns(obj_models, pop)
+    f_pop = obj_bank.predict(pop)
     feasible = np.flatnonzero(feasible_rows(f_pop, total_violation(g_pop)))
     if not feasible.size:
         raise InfeasibleRunError(

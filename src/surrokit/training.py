@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import RankDeficiencyError, TrainingDivergedError
-from .metamodel import AnnModel, PolyModel, RbfModel, ann_hidden, poly_basis
+from .metamodel import (AnnModel, PolyModel, RbfModel, ann_hidden,
+                        poly_basis, stack_block)
 from .metrics import FitReport, fit_report
 from .scaling import KINDS as SCALER_KINDS, Scaler, fit_scaler
 from .scaling import apply as scale_apply
@@ -129,7 +129,7 @@ class _Stack:
     def __init__(self, sizes: list[int], n: int):
         self.n, self.hidden, nets = n, sum(sizes), len(sizes)
         unit_net = np.repeat(np.arange(nets), sizes)
-        self.block = (unit_net[:, None] == np.arange(nets)).astype(float)
+        self.block = stack_block(sizes)
         self.owner = np.concatenate([np.repeat(unit_net, n), unit_net,
                                      unit_net, np.arange(nets)])
         # penalty @ theta**2 sums each network's squared weights
@@ -533,7 +533,9 @@ def fit_polynomial(data: SampleSet, response: str, degree: int,
 
 
 def _f_sf(f_stat: float, df: int) -> float:
-    """Upper tail P(F(1, df) > f_stat) of the partial-F test."""
+    """Upper tail P(F(1, df) > f_stat) of the partial-F test. scipy loads
+    here, on the first stepwise fit, so no other command pays its import."""
+    from scipy import special
     return float(special.fdtrc(1, df, f_stat))
 
 

@@ -102,6 +102,29 @@ class TestSample:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 1
 
+    def test_non_finite_oracle_is_one_stderr_line(self, opamp_config,
+                                                  tmp_path):
+        """An oracle returning non-finite values on the space (a negative
+        bias current) exits 1 with the one diagnostic line on stderr and no
+        numpy warning before it."""
+        config = json.loads(opamp_config.read_text())
+        for entry in config["space"]:
+            if entry["name"] == "ib":
+                entry["lower"] = -50.0
+        opamp_config.write_text(json.dumps(config))
+        src = os.path.dirname(os.path.dirname(surrokit.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "surrokit", "sample", "--config",
+             str(opamp_config), "--out", str(tmp_path / "s.csv"),
+             "--evaluate"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 1
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, run.stderr
+        assert lines[0].startswith("usage error: bad 'oracle' section")
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestTrain:
     def test_prints_table_and_saves_model(self, sin_project, tmp_path, capsys):
@@ -675,6 +698,7 @@ class TestMalformedSections:
                                          "artificial_delay": float("nan")}}),
         ("sample", "oracle", {"oracle": {"name": "opamp",
                                          "artificial_delay": float("inf")}}),
+        ("emit-vams", "vams", {"vams": {"cpms": {"gm": 3}}}),
     ])
     def test_exit_1_naming_section(self, opamp_pipeline_config, tmp_path,
                                    capsys, command, section, edit):
@@ -795,8 +819,12 @@ class TestUnknownKeys:
          "mofa.objectives[0]: unknown key 'wieght'"),
         (lambda config: config["abc"]["window"][0].update(tolerance=0.1),
          "abc.window[0]: unknown key 'tolerance'"),
+        (lambda config: config["space"][2].update(lowr=5.0),
+         "space[2]: unknown key 'lowr'"),
+        (lambda config: config.update(vams={"cpms": {"gn": "gm"}}),
+         "bad 'vams' section: cpms: unknown key 'gn'"),
     ], ids=["section", "subsection", "top-level", "dotted-top-level",
-            "mofa-entry", "abc-entry"])
+            "mofa-entry", "abc-entry", "space-entry", "vams-cpms"])
     def test_exit_1(self, opamp_pipeline_config, tmp_path, capsys, edit,
                     message):
         config = json.loads(opamp_pipeline_config.read_text())

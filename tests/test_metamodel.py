@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from surrokit.metamodel import (PREDICT_BLOCK, AnnModel, CallableModel,
-                                PolyModel, RbfModel, load_model, poly_basis,
-                                predict_columns, rbf_design, save_model)
+                                ModelBank, PolyModel, RbfModel, load_model,
+                                poly_basis, rbf_design, save_model)
 from surrokit.scaling import Scaler, fit_scaler
 
 
@@ -514,16 +514,117 @@ class TestFieldContract:
             load_model(tmp_path / "m.json")
 
 
-def test_predict_columns_is_each_models_predict():
-    rng = np.random.default_rng(41)
-    models = [random_ann(rng, n=3, scaled=True),
-              CallableModel(input_dim=3, fn=lambda x: x[:, 0] * x[:, 2]),
-              random_ann(rng, n=3)]
-    x = rng.normal(size=(17, 3))
-    cols = predict_columns(models, x)
-    assert cols.shape == (17, 3)
-    for j, model in enumerate(models):
-        np.testing.assert_array_equal(cols[:, j], model.predict(x))
-    assert predict_columns([], x).shape == (17, 0)
-    with pytest.raises(ValueError, match="4 columns, model takes 3 inputs"):
-        predict_columns(models, np.zeros((2, 4)))
+def assert_columns_match(bank_out, models, x):
+    """Each bank column equals its model's `predict` to 1e-12 relative to
+    the column's largest magnitude."""
+    assert bank_out.shape == (len(x), len(models))
+    for col, model in zip(bank_out.T, models):
+        want = model.predict(x)
+        assert np.max(np.abs(col - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestModelBank:
+    def mixed_models(self, rng, n=3):
+        """Stacked tanh and logsig ANNs in two input-scaler groups, with an
+        RBF, a polynomial and a callable between them."""
+        in_a = Scaler("meanstd", rng.normal(size=n), rng.uniform(0.5, 2, n))
+        in_b = Scaler("minmax", rng.normal(size=n), rng.uniform(0.5, 2, n))
+
+        def ann(scaler, activation, steepness=1.0):
+            m = int(rng.integers(1, 6))
+            out = Scaler("meanstd", rng.normal(size=1) + 5.0,
+                         rng.uniform(0.5, 2, 1))
+            return make_ann(rng.normal(size=(m, n)), rng.normal(size=m),
+                            rng.normal(size=m), rng.normal(),
+                            activation=activation, steepness=steepness,
+                            input_scaler=scaler, output_scaler=out)
+
+        rbf = RbfModel(input_dim=n, centers=rng.normal(size=(4, n)),
+                       spread=1.5, weights=rng.normal(size=4), bias=2.0,
+                       input_scaler=in_a, output_scaler=Scaler.identity(1))
+        poly = PolyModel(input_dim=n, degree=2,
+                         terms=np.array([[0] * n, [1] + [0] * (n - 1),
+                                         [1, 1] + [0] * (n - 2)]),
+                         coefficients=np.array([3.0, -1.0, 0.5]))
+        func = CallableModel(input_dim=n, fn=lambda x: 1.0 + x[:, 0] * x[:, 1])
+        return [ann(in_a, "tanh"), rbf, ann(in_b, "tanh"),
+                ann(in_a, "tanh"), poly, ann(in_a, "logsig", 1.5),
+                func, ann(in_b, "tanh"), ann(in_a, "logsig", 1.5)]
+
+    def test_is_each_models_predict(self):
+        rng = np.random.default_rng(41)
+        models = self.mixed_models(rng)
+        x = rng.normal(size=(17, 3))
+        assert_columns_match(ModelBank(models).predict(x), models, x)
+
+    def test_equal_scalers_stack_by_value(self, tmp_path):
+        """ANNs loaded from separate files hold separate, equal scalers and
+        still run as one stack."""
+        rng = np.random.default_rng(7)
+        scaler = Scaler("meanstd", rng.normal(size=2), rng.uniform(0.5, 2, 2))
+        for i in range(3):
+            model = make_ann(rng.normal(size=(3, 2)), rng.normal(size=3),
+                             rng.normal(size=3), rng.normal() + 4.0,
+                             input_scaler=scaler)
+            save_model(model, tmp_path / f"m{i}.json")
+        models = [load_model(tmp_path / f"m{i}.json") for i in range(3)]
+        assert models[0].input_scaler is not models[1].input_scaler
+        bank = ModelBank(models)
+        assert len(bank._stacks) == 1
+        x = rng.normal(size=(9, 2))
+        assert_columns_match(bank.predict(x), models, x)
+
+    def test_none_scalers_are_identity_whatever_their_values(self):
+        """A "none" scaler leaves data as is even when it holds a shift and
+        scale (a hand-edited model file may); a stack mixing it with a
+        meanstd output scaler predicts as each network does."""
+        rng = np.random.default_rng(13)
+        in_none = Scaler("none", np.array([1.0, -2.0]), np.array([3.0, 0.5]))
+        outs = [Scaler("none", np.array([5.0]), np.array([2.0])),
+                Scaler("meanstd", np.array([5.0]), np.array([2.0]))]
+        models = [make_ann(rng.normal(size=(3, 2)), rng.normal(size=3),
+                           rng.normal(size=3), rng.normal(),
+                           input_scaler=in_none, output_scaler=out)
+                  for out in outs]
+        bank = ModelBank(models)
+        assert len(bank._stacks) == 1
+        x = rng.normal(size=(6, 2))
+        assert_columns_match(bank.predict(x), models, x)
+
+    def test_single_row(self):
+        rng = np.random.default_rng(3)
+        models = self.mixed_models(rng)
+        bank = ModelBank(models)
+        x = rng.normal(size=3)
+        out = bank.predict(x)
+        assert out.shape == (1, len(models))
+        np.testing.assert_array_equal(out, bank.predict(x[None, :]))
+        assert_columns_match(out, models, x[None, :])
+
+    def test_more_rows_than_a_block(self):
+        rng = np.random.default_rng(5)
+        models = self.mixed_models(rng)
+        x = rng.normal(size=(PREDICT_BLOCK + 37, 3))
+        out = ModelBank(models).predict(x)
+        assert_columns_match(out, models, x)
+        # a row's prediction does not depend on the block it falls in
+        np.testing.assert_array_equal(out[-5:],
+                                      ModelBank(models).predict(x[-5:]))
+
+    def test_empty_bank(self):
+        x = np.zeros((17, 3))
+        assert ModelBank([]).predict(x).shape == (17, 0)
+
+    def test_column_count_error(self):
+        rng = np.random.default_rng(41)
+        bank = ModelBank(self.mixed_models(rng))
+        with pytest.raises(ValueError, match="4 columns, model takes 3 inputs"):
+            bank.predict(np.zeros((2, 4)))
+
+    def test_non_finite_input_error(self):
+        rng = np.random.default_rng(41)
+        bank = ModelBank(self.mixed_models(rng))
+        x = np.zeros((2, 3))
+        x[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            bank.predict(x)

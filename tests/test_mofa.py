@@ -167,51 +167,49 @@ class TestScalarize:
 
 
 class TestMoveVector:
+    """`move_vector` takes and returns unit-cube positions."""
+
     def setup_method(self):
-        self.space = DesignSpace((DesignVariable("a", 0.0, 10.0),
-                                  DesignVariable("b", -5.0, 5.0)))
         self.params = MofaParams(alpha=0.0)
 
     def test_target_equals_current_no_alpha(self):
         rng = np.random.default_rng(0)
-        x = np.array([3.0, 1.0])
-        step = move_vector(self.space, x, x, self.params, rng)
+        x = np.array([0.3, 0.6])
+        step = move_vector(x, x, self.params, rng) - x
         assert np.allclose(step, 0.0)
 
     def test_gamma_zero_is_full_attraction(self):
         params = MofaParams(beta0=1.0, gamma=0.0, alpha=0.0)
         rng = np.random.default_rng(1)
-        cur = np.array([2.0, -1.0])
-        tgt = np.array([8.0, 3.0])
-        step = move_vector(self.space, cur, tgt, params, rng)
+        cur = np.array([0.2, 0.4])
+        tgt = np.array([0.8, 0.8])
+        step = move_vector(cur, tgt, params, rng) - cur
         assert np.allclose(step, tgt - cur)
 
     def test_partial_attraction_scales_with_beta(self):
         params = MofaParams(beta0=0.5, gamma=0.0, alpha=0.0)
         rng = np.random.default_rng(2)
-        cur = np.array([2.0, -1.0])
-        tgt = np.array([8.0, 3.0])
-        step = move_vector(self.space, cur, tgt, params, rng)
+        cur = np.array([0.2, 0.4])
+        tgt = np.array([0.8, 0.8])
+        step = move_vector(cur, tgt, params, rng) - cur
         assert np.allclose(step, 0.5 * (tgt - cur))
 
     def test_clamped_to_bounds(self):
         params = MofaParams(beta0=5.0, gamma=0.0, alpha=0.0)
         rng = np.random.default_rng(3)
-        cur = np.array([9.0, 4.0])
-        tgt = np.array([10.0, 5.0])
-        step = move_vector(self.space, cur, tgt, params, rng)
-        dest = cur + step
-        assert dest[0] == 10.0 and dest[1] == 5.0
+        cur = np.array([0.9, 0.9])
+        tgt = np.array([1.0, 1.0])
+        dest = move_vector(cur, tgt, params, rng)
+        assert dest[0] == 1.0 and dest[1] == 1.0
 
     def test_batch_equals_single_calls(self):
         params = MofaParams(beta0=0.8, gamma=2.0, alpha=0.3)
         rng = np.random.default_rng(5)
-        cur = self.space.from_unit(rng.random((6, 2)))
-        tgt = self.space.from_unit(rng.random((6, 2)))
-        batch = move_vector(self.space, cur, tgt, params,
-                            np.random.default_rng(8))
+        cur = rng.random((6, 2))
+        tgt = rng.random((6, 2))
+        batch = move_vector(cur, tgt, params, np.random.default_rng(8))
         single_rng = np.random.default_rng(8)
-        single = np.array([move_vector(self.space, c, t, params, single_rng)
+        single = np.array([move_vector(c, t, params, single_rng)
                            for c, t in zip(cur, tgt)])
         assert batch.shape == (6, 2)
         assert np.allclose(batch, single, rtol=0.0, atol=1e-12)
@@ -219,10 +217,25 @@ class TestMoveVector:
     def test_random_walk_within_bounds(self):
         params = MofaParams(beta0=0.0, gamma=1.0, alpha=2.0)
         rng = np.random.default_rng(4)
-        cur = np.array([0.1, -4.9])
+        cur = np.array([0.01, 0.01])
         for _ in range(50):
-            dest = cur + move_vector(self.space, cur, cur, params, rng)
-            assert self.space.contains(dest)
+            dest = move_vector(cur, cur, params, rng)
+            assert unit_space(2).contains(dest)
+
+    def test_unit_batch_equals_single_calls_in_unit_cube(self):
+        """Steps large enough to leave the cube: a batch still equals the
+        single calls, and every destination lies in [0, 1]."""
+        params = MofaParams(beta0=3.0, gamma=0.5, alpha=1.5)
+        rng = np.random.default_rng(11)
+        cur = rng.random((40, 3))
+        tgt = rng.random((40, 3))
+        batch = move_vector(cur, tgt, params, np.random.default_rng(12))
+        single_rng = np.random.default_rng(12)
+        single = np.array([move_vector(c, t, params, single_rng)
+                           for c, t in zip(cur, tgt)])
+        np.testing.assert_array_equal(batch, single)
+        assert np.all((batch >= 0.0) & (batch <= 1.0))
+        assert np.any(batch == 0.0) and np.any(batch == 1.0)
 
 
 def convex_problem(dim=2):

@@ -647,3 +647,18 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy loads only when a stepwise polynomial fit needs the F tail, so
+    every other command starts without its import cost."""
+    import os
+    import surrokit
+    code = ("import sys, surrokit, surrokit.cli; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(surrokit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
