@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bee_colony, mofa, oracles, vams_codegen
-from .design_space import DesignSpace, lhs_disjoint, lhs_sample
+from .design_space import (DesignSpace, check_sample_count, lhs_disjoint,
+                           lhs_sample)
 from .errors import (DataFormatError, DegenerateColumnError,
                      InfeasibleRunError, RankDeficiencyError, SurrokitError,
                      TrainingDivergedError, UndefinedVarianceError)
@@ -68,16 +69,16 @@ def _load_config(path, args) -> tuple[dict, DesignSpace]:
         for section, fields in _SECTIONS.items()}, space
 
 
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {value!r}")
-    return value
+def _typed(kind, what: str):
+    def cast(value):  # passes a value of type `kind`, rejects any other
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+    return cast
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
+_object, _flag, _str = (_typed(dict, "a JSON object"),
+                        _typed(bool, "true or false"), _typed(str, "a string"))
 
 
 def _float(value) -> float:
@@ -102,13 +103,14 @@ def _checked(path: str):
         raise UsageError(f"bad '{path}' section: {exc}") from None
 
 
-def _section(cfg: dict, path: str, fields: dict, **overrides) -> dict:
+def _section(cfg: dict, path: str, fields: dict, **overrides):
     """The settings of the config section at the dotted `path`, one per key
     of `fields` {key: (cast, default)}: the configured value cast, else the
-    default. An override that is not None replaces the configured value. A
-    section that is not a JSON object, a key that is neither a field nor a
-    subsection name, and a value its cast rejects are usage errors naming
-    the section."""
+    default; what the section's `_CHECKS` entry makes of them if it has one.
+    An override that is not None replaces the configured value. A section
+    that is not a JSON object, a key that is neither a field nor a
+    subsection name, and a value its cast or check rejects are usage errors
+    naming the section."""
     section, settings = cfg, {}
     with _checked(path):
         for key in path.split("."):
@@ -123,37 +125,13 @@ def _section(cfg: dict, path: str, fields: dict, **overrides) -> dict:
                 settings[key] = cast(section[key]) if key in section else default
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{key}: {exc}") from None
-    return settings
+        return _CHECKS[path](settings) if path in _CHECKS else settings
 
 
-# the cast of each field type of the parameter dataclasses the CLI fills
-_CASTS = {"int": _int, "float": _float, "str": str,
-          "tuple[str, ...]": tuple, "tuple[float, ...]": tuple}
-
-
-def _fields(cls, *skip) -> dict:
-    """{field: (cast, default)} of the dataclass `cls`, but for `skip`."""
-    return {f.name: (_CASTS[f.type], f.default)
-            for f in dataclasses.fields(cls) if f.name not in skip}
-
-
-def _entries(path: str, required, optional=()) -> tuple:
-    """The (cast, default) of the list of JSON objects at the dotted `path`,
-    each of which holds the `required` keys, may hold the `optional` ones
-    {key: default}, which fill in what it lacks, and holds no other key."""
-    def cast(value):
-        if not isinstance(value, list):
-            raise TypeError(f"expected a list of JSON objects, got {value!r}")
-        entries = [dict(optional, **_object(entry)) for entry in value]
-        for i, entry in enumerate(entries):
-            for key in required:
-                if key not in entry:
-                    raise UsageError(f"{path}[{i}]: missing {key!r}")
-            for key in entry:
-                if key not in required and key not in optional:
-                    raise UsageError(f"{path}[{i}]: unknown key {key!r}")
-        return entries
-    return cast, []
+def _numbers(value) -> list[float]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return [_float(v) for v in value]
 
 
 def _names(value, allowed=None) -> list[str]:
@@ -165,6 +143,46 @@ def _names(value, allowed=None) -> list[str]:
         raise ValueError(f"expected a non-empty list drawn from "
                          f"{list(allowed)}, got {value!r}")
     return value
+
+
+# the cast of each field type of the parameter dataclasses the CLI fills
+_CASTS = {"int": _int, "float": _float, "str": _str,
+          "tuple[str, ...]": _names, "tuple[float, ...]": _numbers}
+
+
+def _fields(cls, *skip) -> dict:
+    """{field: (cast, default)} of the dataclass `cls`, but for `skip`."""
+    return {f.name: (_CASTS[f.type], f.default)
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+def _entries(path: str, required, optional=(), build=None) -> tuple:
+    """The (cast, default) of the list of JSON objects at the dotted `path`,
+    each of which holds the `required` keys, may hold the `optional` ones
+    {key: default}, which fill in what it lacks, and holds no other key.
+    Given `build`, the cast makes each entry (its response, `build(**entry)`);
+    an entry `build` rejects is a usage error naming its section and index."""
+    section, _, key = path.rpartition(".")
+
+    def cast(value):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list of JSON objects, got {value!r}")
+        entries = [dict(optional, **_object(entry)) for entry in value]
+        for i, entry in enumerate(entries):
+            for k in required:
+                if k not in entry:
+                    raise UsageError(f"{path}[{i}]: missing {k!r}")
+            for k in entry:
+                if k not in required and k not in optional:
+                    raise UsageError(f"{path}[{i}]: unknown key {k!r}")
+            if build:
+                try:
+                    entries[i] = entry["response"], build(**entry)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise UsageError(f"bad {section!r} section: {key}[{i}]: "
+                                     f"{exc}") from None
+        return entries
+    return cast, []
 
 
 def _cpms(value) -> dict:
@@ -189,33 +207,44 @@ def _sizes(value) -> list[int]:
 # every config section: dotted path -> {key: (cast, default)}
 _SECTIONS = {
     "sampling": {"n": (_int, 100), "seed": (_int, 0)},
-    "oracle": {"name": (str, None), "artificial_delay": (_float, 0.0)},
+    "oracle": {"name": (_str, None), "artificial_delay": (_float, 0.0)},
     "training": {"responses": (_names, None),
                  "kinds": (lambda kinds: _names(kinds, _KINDS), ["ann"]),
-                 "selection": (str, "verify_rmse")},
+                 "selection": (_str, "verify_rmse")},
     "training.ann": {**_fields(TrainOptions, "hidden_size"),
                      "hidden_sizes": (_sizes, [4])},
     # the CLI's own defaults: `fit_polynomial` alone does not select stepwise
     "training.rbf": {"error_goal": (_float, 1e-4), "spread": (_float, 1.0),
                      "max_neurons": (_int, 25),
-                     "input_scaling": (str, "meanstd")},
+                     "input_scaling": (_str, "meanstd")},
     "training.poly": {"degree": (_int, 2), "stepwise": (_flag, True),
                       "p_enter": (_float, 0.05)},
+    # the optimizers' entries build their specs without a model
     "mofa": {**_fields(mofa.MofaParams),
-             "objectives": _entries("mofa.objectives",
-                                    ("response", "direction")),
-             "constraints": _entries("mofa.constraints",
-                                     ("response", "bound", "sense"))},
+             "objectives": _entries(
+                 "mofa.objectives", ("response", "direction"), (),
+                 lambda response, direction: mofa.ObjectiveSpec(
+                     response, direction, None)),
+             "constraints": _entries(
+                 "mofa.constraints", ("response", "bound", "sense"), (),
+                 lambda response, bound, sense: mofa.ConstraintSpec(
+                     response, None, _float(bound), sense))},
     "abc": {**_fields(bee_colony.AbcParams),
             **_fields(bee_colony.FomProblem, "terms", "windows"),
-            "objective": _entries("abc.objective", ("response",),
-                                  {"weight": 1.0}),
-            "window": _entries("abc.window", ("response", "center"),
-                               {"relative_tolerance": 0.005})},
+            "objective": _entries(
+                "abc.objective", ("response",), {"weight": 1.0},
+                lambda response, weight: bee_colony.FomTerm(
+                    None, _float(weight))),
+            "window": _entries(
+                "abc.window", ("response", "center"),
+                {"relative_tolerance": 0.005},
+                lambda response, center, relative_tolerance:
+                bee_colony.WindowConstraint(None, _float(center),
+                                            _float(relative_tolerance)))},
     "vams": {**_fields(vams_codegen.MacromodelSpec, "module_name",
                        "variable_names", "parameter_defaults", "cpms"),
-             "module_name": (str, "analog_block"), "cpms": (_cpms, {}),
-             "parameter_defaults": (tuple, None)},
+             "module_name": (_str, "analog_block"), "cpms": (_cpms, {}),
+             "parameter_defaults": (_numbers, None)},
 }
 _SPACE_ENTRIES, _ = _entries("space", ("name", "lower", "upper"))
 # the section whose settings each command's --n and --seed flags override
@@ -223,60 +252,50 @@ _FLAGGED = {"sample": "sampling", "train": "training.ann",
             "optimize-mofa": "mofa", "optimize-abc": "abc"}
 
 
-def _oracle(settings: dict) -> oracles.Oracle:
-    name = settings["name"]
+def _oracle(settings: dict):
+    """The built-in oracle the 'oracle' settings name, slowed by their delay,
+    or None if they name none; the delay is checked either way."""
+    name, delay = settings["name"], settings["artificial_delay"]
+    if name is None:
+        oracles.Oracle("", 0, (), None, delay)
+        return None
     if name not in oracles.BUILTIN_ORACLES:
-        raise UsageError(
-            f"unknown oracle {name!r}; built-ins: "
-            f"{sorted(oracles.BUILTIN_ORACLES)}"
-        )
-    return oracles.BUILTIN_ORACLES[name]().with_delay(
-        settings["artificial_delay"])
+        raise ValueError(f"unknown oracle {name!r}; built-ins: "
+                         f"{sorted(oracles.BUILTIN_ORACLES)}")
+    return oracles.BUILTIN_ORACLES[name]().with_delay(delay)
 
 
-def _training(cfg: dict):
-    """The 'training' section settings, the hidden sizes and trainer options
-    of 'training.ann', and the `train_rbf` and `fit_polynomial` keyword
-    arguments of 'training.rbf' and 'training.poly' by kind; every one of
-    these sections is checked whatever the kinds."""
-    tcfg, ann = cfg["training"], cfg["training.ann"]
-    if tcfg["selection"] not in CRITERIA:
-        raise UsageError(f"training.selection must be one of "
-                         f"{', '.join(CRITERIA)}; got {tcfg['selection']!r}")
-    sizes = ann.pop("hidden_sizes")
-    with _checked("training.ann"):
-        # the options check the smallest hidden size
-        opts = TrainOptions(hidden_size=min(sizes), **ann)
-    fits = {"rbf": cfg["training.rbf"], "poly": cfg["training.poly"]}
-    with _checked("training.rbf"):
-        check_rbf_settings(**fits["rbf"])
-    with _checked("training.poly"):
-        check_poly_settings(fits["poly"]["degree"], fits["poly"]["p_enter"])
-    return tcfg, sizes, opts, fits
+def _selection(settings: dict) -> dict:
+    if settings["selection"] not in CRITERIA:
+        raise ValueError(f"training.selection must be one of "
+                         f"{', '.join(CRITERIA)}; got "
+                         f"{settings['selection']!r}")
+    return settings
 
 
-def _sweep_response(train_set, verify_set, response: str, fits: dict,
-                    ann_rows: list):
-    """Fit the non-ANN model kinds of `fits` {kind: keyword arguments}
-    after the response's trained ANNs `ann_rows` [(label, model)]; return
-    [(label, model, report)]."""
-    rows = list(ann_rows)
-    if "rbf" in fits:
-        model, _ = train_rbf(train_set, response, **fits["rbf"])
-        rows.append((f"rbf-{model.n_neurons}", model))
-    if "poly" in fits:
-        model, _ = fit_polynomial(train_set, response, **fits["poly"])
-        rows.append((f"poly-{model.degree}", model))
+def _ann(settings: dict) -> tuple[list, TrainOptions]:
+    """The hidden sizes and trainer options of 'training.ann'; the options
+    check the smallest size."""
+    sizes = settings.pop("hidden_sizes")
+    return sizes, TrainOptions(hidden_size=min(sizes), **settings)
 
-    reported = []
-    for label, model in rows:
-        rep = fit_report(
-            model, train_set.inputs, train_set.response(response),
-            verify_set.inputs, verify_set.response(response),
-            descriptor=label,
-        )
-        reported.append((label, model, rep))
-    return reported
+
+# each section's check, run by `_section` on its cast settings: it raises
+# ValueError for a value the library rejects and returns what the commands
+# read (a `check_*` returns None, so `or s` keeps the settings)
+_CHECKS = {
+    "sampling": lambda s: check_sample_count(s["n"]) or s,
+    "oracle": _oracle,
+    "training": _selection,
+    "training.ann": _ann,
+    "training.rbf": lambda s: check_rbf_settings(**s) or s,
+    "training.poly": lambda s: (check_poly_settings(s["degree"], s["p_enter"])
+                                or s),
+    "mofa": lambda s: (s.pop("objectives"), s.pop("constraints"),
+                       mofa.MofaParams(**s)),
+    "abc": lambda s: (s.pop("objective"), s.pop("window"),
+                      s.pop("penalty_weight"), bee_colony.AbcParams(**s)),
+}
 
 
 def _fit_sweep(args, space: DesignSpace, cfg: dict, compare=False):
@@ -284,7 +303,7 @@ def _fit_sweep(args, space: DesignSpace, cfg: dict, compare=False):
     print the response's fit-report table and yield (response, [(label,
     model, report)]). `compare` fits the ANN of least holdout error and a
     polynomial whatever the kinds."""
-    tcfg, sizes, opts, fits = _training(cfg)
+    tcfg, (sizes, opts) = cfg["training"], cfg["training.ann"]
     kinds = ["ann", "poly"] if compare else tcfg["kinds"]
     train_set = oracles.load_csv(args.train, space.names)
     if "ann" in kinds and train_set.n_rows < MIN_ANN_ROWS:
@@ -301,18 +320,25 @@ def _fit_sweep(args, space: DesignSpace, cfg: dict, compare=False):
             raise DataFormatError(
                 f"response {response!r} not present in {args.train}")
 
-    fits = {kind: kw for kind, kw in fits.items() if kind in kinds}
     anns = (train_anns(train_set, responses, sizes, opts)
             if "ann" in kinds else {})
     for response in responses:
-        ann_rows = [(f"ann-{m}", anns[response, m][0])
-                    for m in sizes if (response, m) in anns]
+        rows = [(f"ann-{m}", anns[response, m][0])
+                for m in sizes if (response, m) in anns]
         if compare:  # pick by holdout so the verification set stays unbiased
-            best = select_best([anns[response, m][1] for m in sizes],
-                               "verify_rmse")
-            ann_rows = [ann_rows[best]]
-        rows = _sweep_response(train_set, verify_set, response, fits,
-                               ann_rows)
+            rows = [rows[select_best([anns[response, m][1] for m in sizes],
+                                     "verify_rmse")]]
+        if "rbf" in kinds:
+            model, _ = train_rbf(train_set, response, **cfg["training.rbf"])
+            rows.append((f"rbf-{model.n_neurons}", model))
+        if "poly" in kinds:
+            model, _ = fit_polynomial(train_set, response,
+                                      **cfg["training.poly"])
+            rows.append((f"poly-{model.degree}", model))
+        rows = [(label, model, fit_report(
+            model, train_set.inputs, train_set.response(response),
+            verify_set.inputs, verify_set.response(response),
+            descriptor=label)) for label, model in rows]
         print(f"# response: {response}")
         print(render_report_table([(label, rep) for label, _, rep in rows]))
         yield response, rows
@@ -320,8 +346,9 @@ def _fit_sweep(args, space: DesignSpace, cfg: dict, compare=False):
 
 def cmd_sample(args, cfg: dict, space: DesignSpace) -> int:
     n, seed = cfg["sampling"]["n"], cfg["sampling"]["seed"]
-    if n < 1:
-        raise UsageError(f"sample count must be >= 1, got {n}")
+    if args.evaluate and cfg["oracle"] is None:
+        raise UsageError(f"--evaluate needs oracle.name, one of "
+                         f"{sorted(oracles.BUILTIN_ORACLES)}")
 
     if args.disjoint_from:
         base = oracles.load_csv(args.disjoint_from, space.names)
@@ -334,8 +361,7 @@ def cmd_sample(args, cfg: dict, space: DesignSpace) -> int:
         # usage error, not also as numpy warnings
         with _checked("oracle"), np.errstate(invalid="ignore",
                                              divide="ignore", over="ignore"):
-            sample_set = oracles.evaluate(_oracle(cfg["oracle"]), points,
-                                          space.names)
+            sample_set = oracles.evaluate(cfg["oracle"], points, space.names)
     else:
         sample_set = SampleSet(points, {}, space.names)
     oracles.save_csv(sample_set, args.out)
@@ -383,37 +409,36 @@ def cmd_report(args, cfg: dict, space: DesignSpace) -> int:
     data = oracles.load_csv(args.data, space.names)
     rows = []
     for model_path, model in zip(args.model, _load_models(args.model, space)):
-        response = model.response_name
+        response, name = model.response_name, Path(model_path).stem
         if response not in data.responses:
-            raise DataFormatError(
-                f"model {model_path} predicts {response!r}, absent from "
-                f"{args.data}"
-            )
-        rep = fit_report(model, data.inputs, data.response(response),
-                         descriptor=Path(model_path).stem)
-        rows.append((f"{Path(model_path).stem}", rep))
+            raise DataFormatError(f"model {model_path} predicts {response!r}, "
+                                  f"absent from {args.data}")
+        rows.append((name, fit_report(model, data.inputs,
+                                      data.response(response), descriptor=name)))
     print(render_report_table(rows))
     return 0
 
 
-def cmd_optimize_mofa(args, cfg: dict, space: DesignSpace) -> int:
-    settings = cfg["mofa"]
-    obj_cfg, con_cfg = settings.pop("objectives"), settings.pop("constraints")
-    if len(obj_cfg) < 2:
-        raise UsageError("mofa needs at least two objectives")
-    names = [o["response"] for o in obj_cfg] + [c["response"] for c in con_cfg]
-    paths = [Path(args.models) / f"{name}.json" for name in names]
-    models = dict(zip(names, _load_models(paths, space)))
+def _with_models(models_dir, space: DesignSpace, *entry_lists) -> list:
+    """Each list of (response, spec) config entries as the list of its specs,
+    each given the model of `<models_dir>/<response>.json`; a model file of
+    another response is a data error."""
+    names = [name for entries in entry_lists for name, _ in entries]
+    models = dict(zip(names, _load_models(
+        [Path(models_dir) / f"{name}.json" for name in names], space)))
+    try:
+        return [[dataclasses.replace(spec, model=models[name])
+                 for name, spec in entries] for entries in entry_lists]
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
 
-    with _checked("mofa"):
-        objectives = [mofa.ObjectiveSpec(o["response"], o["direction"],
-                                         models[o["response"]])
-                      for o in obj_cfg]
-        constraints = [mofa.ConstraintSpec(c["response"],
-                                           models[c["response"]],
-                                           _float(c["bound"]), c["sense"])
-                       for c in con_cfg]
-        params = mofa.MofaParams(**settings)
+
+def cmd_optimize_mofa(args, cfg: dict, space: DesignSpace) -> int:
+    objectives, constraints, params = cfg["mofa"]
+    if len(objectives) < 2:
+        raise UsageError("mofa needs at least two objectives")
+    objectives, constraints = _with_models(args.models, space, objectives,
+                                           constraints)
     archive = mofa.mofa_optimize(space, objectives, constraints, params)
     archive.write_csv(args.out)
     print(f"wrote {len(archive)} non-dominated designs to {args.out}",
@@ -422,27 +447,11 @@ def cmd_optimize_mofa(args, cfg: dict, space: DesignSpace) -> int:
 
 
 def cmd_optimize_abc(args, cfg: dict, space: DesignSpace) -> int:
-    settings = cfg["abc"]
-    term_cfg, window_cfg = settings.pop("objective"), settings.pop("window")
-    penalty_weight = settings.pop("penalty_weight")
-    if not term_cfg:
+    terms, windows, penalty_weight, params = cfg["abc"]
+    if not terms:
         raise UsageError("abc needs at least one objective term")
-    names = [t["response"] for t in term_cfg] + [w["response"] for w in window_cfg]
-    paths = [Path(args.models) / f"{name}.json" for name in names]
-    models = dict(zip(names, _load_models(paths, space)))
-
-    with _checked("abc"):
-        problem = bee_colony.FomProblem(
-            terms=tuple(bee_colony.FomTerm(models[t["response"]],
-                                           _float(t["weight"]))
-                        for t in term_cfg),
-            windows=tuple(bee_colony.WindowConstraint(
-                models[w["response"]], _float(w["center"]),
-                _float(w["relative_tolerance"]))
-                for w in window_cfg),
-            penalty_weight=penalty_weight,
-        )
-        params = bee_colony.AbcParams(**settings)
+    problem = bee_colony.FomProblem(
+        *_with_models(args.models, space, terms, windows), penalty_weight)
     best_x, best_f, trace = bee_colony.abc_optimize(space, problem, params)
     bee_colony.write_trace_csv(trace, args.out)
     for name, value in zip(space.names, best_x):
@@ -494,13 +503,15 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", required=True)
 
-    def command(name: str, fn, help_text: str) -> _Parser:
+    def command(name: str, fn, help_text: str, *required) -> _Parser:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(fn=fn)
+        for flag in required:
+            p.add_argument(flag, required=True)
         return p
 
-    p = command("sample", cmd_sample, "draw LHS samples, optionally evaluate")
-    p.add_argument("--out", required=True)
+    p = command("sample", cmd_sample, "draw LHS samples, optionally evaluate",
+                "--out")
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--evaluate", action="store_true",
@@ -508,38 +519,26 @@ def build_parser() -> _Parser:
     p.add_argument("--disjoint-from",
                    help="existing sample CSV the new set must not collide with")
 
-    p = command("train", cmd_train, "fit metamodels, print fit reports")
-    p.add_argument("--train", required=True)
-    p.add_argument("--verify", required=True)
-    p.add_argument("--out-dir", required=True)
+    p = command("train", cmd_train, "fit metamodels, print fit reports",
+                "--train", "--verify", "--out-dir")
     p.add_argument("--seed", type=int)
     p.add_argument("--report-json",
                    help="also write the full fit-report sweep as JSON")
 
-    p = command("report", cmd_report, "evaluate saved models against a CSV")
-    p.add_argument("--data", required=True)
+    p = command("report", cmd_report, "evaluate saved models against a CSV",
+                "--data")
     p.add_argument("--model", required=True, action="append")
 
-    p = command("optimize-mofa", cmd_optimize_mofa,
-                "multi-objective firefly run")
-    p.add_argument("--models", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    for name, fn, help_text in (
+            ("optimize-mofa", cmd_optimize_mofa, "multi-objective firefly run"),
+            ("optimize-abc", cmd_optimize_abc, "constrained bee-colony run")):
+        command(name, fn, help_text, "--models", "--out").add_argument(
+            "--seed", type=int)
 
-    p = command("optimize-abc", cmd_optimize_abc, "constrained bee-colony run")
-    p.add_argument("--models", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-
-    p = command("emit-vams", cmd_emit_vams,
-                "export weights and the AMS module")
-    p.add_argument("--models", required=True)
-    p.add_argument("--out-dir", required=True)
-
-    p = command("compare", cmd_compare, "ANN vs polynomial on the same data")
-    p.add_argument("--train", required=True)
-    p.add_argument("--verify", required=True)
-    p.add_argument("--response")
+    command("emit-vams", cmd_emit_vams, "export weights and the AMS module",
+            "--models", "--out-dir")
+    command("compare", cmd_compare, "ANN vs polynomial on the same data",
+            "--train", "--verify").add_argument("--response")
     return parser
 
 

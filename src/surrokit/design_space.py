@@ -12,7 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["DesignVariable", "DesignSpace", "lhs_sample", "lhs_disjoint"]
+__all__ = ["DesignVariable", "DesignSpace", "lhs_sample", "lhs_disjoint",
+           "check_sample_count"]
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,15 @@ def lhs_sample(space: DesignSpace, n: int, seed: int) -> np.ndarray:
     it. Stratum permutations are independent per column. Deterministic for
     a given seed.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    check_sample_count(n)
     rng = np.random.default_rng(seed)
     return _lhs_draw(space, n, rng)
+
+
+def check_sample_count(n: int) -> None:
+    """Raise ValueError for a sample count the LHS draws cannot take."""
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
 
 
 def _lhs_draw(space: DesignSpace, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -138,8 +144,7 @@ def lhs_disjoint(space: DesignSpace, n: int, training: np.ndarray,
         raise ValueError(
             f"training has {training.shape[1]} columns, space has {space.dim}"
         )
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    check_sample_count(n)
 
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):

@@ -321,13 +321,9 @@ class _AnnStack:
         self.W2 = (stack_block([m.hidden_size for m in models])
                    * np.concatenate([m.W2 for m in models])[:, None])
         self.b2 = np.array([m.b2 for m in models])
-        # each column's output step y * scale + shift as `scale_invert` takes
-        # it: the identity for a "none" scaler, whatever values it holds
-        outs = [m.output_scaler for m in models]
-        self.out_scale = np.array([1.0 if s.kind == "none" else s.scale[0]
-                                   for s in outs])
-        self.out_shift = np.array([0.0 if s.kind == "none" else s.shift[0]
-                                   for s in outs])
+        # each column's output step, y * scale + shift as in `scale_invert`
+        self.out_scale = np.array([m.output_scaler.scale[0] for m in models])
+        self.out_shift = np.array([m.output_scaler.shift[0] for m in models])
 
     def forward(self, pts: np.ndarray) -> np.ndarray:
         xs = scale_apply(self.input_scaler, pts)

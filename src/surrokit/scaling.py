@@ -22,10 +22,10 @@ KINDS = ("none", "meanstd", "minmax")
 class Scaler:
     """Immutable per-column affine transform.
 
-    kind "none" is the identity; "meanstd" maps to mean 0, sample stddev 1;
-    "minmax" maps the training range onto [-1, 1] (midrange 0, range 2).
-    `shift` and `scale` hold the per-column statistics: the forward
-    transform is (x - shift) / scale.
+    kind "none" is the identity (shift 0, scale 1); "meanstd" maps to mean
+    0, sample stddev 1; "minmax" maps the training range onto [-1, 1]
+    (midrange 0, range 2). `shift` and `scale` hold the per-column
+    statistics: the forward transform is (x - shift) / scale.
     """
 
     kind: str
@@ -44,6 +44,9 @@ class Scaler:
         ok = np.isfinite(self.shift) & (self.scale > 0) & (self.scale < np.inf)
         if not np.all(ok):
             raise ValueError("shift must be finite, scale positive and finite")
+        if self.kind == "none" and not (np.all(self.shift == 0)
+                                        and np.all(self.scale == 1)):
+            raise ValueError("a 'none' scaler must hold shift 0 and scale 1")
 
     @property
     def n_columns(self) -> int:
@@ -102,8 +105,6 @@ def apply(scaler: Scaler, data: np.ndarray) -> np.ndarray:
     """Forward-transform `data` (matrix or single row) with `scaler`."""
     arr = np.asarray(data, dtype=float)
     _check_columns(scaler, arr)
-    if scaler.kind == "none":
-        return arr.copy()
     return (arr - scaler.shift) / scaler.scale
 
 
@@ -111,8 +112,6 @@ def invert(scaler: Scaler, data: np.ndarray) -> np.ndarray:
     """Undo :func:`apply`."""
     arr = np.asarray(data, dtype=float)
     _check_columns(scaler, arr)
-    if scaler.kind == "none":
-        return arr.copy()
     return arr * scaler.scale + scaler.shift
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import surrokit
-from surrokit.cli import main
+from surrokit.cli import _SECTIONS, main
 from surrokit.design_space import DesignSpace, DesignVariable, lhs_disjoint, lhs_sample
 from surrokit.oracles import load_csv, opamp_space, save_csv
 from surrokit.training import SampleSet
@@ -506,6 +506,53 @@ class TestBadSectionValues:
         assert err.startswith("usage error: bad 'abc' section")
 
 
+class TestRulesCheckedUpFront:
+    """A value a library constructor or `check_*` function rejects fails
+    every command before it runs, `sample` among them, naming its section."""
+
+    @pytest.mark.parametrize("section,edit", [
+        ("mofa", lambda config: config["mofa"].update(K=1)),
+        ("training.poly", lambda config: config["training"].update(
+            poly={"degree": 9})),
+        ("training.ann", lambda config: config["training"]["ann"].update(
+            activation="relu")),
+        ("abc", lambda config: config["abc"].update(colony_size=3)),
+        ("mofa", lambda config: config["mofa"].update(objectives=[
+            {"response": "a0", "direction": "up"}])),
+        ("training", lambda config: config["training"].update(
+            selection="best")),
+        ("training.ann", lambda config: config["training"]["ann"].update(
+            hidden_sizes=[0])),
+    ], ids=["mofa-K", "poly-degree", "ann-activation", "abc-colony",
+            "mofa-direction", "selection", "hidden-size"])
+    def test_sample_exits_1(self, opamp_pipeline_config, tmp_path, capsys,
+                            section, edit):
+        config = json.loads(opamp_pipeline_config.read_text())
+        edit(config)
+        opamp_pipeline_config.write_text(json.dumps(config))
+        code = main(["sample", "--config", str(opamp_pipeline_config),
+                     "--out", str(tmp_path / "s.csv"), "--evaluate"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"'{section}'" in err and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_entry_rejected_before_models_load(self, opamp_pipeline_config,
+                                               tmp_path, capsys):
+        """A bad entry value is a usage error naming the entry, even with
+        no model file present."""
+        config = json.loads(opamp_pipeline_config.read_text())
+        config["mofa"]["objectives"][0]["direction"] = "up"
+        opamp_pipeline_config.write_text(json.dumps(config))
+        code = main(["optimize-mofa", "--config", str(opamp_pipeline_config),
+                     "--models", str(tmp_path / "no-models"),
+                     "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bad 'mofa' section: objectives[0]: direction" in err
+        assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("text", ["3", "[1]", "null"])
 def test_config_not_an_object(tmp_path, capsys, text):
     cfg = tmp_path / "c.json"
@@ -699,6 +746,8 @@ class TestMalformedSections:
         ("sample", "oracle", {"oracle": {"name": "opamp",
                                          "artificial_delay": float("inf")}}),
         ("emit-vams", "vams", {"vams": {"cpms": {"gm": 3}}}),
+        ("emit-vams", "vams", {"vams": {"hs_numerator": "12"}}),
+        ("emit-vams", "vams", {"vams": {"ports": "abcd"}}),
     ])
     def test_exit_1_naming_section(self, opamp_pipeline_config, tmp_path,
                                    capsys, command, section, edit):
@@ -955,6 +1004,11 @@ class TestModelFileContract:
                          "scale": [1.0] * width}
         self.assert_rejected(model_project, model)
 
+    def test_none_scaler_holding_statistics(self, model_project):
+        model = {**model_project[2]["ann"], "input_scaler":
+                 {"kind": "none", "shift": [1.0, 2.0], "scale": [3.0, 4.0]}}
+        self.assert_rejected(model_project, model)
+
     @pytest.mark.parametrize("kind", ["rbf", "poly"])
     def test_unknown_role(self, model_project, kind):
         self.assert_rejected(model_project,
@@ -1086,11 +1140,14 @@ def _config_paths(value, path=()) -> list[tuple]:
 
 
 def _config_values(key):
-    """The values a config value at `key` may be set to. Numbers stay in
-    ranges that keep a valid `sample` run short: n <= 64 rows and at most
-    1 ms of oracle delay a row."""
+    """The values a config value at `key` may be set to, among them what the
+    section checks reject: the integers 0 and 1 (below a count's minimum),
+    and "x" (an unknown choice, or a string where a list is expected).
+    Numbers stay in ranges that keep a valid `sample` run short: n <= 64
+    rows and at most 1 ms of oracle delay a row."""
     numbers = (st.floats(-1e-3, 1e-3) if key == "artificial_delay"
-               else st.integers(-64, 64) | st.floats(-64.0, 64.0))
+               else st.sampled_from([0, 1]) | st.integers(-64, 64)
+               | st.floats(-64.0, 64.0))
     return numbers | st.sampled_from([
         True, "x", None, [], float("nan"), float("inf"), -float("inf"),
         10 ** 400])
@@ -1104,13 +1161,15 @@ def test_mutated_config_exits_0_to_3(opamp_pipeline_config, tmp_path, data):
     """`surrokit sample --evaluate` on the pipeline config, with every
     section present, after one change exits 0, 1, 2 or 3, never with a
     traceback. The change drops a key or list entry, adds an unknown key to
-    an object, or sets a value (a section among them) to a bounded number,
-    `true`, a string, `null`, `[]`, NaN, an infinity or an integer beyond
-    float range. Every section is read before any command runs, so this
-    one command exercises the whole config reader."""
+    an object, or sets a value (a section among them, or any setting of a
+    section, configured or not) to a bounded number, `true`, a string,
+    `null`, `[]`, NaN, an infinity or an integer beyond float range. Every
+    section is read and checked before any command runs, so this one
+    command exercises the whole config reader."""
     config = json.loads(opamp_pipeline_config.read_text())
     config["oracle"]["artificial_delay"] = 0.0
     config["sampling"] = {"n": 16, "seed": 1}
+    config["training"].update(rbf={}, poly={})
     config["vams"] = {"module_name": "opamp_block", "cpms": {"gm": "gm"}}
     section = data.draw(st.sampled_from(sorted(config)))
     path = data.draw(st.sampled_from(
@@ -1118,11 +1177,16 @@ def test_mutated_config_exits_0_to_3(opamp_pipeline_config, tmp_path, data):
     holder, value = None, config
     for key in path:
         holder, value = value, value[key]
+    dotted = ".".join(map(str, path))
     how = data.draw(st.sampled_from(
         (["add"] if isinstance(value, dict) else [])
-        + (["drop", "set"] if path else [])))
+        + (["drop", "set"] if path else [])
+        + (["setting"] if dotted in _SECTIONS else [])))
     if how == "add":
         value["unknown_key"] = 1
+    elif how == "setting":
+        key = data.draw(st.sampled_from(sorted(_SECTIONS[dotted])))
+        value[key] = data.draw(_config_values(key))
     elif how == "drop":
         del holder[path[-1]]
     else:

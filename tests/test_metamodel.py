@@ -574,22 +574,16 @@ class TestModelBank:
         x = rng.normal(size=(9, 2))
         assert_columns_match(bank.predict(x), models, x)
 
-    def test_none_scalers_are_identity_whatever_their_values(self):
-        """A "none" scaler leaves data as is even when it holds a shift and
-        scale (a hand-edited model file may); a stack mixing it with a
-        meanstd output scaler predicts as each network does."""
-        rng = np.random.default_rng(13)
-        in_none = Scaler("none", np.array([1.0, -2.0]), np.array([3.0, 0.5]))
-        outs = [Scaler("none", np.array([5.0]), np.array([2.0])),
-                Scaler("meanstd", np.array([5.0]), np.array([2.0]))]
-        models = [make_ann(rng.normal(size=(3, 2)), rng.normal(size=3),
-                           rng.normal(size=3), rng.normal(),
-                           input_scaler=in_none, output_scaler=out)
-                  for out in outs]
-        bank = ModelBank(models)
-        assert len(bank._stacks) == 1
-        x = rng.normal(size=(6, 2))
-        assert_columns_match(bank.predict(x), models, x)
+    @pytest.mark.parametrize("shift,scale", [([1.0, 2.0], [3.0, 4.0]),
+                                             ([0.0, 0.0], [1.0, 2.0]),
+                                             ([0.0, -1.0], [1.0, 1.0])],
+                             ids=["shift-and-scale", "scale", "shift"])
+    def test_none_scaler_holding_statistics_is_rejected(self, shift, scale):
+        """A "none" scaler is the identity, so it holds shift 0 and scale 1:
+        otherwise a model would predict one thing and its folded Verilog-A
+        copy (which folds shift and scale whatever the kind) another."""
+        with pytest.raises(ValueError, match="'none' scaler"):
+            Scaler("none", np.array(shift), np.array(scale))
 
     def test_single_row(self):
         rng = np.random.default_rng(3)
