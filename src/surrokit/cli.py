@@ -185,23 +185,13 @@ def _entries(path: str, required, optional=(), build=None) -> tuple:
     return cast, []
 
 
-def _cpms(value) -> dict:
-    """`value`: a JSON object naming, for some of `vams_codegen.CPM_KEYS`,
-    the model file (without `.json`) to load for that circuit parameter."""
-    for key, name in _object(value).items():
-        if key not in vams_codegen.CPM_KEYS:
-            raise ValueError(f"unknown key {key!r}; expected one of "
-                             f"{list(vams_codegen.CPM_KEYS)}")
-        if not isinstance(name, str):
-            raise TypeError(f"{key}: expected a model name string, "
-                            f"got {name!r}")
-    return value
-
-
 def _sizes(value) -> list[int]:
     if not isinstance(value, list) or not value:
         raise TypeError(f"expected a non-empty list, got {value!r}")
-    return [_int(m) for m in value]
+    sizes = [_int(m) for m in value]
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"expected distinct sizes, got {value!r}")
+    return sizes
 
 
 # every config section: dotted path -> {key: (cast, default)}
@@ -243,8 +233,10 @@ _SECTIONS = {
                                             _float(relative_tolerance)))},
     "vams": {**_fields(vams_codegen.MacromodelSpec, "module_name",
                        "variable_names", "parameter_defaults", "cpms"),
-             "module_name": (_str, "analog_block"), "cpms": (_cpms, {}),
+             "module_name": (_str, "analog_block"),
              "parameter_defaults": (_numbers, None)},
+    # the model file (without `.json`) of each circuit parameter
+    "vams.cpms": {key: (_str, key) for key in vams_codegen.CPM_KEYS},
 }
 _SPACE_ENTRIES, _ = _entries("space", ("name", "lower", "upper"))
 # the section whose settings each command's --n and --seed flags override
@@ -262,7 +254,8 @@ def _oracle(settings: dict):
     if name not in oracles.BUILTIN_ORACLES:
         raise ValueError(f"unknown oracle {name!r}; built-ins: "
                          f"{sorted(oracles.BUILTIN_ORACLES)}")
-    return oracles.BUILTIN_ORACLES[name]().with_delay(delay)
+    return dataclasses.replace(oracles.BUILTIN_ORACLES[name](),
+                               artificial_delay=delay)
 
 
 def _selection(settings: dict) -> dict:
@@ -462,30 +455,21 @@ def cmd_optimize_abc(args, cfg: dict, space: DesignSpace) -> int:
 
 
 def cmd_emit_vams(args, cfg: dict, space: DesignSpace) -> int:
-    settings = cfg["vams"]
-    cpm_files = settings.pop("cpms")
-    paths = [Path(args.models) / f"{cpm_files.get(key, key)}.json"
-             for key in vams_codegen.CPM_KEYS]
-    cpms = dict(zip(vams_codegen.CPM_KEYS, _load_models(paths, space)))
+    paths = [Path(args.models) / f"{name}.json"
+             for name in cfg["vams.cpms"].values()]
+    cpms = dict(zip(cfg["vams.cpms"], _load_models(paths, space)))
     for path, model in zip(paths, cpms.values()):
         if not (isinstance(model, AnnModel) and model.activation == "tanh"):
             raise DataFormatError(f"cannot emit {path}: not a tanh network")
 
+    settings = cfg["vams"]
     if settings["parameter_defaults"] is None:
         settings["parameter_defaults"] = (space.lower + space.upper) / 2.0
     with _checked("vams"):
         spec = vams_codegen.MacromodelSpec(
             variable_names=tuple(space.names), cpms=cpms, **settings)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bundles = {key: vams_codegen.export_weights(model, out_dir,
-                                                prefix=f"{key}_")
-               for key, model in cpms.items()}
-    text = vams_codegen.emit_vams_module(spec, bundles)
-    module_path = out_dir / f"{spec.module_name}.vams"
-    with atomic_write(module_path) as fh:
-        fh.write(text)
-    print(f"wrote {module_path} and {4 * len(bundles)} weight files",
+    module_path = vams_codegen.write_macromodel(spec, args.out_dir)
+    print(f"wrote {module_path} and {4 * len(cpms)} weight files",
           file=sys.stderr)
     return 0
 

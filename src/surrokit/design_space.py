@@ -72,12 +72,8 @@ class DesignSpace:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return bool(np.all(pts >= self.lower) and np.all(pts <= self.upper))
 
-    def to_unit(self, points: np.ndarray) -> np.ndarray:
-        """Map raw coordinates onto the unit hypercube."""
-        return (np.asarray(points, dtype=float) - self.lower) / (self.upper - self.lower)
-
     def from_unit(self, points: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_unit`."""
+        """Map unit-hypercube coordinates onto the raw bounds."""
         return self.lower + np.asarray(points, dtype=float) * (self.upper - self.lower)
 
     @classmethod

@@ -183,21 +183,15 @@ def scalarize(objective_values, w, directions) -> np.ndarray:
 
     Each objective column is normalized by its own population mean and
     sample standard deviation (columns with zero spread are centered only).
-    For two objectives a scalar w in [0, 1] weights them (1 - w, w);
-    otherwise `w` must be a weight vector summing to 1, or an (m, k) matrix
-    of m such vectors, which gives one column of scores per weight row.
-    Maximized objectives enter with +, minimized with -.
+    `w` is a weight vector summing to 1, or an (m, k) matrix of m such
+    vectors, which gives one column of scores per weight row. Maximized
+    objectives enter with +, minimized with -.
     """
     vals = np.atleast_2d(np.asarray(objective_values, dtype=float))
     k = vals.shape[1]
-    if np.isscalar(w) or np.ndim(w) == 0:
-        if k != 2:
-            raise ValueError("scalar weight only defined for two objectives")
-        weights = np.array([1.0 - float(w), float(w)])
-    else:
-        weights = np.asarray(w, dtype=float)
-        if weights.ndim > 2 or weights.shape[-1] != k:
-            raise ValueError("need one weight per objective")
+    weights = np.asarray(w, dtype=float)
+    if weights.ndim not in (1, 2) or weights.shape[-1] != k:
+        raise ValueError("need one weight per objective")
     sign = np.array([1.0 if d == "maximize" else -1.0 for d in directions])
 
     centered = vals - vals.mean(axis=0)

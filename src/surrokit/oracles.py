@@ -50,10 +50,6 @@ class Oracle:
         if not 0 <= self.artificial_delay < math.inf:
             raise ValueError("artificial_delay must be finite and >= 0")
 
-    def with_delay(self, seconds: float) -> "Oracle":
-        return Oracle(self.name, self.input_dim, self.response_names,
-                      self.fn, seconds)
-
 
 def opamp_space() -> DesignSpace:
     """Canonical 16-variable space for the op-amp oracle: grouped transistor

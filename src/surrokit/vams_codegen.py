@@ -10,6 +10,7 @@ variables.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,13 +22,18 @@ from .metamodel import AnnModel
 from .scaling import Scaler
 
 __all__ = [
-    "WeightBundle", "MacromodelSpec",
-    "fold_scalers", "export_weights", "import_weights", "emit_vams_module",
+    "WeightBundle", "MacromodelSpec", "weight_files", "fold_scalers",
+    "export_weights", "import_weights", "emit_vams_module", "write_macromodel",
 ]
 
 _FMT = "{:.17g}"  # round-trip exact for doubles
 
 CPM_KEYS = ("gm", "ip", "in")
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# the names the emitted module declares itself
+_DECLARED = ("x", "gm_val", "ip_val", "in_val", "i_stage1",
+             *(f"nn_metamodel_{key}" for key in CPM_KEYS))
 
 
 def _parse_payload(text: str, expected: int, label: str) -> np.ndarray:
@@ -47,44 +53,22 @@ def _parse_payload(text: str, expected: int, label: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightBundle:
-    """The four text payloads of one exported network.
+    """The four text payloads `export_weights` wrote for one network.
 
     w1 streams the hidden-layer weight matrix in reader order (outer loop
     over hidden neurons, inner loop over inputs); w2 and b1 hold one value
-    per hidden neuron; b2 holds the single output bias. `nl` is the hidden
-    size, `size_x` the input dimension.
+    per hidden neuron; b2 holds the single output bias.
     """
 
     w1: str
     w2: str
     b1: str
     b2: str
-    nl: int
-    size_x: int
-    prefix: str = ""
 
-    def __post_init__(self):
-        self.values()  # validate counts and finiteness eagerly
 
-    def file_names(self) -> dict[str, str]:
-        return {name: f"{self.prefix}{name}.txt"
-                for name in ("w1", "w2", "b1", "b2")}
-
-    def values(self):
-        """Parsed (W1, W2, b1, b2) arrays; W1 is (nl, size_x)."""
-        names = self.file_names()
-        w1 = _parse_payload(self.w1, self.nl * self.size_x, names["w1"])
-        w2 = _parse_payload(self.w2, self.nl, names["w2"])
-        b1 = _parse_payload(self.b1, self.nl, names["b1"])
-        b2 = _parse_payload(self.b2, 1, names["b2"])
-        return w1.reshape(self.nl, self.size_x), w2, b1, float(b2[0])
-
-    def write(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, file_name in self.file_names().items():
-            with atomic_write(directory / file_name) as fh:
-                fh.write(getattr(self, name))
+def weight_files(prefix: str) -> dict[str, str]:
+    """The file name of each payload of a network exported with `prefix`."""
+    return {name: f"{prefix}{name}.txt" for name in ("w1", "w2", "b1", "b2")}
 
 
 def fold_scalers(model: AnnModel) -> AnnModel:
@@ -131,34 +115,38 @@ def export_weights(model: AnnModel, destination,
             "computes tanh hidden units"
         )
     folded = fold_scalers(model)
-
-    def lines(values) -> str:
-        return "\n".join(_FMT.format(v) for v in np.ravel(values)) + "\n"
-
-    bundle = WeightBundle(
-        w1=lines(folded.W1),           # row-major: neuron-major, input-minor
-        w2=lines(folded.W2),
-        b1=lines(folded.b1),
-        b2=lines([folded.b2]),
-        nl=model.hidden_size, size_x=model.input_dim, prefix=prefix,
-    )
-    bundle.write(destination)
+    # W1 streams row-major: neuron-major, input-minor
+    bundle = WeightBundle(*(
+        "\n".join(_FMT.format(v) for v in np.ravel(values)) + "\n"
+        for values in (folded.W1, folded.W2, folded.b1, [folded.b2])))
+    destination = Path(destination)
+    destination.mkdir(parents=True, exist_ok=True)
+    for name, file_name in weight_files(prefix).items():
+        with atomic_write(destination / file_name) as fh:
+            fh.write(getattr(bundle, name))
     return bundle
 
 
-def import_weights(bundle: WeightBundle) -> AnnModel:
-    """Reconstruct an AnnModel from a weight bundle.
+def import_weights(directory, nl: int, size_x: int,
+                   prefix: str = "") -> AnnModel:
+    """Reconstruct an AnnModel of `nl` hidden units and `size_x` inputs from
+    the four weight files `export_weights` wrote under `directory`.
 
     The model is a tanh network with identity scalers and steepness 1, i.e.
-    it computes exactly what the emitted Verilog-AMS reader computes.
+    it computes exactly what the emitted Verilog-AMS reader computes. A file
+    with the wrong value count or a non-finite value is a data error naming
+    the file.
     """
-    w1, w2, b1, b2 = bundle.values()
+    counts = {"w1": nl * size_x, "w2": nl, "b1": nl, "b2": 1}
+    w1, w2, b1, b2 = (
+        _parse_payload((Path(directory) / file_name).read_text(),
+                       counts[name], file_name)
+        for name, file_name in weight_files(prefix).items())
     return AnnModel(
-        input_dim=bundle.size_x, hidden_size=bundle.nl,
-        activation="tanh", W1=w1, b1=b1, W2=w2, b2=b2,
-        input_scaler=Scaler.identity(bundle.size_x),
-        output_scaler=Scaler.identity(1),
-        steepness=1.0, role="CPM",
+        input_dim=size_x, hidden_size=nl,
+        activation="tanh", W1=w1.reshape(nl, size_x), b1=b1, W2=w2,
+        b2=float(b2[0]), input_scaler=Scaler.identity(size_x),
+        output_scaler=Scaler.identity(1), steepness=1.0, role="CPM",
     )
 
 
@@ -190,6 +178,16 @@ class MacromodelSpec:
             raise ValueError("one default per design variable required")
         if len(self.ports) < 3:
             raise ValueError("need at least two inputs and one output port")
+        names = self.ports + self.variable_names
+        for name in (self.module_name, *names):
+            if not _IDENTIFIER.fullmatch(name):
+                raise ValueError(f"{name!r} is not a Verilog-AMS identifier")
+        clashes = sorted({name for name in names
+                          if names.count(name) > 1 or name in _DECLARED})
+        if clashes:
+            raise ValueError(f"ports and design variables need distinct "
+                             f"names the module does not declare itself; "
+                             f"got {clashes}")
         missing = [k for k in CPM_KEYS if k not in self.cpms]
         if missing:
             raise ValueError(f"missing circuit-parameter models: {missing}")
@@ -202,9 +200,11 @@ class MacromodelSpec:
                 )
 
 
-def _nn_function(name: str, bundle: WeightBundle) -> list[str]:
-    files = bundle.file_names()
-    body = [
+def _nn_function(key: str, model: AnnModel) -> list[str]:
+    """The reader function of the circuit parameter `key`, whose weights
+    `write_macromodel` exports with the prefix `<key>_`."""
+    name, files = f"nn_metamodel_{key}", weight_files(f"{key}_")
+    return [
         f"\tfunction real {name};",
         "\t\tinteger w1, w2, b1, b2, i, j, readfile;",
         "\t\treal w, b, v, u;",
@@ -216,10 +216,10 @@ def _nn_function(name: str, bundle: WeightBundle) -> list[str]:
         f"\t\t\tb1 = $fopen(\"{files['b1']}\", \"r\");",
         f"\t\t\tb2 = $fopen(\"{files['b2']}\", \"r\");",
         "\t\t\tv = 0.0;",
-        f"\t\t\tfor (j = 0; j < {bundle.nl}; j = j + 1)",
+        f"\t\t\tfor (j = 0; j < {model.hidden_size}; j = j + 1)",
         "\t\t\tbegin",
         "\t\t\t\tu = 0.0;",
-        f"\t\t\t\tfor (i = 0; i < {bundle.size_x}; i = i + 1)",
+        f"\t\t\t\tfor (i = 0; i < {model.input_dim}; i = i + 1)",
         "\t\t\t\tbegin",
         "\t\t\t\t\treadfile = $fscanf(w1, \"%g\", w);",
         "\t\t\t\t\tu = u + w * x[i];",
@@ -237,25 +237,17 @@ def _nn_function(name: str, bundle: WeightBundle) -> list[str]:
         "\t\tend",
         "\tendfunction",
     ]
-    return body
 
 
-def emit_vams_module(spec: MacromodelSpec,
-                     bundles: dict[str, WeightBundle]) -> str:
+def emit_vams_module(spec: MacromodelSpec) -> str:
     """Render the Verilog-AMS macromodule text.
 
     One reader function per circuit parameter (gm, ip, in), invoked from
-    the initial block; the analog block realizes the two-stage model with
-    current limiting and a laplace_nd small-signal section. Deterministic:
-    identical inputs yield byte-identical text.
+    the initial block, reads the weight files `write_macromodel` writes;
+    the analog block realizes the two-stage model with current limiting
+    and a laplace_nd small-signal section. Deterministic: identical inputs
+    yield byte-identical text.
     """
-    for key in CPM_KEYS:
-        if key not in bundles:
-            raise ValueError(f"missing weight bundle for {key!r}")
-        if (bundles[key].nl != spec.cpms[key].hidden_size
-                or bundles[key].size_x != spec.cpms[key].input_dim):
-            raise ValueError(f"bundle dimensions for {key!r} do not match model")
-
     n_vars = len(spec.variable_names)
     inp, inn, out = spec.ports[0], spec.ports[1], spec.ports[2]
     num = ", ".join(_FMT.format(v) for v in spec.hs_numerator)
@@ -280,7 +272,7 @@ def emit_vams_module(spec: MacromodelSpec,
     lines.append("\treal i_stage1;")
     lines.append("")
     for key in CPM_KEYS:
-        lines.extend(_nn_function(f"nn_metamodel_{key}", bundles[key]))
+        lines.extend(_nn_function(key, spec.cpms[key]))
         lines.append("")
     lines.append("\tinitial begin")
     for i, name in enumerate(spec.variable_names):
@@ -301,3 +293,16 @@ def emit_vams_module(spec: MacromodelSpec,
     lines.append("")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
+
+
+def write_macromodel(spec: MacromodelSpec, directory) -> Path:
+    """Write under `directory` the weight files of each circuit parameter
+    `key` (prefixed `<key>_`), then `<module_name>.vams`, whose reader
+    functions open them; return the module's path."""
+    directory = Path(directory)
+    for key in CPM_KEYS:
+        export_weights(spec.cpms[key], directory, prefix=f"{key}_")
+    path = directory / f"{spec.module_name}.vams"
+    with atomic_write(path) as fh:
+        fh.write(emit_vams_module(spec))
+    return path

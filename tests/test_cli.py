@@ -358,6 +358,28 @@ class TestEmitVams:
         assert code == 2
         assert "takes 16 inputs, space has 21" in err
 
+    @pytest.mark.parametrize("vams", [{"module_name": "my block"},
+                                      {"ports": ["a", "a", "b"]},
+                                      {"module_name": "../escaped"}])
+    def test_invalid_name_exits_1_writing_nothing(self, cpm_models, tmp_path,
+                                                  capsys, vams):
+        """A module, port or variable name the emitted Verilog-AMS could
+        not declare is a usage error naming 'vams', before any file is
+        written."""
+        config = json.loads(cpm_models.read_text())
+        config["vams"].update(vams)
+        cpm_models.write_text(json.dumps(config))
+        capsys.readouterr()
+        out_dir = tmp_path / "v"
+        code = main(["emit-vams", "--config", str(cpm_models),
+                     "--models", str(tmp_path / "models"),
+                     "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'vams'" in err and "Traceback" not in err
+        assert not out_dir.exists()
+        assert not list(tmp_path.glob("*.vams"))
+
 
 class TestCompare:
     def test_nonlinear_oracle_ann_beats_poly(self, sin_project, capsys):
@@ -730,7 +752,7 @@ class TestMalformedSections:
         ("optimize-abc", "abc", {"abc": {"objective": [{"response": "pd"}],
                                          "window": ["a0"]}}),
         ("emit-vams", "vams", {"vams": [1]}),
-        ("emit-vams", "vams", {"vams": {"cpms": ["gm"]}}),
+        ("emit-vams", "vams.cpms", {"vams": {"cpms": ["gm"]}}),
         ("sample", "sampling", {"sampling": {"n": float("inf")}}),
         ("sample", "sampling", {"sampling": {"seed": 10 ** 400}}),
         ("optimize-abc", "abc", {"abc": {"objective": [{"response": "pd"}],
@@ -745,9 +767,11 @@ class TestMalformedSections:
                                          "artificial_delay": float("nan")}}),
         ("sample", "oracle", {"oracle": {"name": "opamp",
                                          "artificial_delay": float("inf")}}),
-        ("emit-vams", "vams", {"vams": {"cpms": {"gm": 3}}}),
+        ("emit-vams", "vams.cpms", {"vams": {"cpms": {"gm": 3}}}),
         ("emit-vams", "vams", {"vams": {"hs_numerator": "12"}}),
         ("emit-vams", "vams", {"vams": {"ports": "abcd"}}),
+        ("train", "training.ann", {"training": {"ann": {
+            "hidden_sizes": [3, 3]}}}),
     ])
     def test_exit_1_naming_section(self, opamp_pipeline_config, tmp_path,
                                    capsys, command, section, edit):
@@ -871,7 +895,7 @@ class TestUnknownKeys:
         (lambda config: config["space"][2].update(lowr=5.0),
          "space[2]: unknown key 'lowr'"),
         (lambda config: config.update(vams={"cpms": {"gn": "gm"}}),
-         "bad 'vams' section: cpms: unknown key 'gn'"),
+         "bad 'vams.cpms' section: unknown key 'gn'"),
     ], ids=["section", "subsection", "top-level", "dotted-top-level",
             "mofa-entry", "abc-entry", "space-entry", "vams-cpms"])
     def test_exit_1(self, opamp_pipeline_config, tmp_path, capsys, edit,

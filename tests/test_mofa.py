@@ -140,21 +140,21 @@ class TestScalarize:
         return (c - c.mean()) / c.std(ddof=1)
 
     def test_w_zero_is_first_objective(self):
-        psi = scalarize(self.vals, 0.0, self.directions)
+        psi = scalarize(self.vals, [1.0, 0.0], self.directions)
         assert np.allclose(psi, self.normalized(0))
 
     def test_w_one_is_negated_second(self):
-        psi = scalarize(self.vals, 1.0, self.directions)
+        psi = scalarize(self.vals, [0.0, 1.0], self.directions)
         assert np.allclose(psi, -self.normalized(1))
 
     def test_symmetric_values_cancel_at_half(self):
         vals = np.column_stack([self.vals[:, 0], self.vals[:, 0]])
-        psi = scalarize(vals, 0.5, ["maximize", "minimize"])
+        psi = scalarize(vals, [0.5, 0.5], ["maximize", "minimize"])
         assert np.allclose(psi, 0.0, atol=1e-12)
 
     def test_constant_objective_contributes_nothing(self):
         vals = np.column_stack([self.vals[:, 0], np.full(30, 3.0)])
-        psi = scalarize(vals, 0.5, self.directions)
+        psi = scalarize(vals, [0.5, 0.5], self.directions)
         assert np.allclose(psi, 0.5 * self.normalized(0))
 
     def test_weight_vector_for_three_objectives(self):
@@ -163,7 +163,8 @@ class TestScalarize:
                         ["maximize", "maximize", "minimize"])
         assert psi.shape == (10,)
         with pytest.raises(ValueError):
-            scalarize(vals, 0.5, ["maximize", "maximize", "minimize"])
+            scalarize(vals, [0.5, 0.5],
+                      ["maximize", "maximize", "minimize"])
 
 
 class TestMoveVector:

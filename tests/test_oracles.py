@@ -1,5 +1,6 @@
 """Built-in oracle surfaces and SampleSet CSV persistence."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -98,7 +99,8 @@ class TestEvaluate:
             evaluate(builtin_opamp_oracle(), np.zeros((3, 5)))
 
     def test_artificial_delay_scales_with_rows(self):
-        oracle = builtin_opamp_oracle().with_delay(0.01)
+        oracle = dataclasses.replace(builtin_opamp_oracle(),
+                                     artificial_delay=0.01)
         pts = lhs_sample(opamp_space(), 100, seed=7)
         start = time.perf_counter()
         evaluate(oracle, pts)
@@ -107,7 +109,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf")])
     def test_delay_must_be_finite_and_non_negative(self, delay):
         with pytest.raises(ValueError, match="artificial_delay"):
-            builtin_opamp_oracle().with_delay(delay)
+            dataclasses.replace(builtin_opamp_oracle(),
+                                artificial_delay=delay)
 
     def test_response_model_wraps_single_response(self):
         oracle = builtin_opamp_oracle()

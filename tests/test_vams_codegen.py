@@ -1,5 +1,6 @@
 """Weight-file export/import fidelity and module emission structure."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,18 +9,12 @@ import pytest
 from surrokit.errors import DataFormatError
 from surrokit.metamodel import AnnModel
 from surrokit.scaling import Scaler
-from surrokit.vams_codegen import (MacromodelSpec, WeightBundle,
+from surrokit.vams_codegen import (CPM_KEYS, MacromodelSpec,
                                    emit_vams_module, export_weights,
-                                   fold_scalers, import_weights)
+                                   fold_scalers, import_weights,
+                                   write_macromodel)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_macromodel.vams"
-
-
-def read_bundle(directory, nl, size_x):
-    """The WeightBundle of the four weight files in `directory`."""
-    return WeightBundle(nl=nl, size_x=size_x,
-                        **{name: (directory / f"{name}.txt").read_text()
-                           for name in ("w1", "w2", "b1", "b2")})
 
 
 def make_model(rng, n, m, scaled=True, activation="tanh"):
@@ -93,17 +88,19 @@ class TestImport:
             n = int(rng.integers(1, 9))
             m = int(rng.integers(1, 9))
             model = make_model(rng, n, m)
-            bundle = export_weights(model, tmp_path, prefix=f"t{trial}_")
-            clone = import_weights(bundle)
+            export_weights(model, tmp_path, prefix=f"t{trial}_")
+            clone = import_weights(tmp_path, m, n, prefix=f"t{trial}_")
             pts = rng.normal(size=(200, n))
             assert np.max(np.abs(model.predict(pts) - clone.predict(pts))) < 1e-9
 
     def test_round_trip_through_files(self, tmp_path):
         rng = np.random.default_rng(5)
         model = make_model(rng, 3, 4)
-        export_weights(model, tmp_path)
-        bundle = read_bundle(tmp_path, nl=4, size_x=3)
-        clone = import_weights(bundle)
+        bundle = export_weights(model, tmp_path)
+        for name in ("w1", "w2", "b1", "b2"):
+            assert (tmp_path / f"{name}.txt").read_text() == \
+                getattr(bundle, name)
+        clone = import_weights(tmp_path, 4, 3)
         pts = rng.normal(size=(50, 3))
         assert np.max(np.abs(model.predict(pts) - clone.predict(pts))) < 1e-9
 
@@ -113,21 +110,23 @@ class TestImport:
         w1 = tmp_path / "w1.txt"
         w1.write_text("\n".join(w1.read_text().split()[:-1]))
         with pytest.raises(DataFormatError, match="w1.txt"):
-            read_bundle(tmp_path, nl=2, size_x=3)
+            import_weights(tmp_path, 2, 3)
 
     def test_trailing_whitespace_tolerated(self, tmp_path):
         model = make_model(np.random.default_rng(7), 2, 2)
         bundle = export_weights(model, tmp_path)
-        padded = WeightBundle(w1=bundle.w1 + "  \n\n", w2=bundle.w2,
-                              b1=bundle.b1, b2=bundle.b2 + "\t\n",
-                              nl=2, size_x=2)
-        clone = import_weights(padded)
+        (tmp_path / "w1.txt").write_text(bundle.w1 + "  \n\n")
+        (tmp_path / "b2.txt").write_text(bundle.b2 + "\t\n")
+        clone = import_weights(tmp_path, 2, 2)
         pts = np.random.default_rng(8).normal(size=(10, 2))
         assert np.max(np.abs(model.predict(pts) - clone.predict(pts))) < 1e-9
 
-    def test_non_numeric_token(self):
+    def test_non_numeric_token(self, tmp_path):
+        for name, text in (("w1", "abc"), ("w2", "1"), ("b1", "1"),
+                           ("b2", "1")):
+            (tmp_path / f"{name}.txt").write_text(text)
         with pytest.raises(DataFormatError, match="non-numeric"):
-            WeightBundle(w1="abc", w2="1", b1="1", b2="1", nl=1, size_x=1)
+            import_weights(tmp_path, 1, 1)
 
 
 class TestFoldScalers:
@@ -148,24 +147,20 @@ class TestFoldScalers:
             assert np.max(np.abs(model.predict(pts) - folded.predict(pts))) < 1e-9
 
 
-def macromodel_fixture(tmp_path):
+def macromodel_fixture():
     n, m = 4, 2
     cpms = {key: fixed_model(n, m) for key in ("gm", "ip", "in")}
-    spec = MacromodelSpec(
+    return MacromodelSpec(
         module_name="opamp_block",
         variable_names=("wd", "wm", "ib", "cc"),
         parameter_defaults=(5.5, 5.5, 55.0, 2.75),
         cpms=cpms,
     )
-    bundles = {key: export_weights(model, tmp_path, prefix=f"{key}_")
-               for key, model in cpms.items()}
-    return spec, bundles
 
 
 class TestEmit:
-    def test_structural_tokens_in_order(self, tmp_path):
-        spec, bundles = macromodel_fixture(tmp_path)
-        text = emit_vams_module(spec, bundles)
+    def test_structural_tokens_in_order(self):
+        text = emit_vams_module(macromodel_fixture())
         tokens = ["function real nn_metamodel", "$fopen", "initial",
                   "analog", "endmodule"]
         pos = -1
@@ -174,30 +169,20 @@ class TestEmit:
             assert new > pos, f"token {token!r} out of order"
             pos = new
 
-    def test_three_distinct_prefixes(self, tmp_path):
-        spec, bundles = macromodel_fixture(tmp_path)
-        text = emit_vams_module(spec, bundles)
+    def test_three_distinct_prefixes(self):
+        text = emit_vams_module(macromodel_fixture())
         for prefix in ("gm_", "ip_", "in_"):
             for name in ("w1", "w2", "b1", "b2"):
                 assert f'$fopen("{prefix}{name}.txt", "r")' in text
 
-    def test_design_variables_are_parameters(self, tmp_path):
-        spec, bundles = macromodel_fixture(tmp_path)
-        text = emit_vams_module(spec, bundles)
+    def test_design_variables_are_parameters(self):
+        text = emit_vams_module(macromodel_fixture())
         assert "parameter real wd = 5.5;" in text
         assert "parameter real cc = 2.75;" in text
         assert "x[3] = cc;" in text
 
-    def test_laplace_placeholder_present(self, tmp_path):
-        spec, bundles = macromodel_fixture(tmp_path)
-        text = emit_vams_module(spec, bundles)
-        assert "laplace_nd" in text
-
-    def test_missing_bundle_rejected(self, tmp_path):
-        spec, bundles = macromodel_fixture(tmp_path)
-        del bundles["ip"]
-        with pytest.raises(ValueError, match="ip"):
-            emit_vams_module(spec, bundles)
+    def test_laplace_placeholder_present(self):
+        assert "laplace_nd" in emit_vams_module(macromodel_fixture())
 
     def test_missing_cpm_rejected(self):
         with pytest.raises(ValueError, match="missing circuit-parameter"):
@@ -205,11 +190,78 @@ class TestEmit:
                            parameter_defaults=(1.0,),
                            cpms={"gm": fixed_model(1, 1)})
 
-    def test_regeneration_byte_identical(self, tmp_path):
-        spec, bundles = macromodel_fixture(tmp_path)
-        assert emit_vams_module(spec, bundles) == emit_vams_module(spec, bundles)
+    def test_regeneration_byte_identical(self):
+        spec = macromodel_fixture()
+        assert emit_vams_module(spec) == emit_vams_module(spec)
 
-    def test_matches_golden_file(self, tmp_path):
-        spec, bundles = macromodel_fixture(tmp_path)
-        text = emit_vams_module(spec, bundles)
+    def test_matches_golden_file(self):
+        text = emit_vams_module(macromodel_fixture())
         assert text == GOLDEN.read_text()
+
+
+class TestSpecNames:
+    """Module, port and design-variable names must be Verilog-AMS
+    identifiers, and ports and variables need names of their own."""
+
+    @pytest.mark.parametrize("names", [
+        {"module_name": "my block"},
+        {"module_name": "../escaped"},
+        {"module_name": "2stage"},
+        {"ports": ("a", "a", "b")},
+        {"ports": ("inp", "inn", "out\n")},
+        {"variable_names": ("wd", "wm", "ib", "inp")},
+        {"variable_names": ("wd", "wm", "ib", "x")},
+        {"variable_names": ("wd", "wm", "gm_val", "cc")},
+        {"ports": ("inp", "inn", "i_stage1")},
+        {"variable_names": ("wd", "wd", "ib", "cc")},
+    ])
+    def test_rejected(self, names):
+        spec = macromodel_fixture()
+        fields = {"module_name": spec.module_name,
+                  "variable_names": spec.variable_names,
+                  "parameter_defaults": spec.parameter_defaults,
+                  "cpms": spec.cpms, **names}
+        with pytest.raises(ValueError):
+            MacromodelSpec(**fields)
+
+    def test_underscores_and_digits_accepted(self):
+        spec = macromodel_fixture()
+        MacromodelSpec(module_name="_block_2", ports=("in_p", "in_n", "o1"),
+                       variable_names=("w_d", "wm2", "ib", "cc"),
+                       parameter_defaults=spec.parameter_defaults,
+                       cpms=spec.cpms)
+
+
+class TestWriteMacromodel:
+    """`write_macromodel` writes the weight files the module reads and the
+    module itself, nothing else."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        rng = np.random.default_rng(11)
+        spec = macromodel_fixture()
+        cpms = {key: make_model(rng, 4, 3) for key in CPM_KEYS}
+        spec = MacromodelSpec(
+            module_name=spec.module_name,
+            variable_names=spec.variable_names,
+            parameter_defaults=spec.parameter_defaults, cpms=cpms)
+        out = tmp_path / "out"
+        return spec, out, write_macromodel(spec, out)
+
+    def test_module_opens_exactly_the_files_written(self, written):
+        spec, out, path = written
+        assert path == out / "opamp_block.vams"
+        text = path.read_text()
+        assert text == emit_vams_module(spec)
+        opened = set(re.findall(r'\$fopen\("([^"]*)"', text))
+        assert len(opened) == 12
+        assert {p.name for p in out.iterdir()} == opened | {path.name}
+
+    def test_weight_files_round_trip_each_cpm(self, written):
+        spec, out, _ = written
+        pts = np.random.default_rng(12).normal(size=(100, 4))
+        for key, model in spec.cpms.items():
+            clone = import_weights(out, model.hidden_size, model.input_dim,
+                                   prefix=f"{key}_")
+            assert np.max(np.abs(model.predict(pts)
+                                 - clone.predict(pts))) < 1e-9
