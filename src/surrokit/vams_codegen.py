@@ -31,6 +31,32 @@ _FMT = "{:.17g}"  # round-trip exact for doubles
 CPM_KEYS = ("gm", "ip", "in")
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# reserved words, which no identifier may be (Verilog-AMS LRM 2.4, Annex B)
+_KEYWORDS = frozenset("""
+    above abs absdelay absdelta abstol access acos acosh ac_stim aliasparam
+    always analog analysis and asin asinh assert assign atan atan2 atanh
+    automatic begin branch buf bufif0 bufif1 case casex casez ceil cell cmos
+    config connect connectmodule connectrules continuous cos cosh cross ddt
+    ddt_nature ddx deassign default defparam design disable discipline
+    discrete domain driver_update edge else end endcase endconfig
+    endconnectrules enddiscipline endfunction endgenerate endmodule endnature
+    endparamset endprimitive endspecify endtable endtask event exclude exp
+    final_step flicker_noise floor flow for force forever fork from function
+    generate genvar ground highz0 highz1 hypot idt idt_nature idtmod if
+    ifnone incdir include inf initial initial_step inout input instance
+    integer join laplace_nd laplace_np laplace_zd laplace_zp large
+    last_crossing liblist library limexp ln localparam log macromodule max
+    medium merged min module nand nature negedge net_resolution nmos
+    noise_table noise_table_log nor noshowcancelled not notif0 notif1 or
+    output parameter paramset pmos posedge potential pow primitive pull0
+    pull1 pulldown pullup pulsestyle_ondetect pulsestyle_onevent rcmos real
+    realtime reg release repeat resolveto rnmos rpmos rtran rtranif0
+    rtranif1 scalared showcancelled signed sin sinh slew small specify
+    specparam split sqrt string strong0 strong1 supply0 supply1 table tan
+    tanh task time timer tran tranif0 tranif1 transition tri tri0 tri1
+    triand trior trireg units unsigned use uwire vectored wait wand weak0
+    weak1 while white_noise wire wor wreal xnor xor zi_nd zi_np zi_zd zi_zp
+""".split())
 # the names the emitted module declares itself
 _DECLARED = ("x", "gm_val", "ip_val", "in_val", "i_stage1",
              *(f"nn_metamodel_{key}" for key in CPM_KEYS))
@@ -182,6 +208,8 @@ class MacromodelSpec:
         for name in (self.module_name, *names):
             if not _IDENTIFIER.fullmatch(name):
                 raise ValueError(f"{name!r} is not a Verilog-AMS identifier")
+            if name in _KEYWORDS:
+                raise ValueError(f"{name!r} is a Verilog-AMS reserved word")
         clashes = sorted({name for name in names
                           if names.count(name) > 1 or name in _DECLARED})
         if clashes:

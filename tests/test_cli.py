@@ -380,6 +380,28 @@ class TestEmitVams:
         assert not out_dir.exists()
         assert not list(tmp_path.glob("*.vams"))
 
+    @pytest.mark.parametrize("word", ["module", "real", "begin"])
+    def test_reserved_word_exits_1_naming_it(self, cpm_models, tmp_path,
+                                             capsys, word):
+        """A Verilog-AMS reserved word as the module name or a design
+        variable's name is a usage error naming the word."""
+        config = json.loads(cpm_models.read_text())
+        if word == "module":
+            config["vams"]["module_name"] = word
+        else:
+            config["space"][3]["name"] = word
+        cpm_models.write_text(json.dumps(config))
+        capsys.readouterr()
+        out_dir = tmp_path / "v"
+        code = main(["emit-vams", "--config", str(cpm_models),
+                     "--models", str(tmp_path / "models"),
+                     "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"'{word}' is a Verilog-AMS reserved word" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
 
 class TestCompare:
     def test_nonlinear_oracle_ann_beats_poly(self, sin_project, capsys):

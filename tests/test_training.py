@@ -1,6 +1,7 @@
 """Trainer behavior: gradient correctness, convergence, early stopping,
 greedy RBF growth, stepwise selection."""
 
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -557,11 +558,45 @@ class TestStepwiseSelection:
                                                 0.05))
 
     def test_p_value_is_f_survival(self):
+        """The in-house F(1, df) tail is within 1e-9 relative error of
+        scipy's, for df up to 1e5 and F in [1e-12, 1e12]. A tail below the
+        smallest normal double carries no relative precision in either, so
+        there both only need to be that small."""
         rng = np.random.default_rng(0)
-        for _ in range(2000):
-            df = int(rng.integers(1, 500))
-            f_stat = float(rng.exponential(5.0)) * rng.choice([1e-3, 1, 1e2])
-            assert _f_sf(f_stat, df) == stats.f.sf(f_stat, 1, df)
+        dfs = np.exp(rng.uniform(0.0, np.log(1e5), 2000)).astype(int)
+        f_stats = 10.0 ** rng.uniform(-12.0, 12.0, 2000)
+        want = stats.f.sf(f_stats, 1, dfs)
+        for df, f_stat, p in zip(dfs, f_stats, want):
+            assert _f_sf(float(f_stat), int(df)) == pytest.approx(
+                p, rel=1e-9, abs=sys.float_info.min)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 110, 100_000])
+    def test_p_value_edges(self, df):
+        assert _f_sf(0.0, df) == 1.0
+        assert _f_sf(math.inf, df) == 0.0
+        f_stats = np.logspace(-12, 12, 97)
+        for f_stat, p in zip(f_stats, stats.f.sf(f_stats, 1, df)):
+            assert _f_sf(float(f_stat), df) == pytest.approx(
+                p, rel=1e-9, abs=sys.float_info.min)
+
+    def test_p_value_large_df_near_the_mean(self):
+        """Here the tail is one minus its complement, which magnifies the
+        prefactor's rounding about tenfold; lgamma's own rounding at
+        a = df / 2 ~ 5e4 once put this point 1.3e-9 off."""
+        f_stat, df = 2.7352600663390447, 95_161
+        assert _f_sf(f_stat, df) == pytest.approx(stats.f.sf(f_stat, 1, df),
+                                                  rel=1e-9)
+
+    @pytest.mark.parametrize("f_stat", [1e-12, 0.5, 3.0, 40.0, 1e12])
+    def test_p_value_closed_forms(self, f_stat):
+        """F(1, 1) and F(1, 2) have closed-form tails: those of Student's t
+        with 1 and 2 degrees of freedom at t = sqrt(F)."""
+        assert _f_sf(f_stat, 1) == pytest.approx(
+            2 / math.pi * math.atan(1 / math.sqrt(f_stat)), rel=1e-9)
+        # 1 - sqrt(F / (F + 2)), without the cancellation
+        root = math.sqrt(f_stat / (f_stat + 2))
+        assert _f_sf(f_stat, 2) == pytest.approx(
+            2 / ((f_stat + 2) * (1 + root)), rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_exact_polynomial_stops_at_true_terms(self, seed):
@@ -650,8 +685,8 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """scipy loads only when a stepwise polynomial fit needs the F tail, so
-    every other command starts without its import cost."""
+    """Importing the package and its CLI loads no scipy module, so every
+    command starts without its import cost."""
     import os
     import surrokit
     code = ("import sys, surrokit, surrokit.cli; "
@@ -662,3 +697,67 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def _surrokit_runs(tmp_path, block_scipy: bool) -> tuple[list, dict]:
+    """Run `sample --evaluate` twice and a stepwise-polynomial `train` on a
+    small PLL project in `tmp_path`, each as `python -m surrokit` in its own
+    process, with `import scipy` failing if `block_scipy`. Returns whether
+    each process loaded a scipy module, and the model files' bytes."""
+    import json
+    import os
+    import surrokit
+    from surrokit.oracles import pll_space
+    config = {
+        "space": pll_space().to_dicts(),
+        "oracle": {"name": "pll"},
+        "sampling": {"n": 40, "seed": 4},
+        "training": {"responses": ["freq", "power"], "kinds": ["poly"],
+                     "poly": {"degree": 2, "stepwise": True}},
+    }
+    tmp_path.mkdir(exist_ok=True)
+    cfg = tmp_path / "project.json"
+    cfg.write_text(json.dumps(config))
+    train, verify = tmp_path / "train.csv", tmp_path / "verify.csv"
+    models = tmp_path / "models"
+    commands = [
+        ["sample", "--config", cfg, "--out", train, "--evaluate"],
+        ["sample", "--config", cfg, "--out", verify, "--n", "12", "--seed",
+         "5", "--evaluate", "--disjoint-from", train],
+        ["train", "--config", cfg, "--train", train, "--verify", verify,
+         "--out-dir", models],
+    ]
+    # runs the CLI, then reports whether any scipy module was loaded
+    code = ("import runpy, sys\n"
+            + ("sys.modules['scipy'] = None\n" if block_scipy else "")
+            + "try:\n"
+              "    runpy.run_module('surrokit', run_name='__main__',"
+              " alter_sys=True)\n"
+              "finally:\n"
+              "    print(any(m == 'scipy' or m.startswith('scipy.')"
+              " for m in sys.modules if sys.modules[m] is not None))\n")
+    src = os.path.dirname(os.path.dirname(surrokit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = []
+    for argv in commands:
+        out = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        loaded.append(out.stdout.splitlines()[-1] == "True")
+    return loaded, {p.name: p.read_bytes() for p in models.iterdir()}
+
+
+def test_stepwise_fit_runs_without_scipy(tmp_path):
+    """The runtime needs numpy alone: with scipy unimportable, sampling and
+    a stepwise polynomial fit exit 0 and write the same model files."""
+    _, blocked = _surrokit_runs(tmp_path / "blocked", block_scipy=True)
+    _, free = _surrokit_runs(tmp_path / "free", block_scipy=False)
+    assert sorted(blocked) == ["freq.json", "power.json"]
+    assert blocked == free
+
+
+def test_stepwise_fit_leaves_scipy_unloaded(tmp_path):
+    """No command loads scipy, not even a stepwise polynomial fit, whose
+    F test evaluates its tail in-house."""
+    loaded, _ = _surrokit_runs(tmp_path, block_scipy=False)
+    assert loaded == [False, False, False]

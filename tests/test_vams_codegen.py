@@ -224,6 +224,30 @@ class TestSpecNames:
         with pytest.raises(ValueError):
             MacromodelSpec(**fields)
 
+    @pytest.mark.parametrize("names, word", [
+        ({"module_name": "module"}, "module"),
+        ({"variable_names": ("wd", "real", "ib", "cc")}, "real"),
+        ({"variable_names": ("wd", "wm", "begin", "cc")}, "begin"),
+    ])
+    def test_reserved_word_rejected(self, names, word):
+        """A reserved word matches the identifier pattern but cannot name
+        anything in the emitted text."""
+        spec = macromodel_fixture()
+        fields = {"module_name": spec.module_name,
+                  "variable_names": spec.variable_names,
+                  "parameter_defaults": spec.parameter_defaults,
+                  "cpms": spec.cpms, **names}
+        with pytest.raises(ValueError, match=f"'{word}' is a Verilog-AMS "
+                                             f"reserved word"):
+            MacromodelSpec(**fields)
+
+    def test_near_reserved_words_accepted(self):
+        spec = macromodel_fixture()
+        MacromodelSpec(module_name="module_1", ports=("inp", "inn", "Out"),
+                       variable_names=("real_1", "begin2", "Real", "cc"),
+                       parameter_defaults=spec.parameter_defaults,
+                       cpms=spec.cpms)
+
     def test_underscores_and_digits_accepted(self):
         spec = macromodel_fixture()
         MacromodelSpec(module_name="_block_2", ports=("in_p", "in_n", "o1"),
