@@ -29,7 +29,7 @@ from .metamodel import ModelBank
 
 __all__ = [
     "AbcParams", "WindowConstraint", "FomTerm", "FomProblem",
-    "abc_optimize", "trace_is_monotone", "write_trace_csv",
+    "abc_optimize", "write_trace_csv",
 ]
 
 
@@ -117,14 +117,6 @@ class FomProblem:
         for win, col in zip(self.windows, cols.T[len(self.terms):]):
             viol += win.violation(col)
         return fom + self.penalty_weight * viol, viol
-
-
-def trace_is_monotone(trace) -> bool:
-    """True when a best-so-far minimization trace never increases."""
-    trace = list(trace)
-    if not trace:
-        raise ValueError("empty trace")
-    return all(b <= a for a, b in zip(trace, trace[1:]))
 
 
 def write_trace_csv(trace, path) -> None:

@@ -52,6 +52,8 @@ def _load_config(path, args) -> tuple[dict, DesignSpace]:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict) or "space" not in cfg:
@@ -291,52 +293,6 @@ _CHECKS = {
 }
 
 
-def _fit_sweep(args, space: DesignSpace, cfg: dict, compare=False):
-    """Fit the model kinds of the config settings `cfg` to each response,
-    print the response's fit-report table and yield (response, [(label,
-    model, report)]). `compare` fits the ANN of least holdout error and a
-    polynomial whatever the kinds."""
-    tcfg, (sizes, opts) = cfg["training"], cfg["training.ann"]
-    kinds = ["ann", "poly"] if compare else tcfg["kinds"]
-    train_set = oracles.load_csv(args.train, space.names)
-    if "ann" in kinds and train_set.n_rows < MIN_ANN_ROWS:
-        raise DataFormatError(
-            f"{args.train} has {train_set.n_rows} rows; ANN training needs at "
-            f"least {MIN_ANN_ROWS}")
-    verify_set = oracles.load_csv(args.verify, space.names)
-    responses = ([args.response] if getattr(args, "response", None)
-                 else tcfg["responses"] or train_set.response_names)
-    if not responses:
-        raise UsageError("no responses configured and none found in the data")
-    for response in responses:
-        if response not in train_set.responses:
-            raise DataFormatError(
-                f"response {response!r} not present in {args.train}")
-
-    anns = (train_anns(train_set, responses, sizes, opts)
-            if "ann" in kinds else {})
-    for response in responses:
-        rows = [(f"ann-{m}", anns[response, m][0])
-                for m in sizes if (response, m) in anns]
-        if compare:  # pick by holdout so the verification set stays unbiased
-            rows = [rows[select_best([anns[response, m][1] for m in sizes],
-                                     "verify_rmse")]]
-        if "rbf" in kinds:
-            model, _ = train_rbf(train_set, response, **cfg["training.rbf"])
-            rows.append((f"rbf-{model.n_neurons}", model))
-        if "poly" in kinds:
-            model, _ = fit_polynomial(train_set, response,
-                                      **cfg["training.poly"])
-            rows.append((f"poly-{model.degree}", model))
-        rows = [(label, model, fit_report(
-            model, train_set.inputs, train_set.response(response),
-            verify_set.inputs, verify_set.response(response),
-            descriptor=label)) for label, model in rows]
-        print(f"# response: {response}")
-        print(render_report_table([(label, rep) for label, _, rep in rows]))
-        yield response, rows
-
-
 def cmd_sample(args, cfg: dict, space: DesignSpace) -> int:
     n, seed = cfg["sampling"]["n"], cfg["sampling"]["seed"]
     if args.evaluate and cfg["oracle"] is None:
@@ -363,11 +319,43 @@ def cmd_sample(args, cfg: dict, space: DesignSpace) -> int:
 
 
 def cmd_train(args, cfg: dict, space: DesignSpace) -> int:
-    criterion = cfg["training"]["selection"]
+    tcfg, (sizes, opts) = cfg["training"], cfg["training.ann"]
+    kinds = tcfg["kinds"]
+    train_set = oracles.load_csv(args.train, space.names)
+    if "ann" in kinds and train_set.n_rows < MIN_ANN_ROWS:
+        raise DataFormatError(
+            f"{args.train} has {train_set.n_rows} rows; ANN training needs at "
+            f"least {MIN_ANN_ROWS}")
+    verify_set = oracles.load_csv(args.verify, space.names)
+    responses = tcfg["responses"] or train_set.response_names
+    if not responses:
+        raise UsageError("no responses configured and none found in the data")
+    for response in responses:
+        if response not in train_set.responses:
+            raise DataFormatError(
+                f"response {response!r} not present in {args.train}")
+
+    anns = (train_anns(train_set, responses, sizes, opts)
+            if "ann" in kinds else {})
     out_dir = Path(args.out_dir)
     all_reports = {}
-    for response, rows in _fit_sweep(args, space, cfg):
-        best = select_best([rep for _, _, rep in rows], criterion)
+    for response in responses:
+        rows = [(f"ann-{m}", anns[response, m][0])
+                for m in sizes if (response, m) in anns]
+        if "rbf" in kinds:
+            model, _ = train_rbf(train_set, response, **cfg["training.rbf"])
+            rows.append((f"rbf-{model.n_neurons}", model))
+        if "poly" in kinds:
+            model, _ = fit_polynomial(train_set, response,
+                                      **cfg["training.poly"])
+            rows.append((f"poly-{model.degree}", model))
+        rows = [(label, model, fit_report(
+            model, train_set.inputs, train_set.response(response),
+            verify_set.inputs, verify_set.response(response),
+            descriptor=label)) for label, model in rows]
+        print(f"# response: {response}")
+        print(render_report_table([(label, rep) for label, _, rep in rows]))
+        best = select_best([rep for _, _, rep in rows], tcfg["selection"])
         label, model, _ = rows[best]
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{response}.json"
@@ -474,12 +462,6 @@ def cmd_emit_vams(args, cfg: dict, space: DesignSpace) -> int:
     return 0
 
 
-def cmd_compare(args, cfg: dict, space: DesignSpace) -> int:
-    for _ in _fit_sweep(args, space, cfg, compare=True):
-        pass
-    return 0
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="surrokit",
                      description="surrogate-assisted design optimization")
@@ -521,8 +503,6 @@ def build_parser() -> _Parser:
 
     command("emit-vams", cmd_emit_vams, "export weights and the AMS module",
             "--models", "--out-dir")
-    command("compare", cmd_compare, "ANN vs polynomial on the same data",
-            "--train", "--verify").add_argument("--response")
     return parser
 
 
@@ -534,7 +514,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, DegenerateColumnError, FileNotFoundError,
+    except (DataFormatError, DegenerateColumnError, OSError,
             KeyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -125,8 +125,11 @@ def _lhs_draw(space: DesignSpace, n: int, rng: np.random.Generator) -> np.ndarra
     return out
 
 
+_DISJOINT_ATTEMPTS = 100  # LHS draws `lhs_disjoint` tries before it gives up
+
+
 def lhs_disjoint(space: DesignSpace, n: int, training: np.ndarray,
-                 seed: int, max_attempts: int = 100) -> np.ndarray:
+                 seed: int) -> np.ndarray:
     """Draw an LHS matrix sharing no row (exact float equality) with `training`.
 
     Under continuous sampling a collision has probability zero; if one does
@@ -143,12 +146,12 @@ def lhs_disjoint(space: DesignSpace, n: int, training: np.ndarray,
     check_sample_count(n)
 
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(_DISJOINT_ATTEMPTS):
         candidate = _lhs_draw(space, n, rng)
         if not _has_row_collision(candidate, training):
             return candidate
     raise RuntimeError(
-        f"could not draw a disjoint sample in {max_attempts} attempts"
+        f"could not draw a disjoint sample in {_DISJOINT_ATTEMPTS} attempts"
     )
 
 

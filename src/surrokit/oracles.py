@@ -202,6 +202,15 @@ def save_csv(sample_set: SampleSet, path) -> None:
                               + [sample_set.responses[n] for n in names]))
 
 
+def _text_lines(fh, path):
+    """The lines of the text file `fh`; a byte that is not UTF-8 text is a
+    data error naming `path`."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_csv(path, variable_names) -> SampleSet:
     """Read a SampleSet written by :func:`save_csv`.
 
@@ -211,7 +220,7 @@ def load_csv(path, variable_names) -> SampleSet:
     """
     variable_names = list(variable_names)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_text_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -205,11 +205,12 @@ def _fit_response_scaler(y: np.ndarray) -> Scaler:
 
 def _descend(stack: _Stack, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
              n_fit: int, keys: list, opts: TrainOptions):
-    """Momentum descent of all stacked networks from `theta`, in place;
-    returns the (best holdout, final) parameters. Epoch t's pass gives the
-    holdout error of theta_t and the gradient there. A network whose
-    holdout error has not improved for early_stop_patience epochs is
-    frozen: its parameters stop moving and its errors are not checked."""
+    """Momentum descent of all stacked networks from `theta`, in place, so
+    `theta` ends at the final parameters; returns those of least holdout
+    error. Epoch t's pass gives the holdout error of theta_t and the
+    gradient there. A network whose holdout error has not improved for
+    early_stop_patience epochs is frozen: its parameters stop moving and
+    its errors are not checked."""
     best, best_err = theta.copy(), np.full(len(keys), np.inf)
     stale = np.zeros(len(keys), dtype=int)
     active = np.ones(len(keys), dtype=bool)
@@ -253,7 +254,7 @@ def _descend(stack: _Stack, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
                 frozen = ~active[stack.owner]
                 velocity[frozen] = 0.0
             if epoch >= opts.max_epochs or not active.any():
-                return best, theta
+                return best
             if not finite:
                 check(errors[0], 0, f"training loss became non-finite "
                                     f"(learning_rate={opts.learning_rate})")
@@ -264,10 +265,13 @@ def _descend(stack: _Stack, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
             theta += velocity
 
 
-def _train_anns_full(data: SampleSet, responses, hidden_sizes,
-                     opts: TrainOptions) -> dict:
-    """`train_anns` that also returns each final-epoch model (test
-    support): {(response, size): (model, report, final model)}."""
+def train_anns(data: SampleSet, responses, hidden_sizes,
+               opts: TrainOptions) -> dict[tuple[str, int],
+                                           tuple[AnnModel, FitReport]]:
+    """Fit one ANN per (response, hidden size) pair in one stacked epoch
+    loop; return {(response, hidden_size): (model, report)}. Each network
+    matches `train_ann` on its own with that hidden size to rounding
+    (`opts.hidden_size` is ignored)."""
     if data.n_rows < MIN_ANN_ROWS:
         raise ValueError(f"need at least {MIN_ANN_ROWS} rows to train, "
                          f"got {data.n_rows}")
@@ -305,40 +309,24 @@ def _train_anns_full(data: SampleSet, responses, hidden_sizes,
             # carries it, so start the linear layer at the exact solution
             starts[k][m * n + m:] = 0.0
         theta[stack.owner == k] = starts[k]
-    best, final = _descend(stack, theta, scale_apply(in_scaler, x_raw), y,
-                           n_fit, keys, opts)
+    best = _descend(stack, theta, scale_apply(in_scaler, x_raw), y, n_fit,
+                    keys, opts)
 
-    def build(theta: np.ndarray, k: int) -> AnnModel:
-        response, m = keys[k]
-        w1, b1, w2, b2 = _Stack([m], n).views(theta[stack.owner == k])
-        return AnnModel(
+    out = {}
+    for k, (response, m) in enumerate(keys):
+        w1, b1, w2, b2 = _Stack([m], n).views(best[stack.owner == k])
+        model = AnnModel(
             input_dim=n, hidden_size=m, activation=opts.activation,
             W1=w1, b1=b1, W2=w2, b2=float(b2[0]), input_scaler=in_scaler,
             output_scaler=out_scalers[response], steepness=opts.steepness,
             response_name=response,
         )
-
-    out = {}
-    for k, (response, m) in enumerate(keys):
-        model = build(best, k)
-        report = fit_report(
+        out[response, m] = model, fit_report(
             model, x_raw[:n_fit], y_raw[response][fit_idx], x_raw[n_fit:],
             y_raw[response][hold_idx],
             descriptor=f"ann(M={m}, {opts.activation}, holdout)",
         )
-        out[response, m] = (model, report, build(final, k))
     return out
-
-
-def train_anns(data: SampleSet, responses, hidden_sizes,
-               opts: TrainOptions) -> dict[tuple[str, int],
-                                           tuple[AnnModel, FitReport]]:
-    """Fit one ANN per (response, hidden size) pair in one stacked epoch
-    loop; return {(response, hidden_size): (model, report)}. Each network
-    matches `train_ann` on its own with that hidden size to rounding
-    (`opts.hidden_size` is ignored)."""
-    return {key: fit[:2] for key, fit in
-            _train_anns_full(data, responses, hidden_sizes, opts).items()}
 
 
 def train_ann(data: SampleSet, response: str,

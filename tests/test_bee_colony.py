@@ -5,7 +5,7 @@ import pytest
 
 from surrokit.bee_colony import (AbcParams, FomProblem, FomTerm,
                                  WindowConstraint, abc_optimize,
-                                 trace_is_monotone, write_trace_csv)
+                                 write_trace_csv)
 from surrokit.design_space import DesignSpace, DesignVariable
 from surrokit.metamodel import CallableModel
 
@@ -49,18 +49,6 @@ class TestParams:
         assert AbcParams(colony_size=20).n_sources == 10
 
 
-class TestTraceMonotone:
-    def test_non_increasing(self):
-        assert trace_is_monotone([5.0, 4.0, 4.0, 3.0])
-
-    def test_increase_detected(self):
-        assert not trace_is_monotone([5.0, 6.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            trace_is_monotone([])
-
-
 class TestAbcOptimize:
     def test_sphere_convergence(self):
         space = box_space(5)
@@ -68,7 +56,7 @@ class TestAbcOptimize:
         best_x, best_f, trace = abc_optimize(space, sphere_problem(5), params)
         assert best_f < 1e-3
         assert np.all(np.abs(best_x) < 0.1)
-        assert trace_is_monotone(trace)
+        assert np.all(np.diff(trace) <= 0)
         assert len(trace) == 500
 
     def test_constant_objective(self):
@@ -113,7 +101,7 @@ class TestAbcOptimize:
         best_x, best_f, trace = abc_optimize(space, problem, params)
         assert abs(best_x[0] - 3.0) <= 0.005 * 3.0
         assert best_x[1] < 0.1
-        assert trace_is_monotone(trace)
+        assert np.all(np.diff(trace) <= 0)
 
     def test_all_evaluations_in_bounds(self):
         space = box_space(3, -2.0, 2.0)
@@ -168,7 +156,7 @@ class TestAbcOptimize:
         assert np.isfinite(best_f) and best_f < 1e-2
         assert best_x[0] <= 0 and space.contains(best_x)
         assert np.all(np.isfinite(trace))
-        assert trace_is_monotone(trace)
+        assert np.all(np.diff(trace) <= 0)
 
     def test_weighted_composite_objective(self):
         space = box_space(2, 0.0, 1.0)

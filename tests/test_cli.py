@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import surrokit
 from surrokit.cli import _SECTIONS, main
 from surrokit.design_space import DesignSpace, DesignVariable, lhs_disjoint, lhs_sample
-from surrokit.oracles import load_csv, opamp_space, save_csv
+from surrokit.oracles import load_csv, save_csv
 from surrokit.training import SampleSet
 
 
@@ -44,6 +45,19 @@ def sin_project(tmp_path):
     save_csv(SampleSet(xt, {"y": np.sin(np.pi * xt[:, 0])}, ["x"]), train_csv)
     save_csv(SampleSet(xv, {"y": np.sin(np.pi * xv[:, 0])}, ["x"]), verify_csv)
     return cfg_path, train_csv, verify_csv
+
+
+def fit_run(run: str, cfg: Path, train_csv: Path, verify_csv: Path,
+            out: Path) -> int:
+    """`train` on the config file `cfg` with its models to `out / "m"`. The
+    run "compare" is the ANN-versus-polynomial comparison on the same data
+    as the README walkthrough makes it: it also writes each model's fit
+    report to `out / "reports.json"`."""
+    argv = ["train", "--config", str(cfg), "--train", str(train_csv),
+            "--verify", str(verify_csv), "--out-dir", str(out / "m")]
+    if run == "compare":
+        argv += ["--report-json", str(out / "reports.json")]
+    return main(argv)
 
 
 @pytest.fixture
@@ -404,11 +418,12 @@ class TestEmitVams:
 
 
 class TestCompare:
-    def test_nonlinear_oracle_ann_beats_poly(self, sin_project, capsys):
-        cfg, train_csv, verify_csv = sin_project
-        code = main(["compare", "--config", str(cfg),
-                     "--train", str(train_csv), "--verify", str(verify_csv),
-                     "--response", "y"])
+    """With `kinds: ["ann", "poly"]` (the `sin_project` config) `train` shows
+    both families fitted to the same data."""
+
+    def test_nonlinear_oracle_ann_beats_poly(self, sin_project, tmp_path,
+                                             capsys):
+        code = fit_run("compare", *sin_project, tmp_path)
         out = capsys.readouterr().out
         assert code == 0
         assert "ann-4" in out and "poly-3" in out
@@ -417,13 +432,19 @@ class TestCompare:
                 if line.startswith(("ann-", "poly-"))]
         rmse_by_model = {row[0]: float(row[3]) for row in rows}
         assert rmse_by_model["ann-4"] < rmse_by_model["poly-3"]
+        reports = json.loads((tmp_path / "reports.json").read_text())["y"]
+        assert {r["model"]: r["rmse"] for r in reports} == \
+            pytest.approx(rmse_by_model, rel=1e-3)
 
-    def test_reports_parameter_counts(self, sin_project, capsys):
-        cfg, train_csv, verify_csv = sin_project
-        main(["compare", "--config", str(cfg), "--train", str(train_csv),
-              "--verify", str(verify_csv)])
+    def test_reports_parameter_counts(self, sin_project, tmp_path, capsys):
+        fit_run("compare", *sin_project, tmp_path)
         out = capsys.readouterr().out
         assert "params" in out
+        # 1 input: 4 hidden weights and biases, 4 output weights and a bias;
+        # a cubic in one variable has 4 terms
+        reports = json.loads((tmp_path / "reports.json").read_text())["y"]
+        assert {r["model"]: r["n_parameters"] for r in reports} == \
+            {"ann-4": 13, "poly-3": 4}
 
 
 class TestInvalidModelFile:
@@ -648,26 +669,25 @@ class TestFitSectionsCheckedFirst:
         ("rbf", {"error_goal": -1.0}), ("rbf", {"input_scaling": "log"}),
         ("rbf", {"max_neurons": 2.5}), ("poly", {"degree": True}),
     ])
-    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("run", ["train", "compare"])
     def test_rejected_value(self, sin_project, tmp_path, capsys, section,
-                            values, command):
+                            values, run):
+        """The comparison fits no RBF, and still rejects an RBF value."""
         cfg, train_csv, verify_csv = sin_project
         config = json.loads(cfg.read_text())
-        config["training"]["kinds"] = ["ann", "rbf", "poly"]
+        config["training"]["kinds"] = (["ann", "rbf", "poly"] if run == "train"
+                                       else ["ann", "poly"])
         config["training"].setdefault(section, {}).update(values)
         cfg.write_text(json.dumps(config))
-        argv = [command, "--config", str(cfg), "--train", str(train_csv),
-                "--verify", str(verify_csv)]
-        if command == "train":
-            argv += ["--out-dir", str(tmp_path / "m")]
-        code = main(argv)
+        code = fit_run(run, cfg, train_csv, verify_csv, tmp_path)
         err = capsys.readouterr().err
         assert code == 1
         assert f"'training.{section}'" in err
         assert next(iter(values)) in err
         assert not (tmp_path / "m").exists()
+        assert not (tmp_path / "reports.json").exists()
 
-    @pytest.mark.parametrize("command,section,key,value", [
+    @pytest.mark.parametrize("run,section,key,value", [
         ("train", "training", "kinds", ["foo"]),
         ("train", "training", "kinds", []),
         ("train", "training", "kinds", "ann"),
@@ -682,7 +702,7 @@ class TestFitSectionsCheckedFirst:
         ("compare", "training", "kinds", ["foo"]),
         ("compare", "training", "kinds", "ann"),
     ])
-    def test_rejected_list(self, sin_project, tmp_path, capsys, command,
+    def test_rejected_list(self, sin_project, tmp_path, capsys, run,
                            section, key, value):
         """`responses` must be a list of strings, `kinds` a non-empty list
         of model kinds and `hidden_sizes` a non-empty list of integers."""
@@ -693,15 +713,12 @@ class TestFitSectionsCheckedFirst:
             holder = holder["ann"]
         holder[key] = value
         cfg.write_text(json.dumps(config))
-        argv = [command, "--config", str(cfg), "--train", str(train_csv),
-                "--verify", str(verify_csv)]
-        if command == "train":
-            argv += ["--out-dir", str(tmp_path / "m")]
-        code = main(argv)
+        code = fit_run(run, cfg, train_csv, verify_csv, tmp_path)
         err = capsys.readouterr().err
         assert code == 1
         assert f"'{section}'" in err and key in err
         assert not (tmp_path / "m").exists()
+        assert not (tmp_path / "reports.json").exists()
 
 
 class TestTrainInputFaults:
@@ -718,22 +735,19 @@ class TestTrainInputFaults:
         assert code == 1
         assert "'training.ann'" in err and "max_epochs" in err
 
-    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("run", ["train", "compare"])
     def test_too_few_rows_is_data_error(self, sin_project, tmp_path, capsys,
-                                        command):
+                                        run):
         cfg, train_csv, verify_csv = sin_project
         short = tmp_path / "short.csv"
         data = load_csv(train_csv, ["x"])
         save_csv(SampleSet(data.inputs[:9], {"y": data.response("y")[:9]},
                            ["x"]), short)
-        argv = [command, "--config", str(cfg), "--train", str(short),
-                "--verify", str(verify_csv)]
-        if command == "train":
-            argv += ["--out-dir", str(tmp_path / "m")]
-        code = main(argv)
+        code = fit_run(run, cfg, short, verify_csv, tmp_path)
         err = capsys.readouterr().err
         assert code == 2
         assert str(short) in err and "10" in err
+        assert not (tmp_path / "reports.json").exists()
 
 
 class TestModelSpaceMismatch:
@@ -854,23 +868,20 @@ class TestUnknownSelection:
             raise AssertionError("an ANN trained before the check")
         monkeypatch.setattr("surrokit.cli.train_anns", fail)
 
-    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("run", ["train", "compare"])
     def test_exit_1_before_any_work(self, sin_project, tmp_path, capsys,
-                                    command):
+                                    run):
         cfg, train_csv, verify_csv = sin_project
         config = json.loads(cfg.read_text())
         config["training"]["selection"] = "best"
         cfg.write_text(json.dumps(config))
-        argv = [command, "--config", str(cfg), "--train", str(train_csv),
-                "--verify", str(verify_csv)]
-        if command == "train":
-            argv += ["--out-dir", str(tmp_path / "m")]
-        code = main(argv)
+        code = fit_run(run, cfg, train_csv, verify_csv, tmp_path)
         err = capsys.readouterr().err
         assert code == 1
         assert "training.selection" in err
         assert "verify_rmse" in err and "verify_r2" in err
         assert not (tmp_path / "m").exists()
+        assert not (tmp_path / "reports.json").exists()
 
 
 class TestListEntryMissingKey:
@@ -975,6 +986,39 @@ def test_header_only_csv_is_data_error(model_project, tmp_path, capsys,
     assert code == 2
     assert err.startswith("data error:") and str(empty) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,command,code,kind", [
+    (flag, command, code, kind)
+    for flag, command, code in [
+        ("--config", "sample", 1), ("--train", "train", 2),
+        ("--verify", "train", 2), ("--data", "report", 2),
+        ("--disjoint-from", "sample", 2)]
+    for kind in ("directory", "not UTF-8")
+] + [("--out", "sample", 2, "directory")])
+def test_unreadable_file_exits_naming_it(model_project, tmp_path, capsys,
+                                         flag, command, code, kind):
+    """A directory or a file that is not UTF-8 text, given as the config or
+    as an input CSV, is a usage error (exit 1) or a data error (exit 2)
+    naming the file, and so is an `--out` that names a directory."""
+    cfg, data, _ = model_project
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"x1,x2,y\n0.5,\xff1.0,2.0\n")
+    argv = {
+        "sample": ["--config", str(cfg), "--out", str(tmp_path / "s.csv"),
+                   "--n", "5", "--disjoint-from", str(data)],
+        "train": ["--config", str(cfg), "--train", str(data),
+                  "--verify", str(data), "--out-dir", str(tmp_path / "m")],
+        "report": ["--config", str(cfg), "--data", str(data),
+                   "--model", str(data.parent / "poly.json")],
+    }[command]
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main([command] + argv) == code
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -1248,17 +1292,86 @@ def test_mutated_config_exits_0_to_3(opamp_pipeline_config, tmp_path, data):
     assert "Traceback" not in err.getvalue()
 
 
-def test_readme_config_runs(tmp_path, capsys):
-    """The README's example config, with the full op-amp space its note
-    asks for, is accepted: `sample --evaluate` reads every section."""
+def _mutate_csv(lines: list[str], how: str, row: int, col: int) -> bytes:
+    """The CSV of `lines` (header first) changed by the mutation `how` at
+    data row `row` and column `col`, both taken modulo the sizes; a byte
+    that is not UTF-8 goes `row` percent of the way into the file."""
+    cells = [line.split(",") for line in lines]
+    r, c = 1 + row % (len(cells) - 1), col % len(cells[0])
+    if how == "drop column":
+        cells = [line[:c] + line[c + 1:] for line in cells]
+    elif how == "extra column":
+        cells = [line + (["z"] if i == 0 else ["1"])
+                 for i, line in enumerate(cells)]
+    elif how == "short row":
+        cells[r] = cells[r][:-1]
+    elif how in ("text cell", "nan cell"):
+        cells[r][c] = "abc" if how == "text cell" else "nan"
+    elif how == "header only":
+        cells = cells[:1]
+    text = "".join(",".join(line) + "\n" for line in cells)
+    if how == "blank lines":
+        text = text.replace("\n", "\n\n")
+    data = text.encode()
+    if how == "non-UTF-8 byte":
+        at = row * len(data) // 100
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+# each example writes its own files
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_csv_exits_0_to_3(model_project, tmp_path, data):
+    """`train` (the CSV as its training or verification set), `report` and
+    `sample --disjoint-from` on a data CSV with a column dropped or added,
+    a short row, a non-numeric or NaN cell, blank lines, no data rows or a
+    byte that is not UTF-8 exit 0, 1, 2 or 3, never with a traceback."""
+    cfg, csv_path, _ = model_project
+    config = json.loads(cfg.read_text())
+    config["training"] = {"kinds": ["ann", "poly"], "ann": {"max_epochs": 20}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    how = data.draw(st.sampled_from([
+        "drop column", "extra column", "short row", "text cell", "nan cell",
+        "blank lines", "header only", "non-UTF-8 byte"]))
+    mutated = tmp_path / "mutated.csv"
+    mutated.write_bytes(_mutate_csv(
+        csv_path.read_text().splitlines(), how,
+        data.draw(st.integers(0, 100)), data.draw(st.integers(0, 100))))
+    good, bad = str(csv_path), str(mutated)
+    argv = data.draw(st.sampled_from([
+        ["train", "--train", bad, "--verify", good],
+        ["train", "--train", good, "--verify", bad],
+        ["report", "--data", bad, "--model", str(csv_path.parent / "poly.json")],
+        ["sample", "--n", "5", "--disjoint-from", bad],
+    ]))
+    argv += {"train": ["--out-dir", str(tmp_path / "m")], "report": [],
+             "sample": ["--out", str(tmp_path / "s.csv")]}[argv[0]]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv[:1] + ["--config", str(tmp_path / "config.json")]
+                    + argv[1:])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_readme_config_runs(tmp_path, monkeypatch, capsys):
+    """The README walkthrough runs as written: each `surrokit` line of its
+    `sh` block, in order, on its example config, exits 0."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    config = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
-    config["space"] = opamp_space().to_dicts()
-    cfg = tmp_path / "project.json"
-    cfg.write_text(json.dumps(config))
-    code = main(["sample", "--config", str(cfg),
-                 "--out", str(tmp_path / "train.csv"), "--evaluate"])
-    assert code == 0, capsys.readouterr().err
+    walkthrough = readme.split("## CLI walkthrough\n", 1)[1]
+    config = walkthrough.split("```json\n", 1)[1].split("```", 1)[0]
+    script = walkthrough.split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    Path("project.json").write_text(config)
+    lines = script.replace("\\\n", " ").splitlines()
+    assert len(lines) >= 7
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "surrokit", line
+        assert main(argv[1:]) == 0, (line, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("module", ["surrokit", "surrokit.cli"])

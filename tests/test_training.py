@@ -16,11 +16,12 @@ from surrokit.errors import TrainingDivergedError
 from surrokit.metamodel import poly_basis
 from surrokit.metrics import rmse
 from surrokit.oracles import BUILTIN_ORACLES, BUILTIN_SPACES, evaluate
+from surrokit import training
 from surrokit.scaling import apply as scale_apply
 from surrokit.training import (SampleSet, TrainOptions, ann_loss_and_gradient,
                                fit_polynomial, monomial_exponents, train_ann,
                                train_anns, train_rbf, _f_sf, _forward_select,
-                               _Stack, _stacked_pass, _train_anns_full)
+                               _Stack, _stacked_pass)
 
 
 def sin_space():
@@ -162,8 +163,7 @@ class TestTrainAnn:
             opts = TrainOptions(hidden_size=8, max_epochs=2000,
                                 learning_rate=0.05, l2_penalty=0.0,
                                 early_stop_patience=2000, seed=seed)
-            best_model, _, final_model = _train_anns_full(
-                train, ["y"], [8], opts)["y", 8]
+            best_model, final_model = best_and_final(train, "y", opts)
             best_err = rmse(yv, best_model.predict(xv))
             final_err = rmse(yv, final_model.predict(xv))
             wins += best_err <= final_err
@@ -191,10 +191,24 @@ def weights(model):
     return np.concatenate([model.W1.ravel(), model.b1, model.W2, [model.b2]])
 
 
+def best_and_final(data, response, opts):
+    """The model `train_ann` returns, and the network of its final epoch:
+    the weights `_descend` leaves in the array it descends in place."""
+    descend, given = training._descend, []
+
+    def spy(stack, theta, *args):
+        given.append(theta)
+        return descend(stack, theta, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_descend", spy)
+        model, _ = train_ann(data, response, opts)
+    w1, b1, w2, b2 = _Stack([opts.hidden_size], data.n_inputs).views(given[0])
+    return model, replace(model, W1=w1, b1=b1, W2=w2, b2=b2[0])
+
+
 def final_weights(data, response, opts):
     """The weights of the final-epoch network of `train_ann`'s fit."""
-    m = opts.hidden_size
-    return weights(_train_anns_full(data, [response], [m], opts)[response, m][2])
+    return weights(best_and_final(data, response, opts)[1])
 
 
 class TestTrainAnns:
