@@ -24,7 +24,7 @@ from .design_space import (DesignSpace, check_sample_count, lhs_disjoint,
 from .errors import (DataFormatError, DegenerateColumnError,
                      InfeasibleRunError, RankDeficiencyError, SurrokitError,
                      TrainingDivergedError, UndefinedVarianceError)
-from .files import atomic_write
+from .files import atomic_write, check_output
 from .metamodel import _KINDS, AnnModel, load_model, save_model
 from .metrics import CRITERIA, fit_report, render_report_table, select_best
 from .training import (MIN_ANN_ROWS, SampleSet, TrainOptions,
@@ -469,15 +469,18 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", required=True)
 
-    def command(name: str, fn, help_text: str, *required) -> _Parser:
+    def command(name: str, fn, help_text: str, *required,
+                outputs=()) -> _Parser:
+        """The subcommand `name`; `outputs` lists the (dest, is a directory)
+        of the flags that name what it writes."""
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, outputs=outputs)
         for flag in required:
             p.add_argument(flag, required=True)
         return p
 
     p = command("sample", cmd_sample, "draw LHS samples, optionally evaluate",
-                "--out")
+                "--out", outputs=[("out", False)])
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--evaluate", action="store_true",
@@ -486,7 +489,8 @@ def build_parser() -> _Parser:
                    help="existing sample CSV the new set must not collide with")
 
     p = command("train", cmd_train, "fit metamodels, print fit reports",
-                "--train", "--verify", "--out-dir")
+                "--train", "--verify", "--out-dir",
+                outputs=[("out_dir", True), ("report_json", False)])
     p.add_argument("--seed", type=int)
     p.add_argument("--report-json",
                    help="also write the full fit-report sweep as JSON")
@@ -498,11 +502,11 @@ def build_parser() -> _Parser:
     for name, fn, help_text in (
             ("optimize-mofa", cmd_optimize_mofa, "multi-objective firefly run"),
             ("optimize-abc", cmd_optimize_abc, "constrained bee-colony run")):
-        command(name, fn, help_text, "--models", "--out").add_argument(
-            "--seed", type=int)
+        command(name, fn, help_text, "--models", "--out",
+                outputs=[("out", False)]).add_argument("--seed", type=int)
 
     command("emit-vams", cmd_emit_vams, "export weights and the AMS module",
-            "--models", "--out-dir")
+            "--models", "--out-dir", outputs=[("out_dir", True)])
     return parser
 
 
@@ -510,7 +514,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args, *_load_config(args.config, args))
+        cfg, space = _load_config(args.config, args)
+        # before any work, so a bad output path costs no run and leaves no
+        # partial output
+        for dest, directory in args.outputs:
+            if getattr(args, dest) is not None:
+                check_output(getattr(args, dest), directory)
+        return args.fn(args, cfg, space)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -21,8 +22,33 @@ def atomic_write(path, newline=None):
         with open(tmp, "w", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        if str(exc.filename) != str(tmp):
+            raise
+        # the temporary file is ours, not the caller's: name `path`
+        raise _error(exc.errno, path) from None
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _error(code: int, path) -> OSError:
+    return OSError(code, os.strerror(code), str(path))
+
+
+def check_output(path, directory: bool = False) -> None:
+    """Raise OSError naming `path` unless a file, or given `directory` a
+    directory, can be made there: a file's path must not be a directory and
+    its parent must be one; a directory's path, or else its nearest existing
+    ancestor, must be a directory."""
+    path = Path(path)
+    if directory:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise _error(errno.ENOTDIR, path)
+    elif path.is_dir():
+        raise _error(errno.EISDIR, path)
+    elif not path.parent.is_dir():
+        raise _error(errno.ENOENT, path)
 
 
 def write_csv(path, header, rows) -> None:

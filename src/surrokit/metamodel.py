@@ -20,7 +20,7 @@ from .scaling import Scaler, apply as scale_apply, invert as scale_invert
 
 __all__ = [
     "AnnModel", "RbfModel", "PolyModel", "CallableModel",
-    "ModelBank", "ann_hidden", "stack_block", "rbf_design", "poly_basis",
+    "ModelBank", "AnnStack", "rbf_design", "poly_basis",
     "save_model", "load_model",
 ]
 
@@ -44,25 +44,75 @@ def _as_matrix(x, dim: int) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
-def ann_hidden(xs: np.ndarray, W1: np.ndarray, b1: np.ndarray,
-               steepness: float, activation: str) -> np.ndarray:
-    """Hidden-layer outputs f(steepness * (xs @ W1.T + b1)) for the scaled
-    inputs `xs`, one row per point: the one ANN forward pass, shared by
-    `AnnModel.predict` and the trainer.
-    """
-    z = steepness * (xs @ W1.T + b1)
-    if activation == "tanh":
-        return np.tanh(z)
-    return 1.0 / (1.0 + np.exp(-z))  # logsig
+class AnnStack:
+    """N single-hidden-layer networks over n inputs on one hidden layer of H
+    units, network k owning the k-th run of `sizes[k]` units, which feed
+    only its output. Their weights are one flat vector [W1 (H, n), b1 (H),
+    W2 (H), b2 (N)], whose entries owned by network k (owner == k) are, in
+    order, its own packing (W1 row-major, b1, W2, b2)."""
 
+    def __init__(self, sizes, n: int):
+        self.n, self.hidden, nets = n, sum(sizes), len(sizes)
+        unit_net = np.repeat(np.arange(nets), sizes)
+        # entry [i, k] is 1 when hidden unit i feeds output k
+        self.block = (unit_net[:, None] == np.arange(nets)).astype(float)
+        self.owner = np.concatenate([np.repeat(unit_net, n), unit_net,
+                                     unit_net, np.arange(nets)])
+        # penalty @ theta**2 sums each network's squared W1 and W2 weights
+        weight = np.repeat([1.0, 0.0, 1.0, 0.0],
+                           [self.hidden * n, self.hidden, self.hidden, nets])
+        self.penalty = (self.owner == np.arange(nets)[:, None]) * weight
 
-def stack_block(sizes) -> np.ndarray:
-    """The (sum(sizes), len(sizes)) 0/1 matrix of networks stacked on one
-    hidden layer, network k owning the k-th run of `sizes[k]` hidden units:
-    entry [i, k] is 1 when hidden unit i feeds output k. Shared by the
-    stacked trainer and `ModelBank`."""
-    unit_net = np.repeat(np.arange(len(sizes)), sizes)
-    return (unit_net[:, None] == np.arange(len(sizes))).astype(float)
+    @classmethod
+    def of(cls, models) -> AnnStack:
+        """The stack of AnnModels sharing input count and scaling,
+        activation and steepness, holding their weights to `predict`."""
+        first = models[0]
+        stack = cls([m.hidden_size for m in models], first.input_dim)
+        stack.input_scaler, stack.activation, stack.steepness = (
+            first.input_scaler, first.activation, first.steepness)
+        stack.theta = stack.pack([np.concatenate(
+            [m.W1.ravel(), m.b1, m.W2, [m.b2]]) for m in models])
+        stack.w_out = stack.output_matrix(stack.views(stack.theta)[2])
+        # each column's output step, y * scale + shift as in `scale_invert`
+        stack.scale = np.array([m.output_scaler.scale[0] for m in models])
+        stack.shift = np.array([m.output_scaler.shift[0] for m in models])
+        return stack
+
+    def views(self, theta: np.ndarray):
+        """(W1, b1, W2, b2) of the flat vector `theta`, as views."""
+        h, n = self.hidden, self.n
+        return (theta[:h * n].reshape(h, n), theta[h * n: h * n + h],
+                theta[h * n + h: h * n + 2 * h], theta[h * n + 2 * h:])
+
+    def pack(self, vectors) -> np.ndarray:
+        """The flat vector of the networks' own packings `vectors`."""
+        theta = np.empty(self.owner.size)
+        for k, vec in enumerate(vectors):
+            theta[self.owner == k] = vec
+        return theta
+
+    def output_matrix(self, w2: np.ndarray) -> np.ndarray:
+        """The (H, N) output weights block * w2[:, None]."""
+        return self.block * w2[:, None]
+
+    def forward(self, theta: np.ndarray, xs: np.ndarray, activation: str,
+                steepness: float, w_out=None):
+        """The one ANN forward pass over the scaled rows `xs`: (h, out), the
+        hidden outputs h = f(steepness * (xs @ W1.T + b1)) and the outputs
+        h @ w_out + b2, one column per network; fixed weights may pass in
+        w_out, the `output_matrix` of theta's W2."""
+        w1, b1, w2, b2 = self.views(theta)
+        z = steepness * (xs @ w1.T + b1)
+        h = np.tanh(z) if activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
+        return h, h @ (self.output_matrix(w2) if w_out is None else w_out) + b2
+
+    def predict(self, pts: np.ndarray) -> np.ndarray:
+        """A stack made by `of`: its networks' predictions for the raw rows
+        `pts`, one column each."""
+        _, y = self.forward(self.theta, scale_apply(self.input_scaler, pts),
+                            self.activation, self.steepness, self.w_out)
+        return y * self.scale + self.shift
 
 
 def rbf_design(xs: np.ndarray, centers: np.ndarray,
@@ -187,6 +237,8 @@ class AnnModel(_Fitted):
         if not (self.steepness > 0  # isfinite also rejects ints beyond float
                 and np.all(np.isfinite([self.steepness, self.b2]))):
             raise ValueError("steepness must be positive and finite, b2 finite")
+        # the network as a stack of one, made once for every predict
+        object.__setattr__(self, "_stack", AnnStack.of([self]))
 
     @property
     def n_parameters(self) -> int:
@@ -196,10 +248,7 @@ class AnnModel(_Fitted):
     predict = _Fitted.predict
 
     def _forward(self, pts: np.ndarray) -> np.ndarray:
-        xs = scale_apply(self.input_scaler, pts)
-        h = ann_hidden(xs, self.W1, self.b1, self.steepness, self.activation)
-        y = h @ self.W2 + self.b2
-        return scale_invert(self.output_scaler, y[:, None])[:, 0]
+        return self._stack.predict(pts)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,30 +356,6 @@ class CallableModel:
         return float(y[0]) if single else y
 
 
-class _AnnStack:
-    """ANNs sharing input scaling, activation and steepness, stacked on one
-    hidden layer with a block output matrix (`stack_block`), so one forward
-    pass gives every network's prediction."""
-
-    def __init__(self, models: list[AnnModel]):
-        first = models[0]
-        self.input_dim, self.input_scaler = first.input_dim, first.input_scaler
-        self.activation, self.steepness = first.activation, first.steepness
-        self.W1 = np.vstack([m.W1 for m in models])
-        self.b1 = np.concatenate([m.b1 for m in models])
-        self.W2 = (stack_block([m.hidden_size for m in models])
-                   * np.concatenate([m.W2 for m in models])[:, None])
-        self.b2 = np.array([m.b2 for m in models])
-        # each column's output step, y * scale + shift as in `scale_invert`
-        self.out_scale = np.array([m.output_scaler.scale[0] for m in models])
-        self.out_shift = np.array([m.output_scaler.shift[0] for m in models])
-
-    def forward(self, pts: np.ndarray) -> np.ndarray:
-        xs = scale_apply(self.input_scaler, pts)
-        h = ann_hidden(xs, self.W1, self.b1, self.steepness, self.activation)
-        return (h @ self.W2 + self.b2) * self.out_scale + self.out_shift
-
-
 class ModelBank:
     """Models that see the same rows, evaluated together: `predict(x)` is the
     (n, len(models)) matrix of each model's predictions for the n rows of
@@ -338,9 +363,10 @@ class ModelBank:
     of the optimizers.
 
     ANNs whose input scalers are equal by value and which share input count,
-    activation and steepness run as one stack: one input check, one input
-    scaling and one hidden layer for the whole group, in blocks of at most
-    PREDICT_BLOCK rows. Any other model runs its own `predict` on the rows.
+    activation and steepness run as one `AnnStack`, built once: one input
+    check, one input scaling and one forward pass for the whole group, in
+    blocks of at most PREDICT_BLOCK rows. Any other model runs its own
+    `predict` on the rows.
     A stack's predictions equal each network's `predict` up to rounding.
     """
 
@@ -358,17 +384,17 @@ class ModelBank:
                 groups.setdefault(key, []).append(col)
             else:
                 self._others.append((col, model))
-        self._stacks = [(np.array(cols), _AnnStack([models[c] for c in cols]))
+        self._stacks = [(np.array(cols), AnnStack.of([models[c] for c in cols]))
                         for cols in groups.values()]
 
     def predict(self, x) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.empty((rows.shape[0], self.width))
         for cols, stack in self._stacks:
-            pts, _ = _as_matrix(rows, stack.input_dim)
+            pts, _ = _as_matrix(rows, stack.n)
             for start in range(0, pts.shape[0], PREDICT_BLOCK):
                 block = slice(start, start + PREDICT_BLOCK)
-                out[block, cols] = stack.forward(pts[block])
+                out[block, cols] = stack.predict(pts[block])
         for col, model in self._others:
             out[:, col] = np.asarray(model.predict(rows)).reshape(-1)
         return out

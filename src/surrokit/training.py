@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RankDeficiencyError, TrainingDivergedError
-from .metamodel import (AnnModel, PolyModel, RbfModel, ann_hidden,
-                        poly_basis, stack_block)
+from .metamodel import AnnModel, AnnStack, PolyModel, RbfModel, poly_basis
 from .metrics import FitReport, fit_report
 from .scaling import KINDS as SCALER_KINDS, Scaler, fit_scaler
 from .scaling import apply as scale_apply
@@ -119,44 +118,21 @@ class TrainOptions:
             raise ValueError(f"unknown input_scaling {self.input_scaling!r}")
 
 
-class _Stack:
-    """Layout of N single-hidden-layer networks over n inputs in one flat
-    vector [W1 (H, n), b1 (H), W2 (H), b2 (N)], each network owning a run
-    of hidden units that feed only its output. The entries network k owns
-    (owner == k), in order, are its own packing (W1 row-major, b1, W2, b2),
-    the one `ann_loss_and_gradient` takes."""
-
-    def __init__(self, sizes: list[int], n: int):
-        self.n, self.hidden, nets = n, sum(sizes), len(sizes)
-        unit_net = np.repeat(np.arange(nets), sizes)
-        self.block = stack_block(sizes)
-        self.owner = np.concatenate([np.repeat(unit_net, n), unit_net,
-                                     unit_net, np.arange(nets)])
-        # penalty @ theta**2 sums each network's squared weights
-        weight = np.repeat([1.0, 0.0, 1.0, 0.0],
-                           [self.hidden * n, self.hidden, self.hidden, nets])
-        self.penalty = (self.owner == np.arange(nets)[:, None]) * weight
-
-    def views(self, theta: np.ndarray):
-        h, n = self.hidden, self.n
-        return (theta[:h * n].reshape(h, n), theta[h * n: h * n + h],
-                theta[h * n + h: h * n + 2 * h], theta[h * n + 2 * h:])
-
-
-def _stacked_pass(stack: _Stack, theta: np.ndarray, x: np.ndarray,
+def _stacked_pass(stack: AnnStack, theta: np.ndarray, x: np.ndarray,
                   y: np.ndarray, n_fit: int, row_means: np.ndarray,
                   l2: float, activation: str, steepness: float):
-    """One forward pass of all stacked networks over the rows of `x`, with
-    one target column per network in `y`. Row 0 of `row_means` averages the
-    first `n_fit` rows; an optional row 1 averages the others. Returns
+    """`AnnStack.forward` of all stacked networks over the rows of `x`, with
+    one target column per network in `y`, then the loss gradient. Row 0 of
+    `row_means` averages the first `n_fit` rows; an optional row 1 averages
+    the others. Returns
     (errors, grad): per network, errors[0] is the loss (that mean squared
     error plus the L2 weight penalty) and errors[1] the mean squared error
     under row 1; `grad` is the loss gradient, packed like `theta`."""
-    w1, b1, w2, b2 = stack.views(theta)
+    w1, _, w2, _ = stack.views(theta)
     grad = np.empty_like(theta)
     g_w1, g_b1, g_w2, g_b2 = stack.views(grad)
-    h = ann_hidden(x, w1, b1, steepness, activation)
-    resid = (h * w2) @ stack.block + b2 - y
+    h, resid = stack.forward(theta, x, activation, steepness)
+    resid -= y
     errors = row_means @ (resid * resid)
     errors[0] += l2 * (stack.penalty @ (theta * theta))
 
@@ -189,7 +165,7 @@ def ann_loss_and_gradient(theta: np.ndarray, x: np.ndarray, y: np.ndarray,
     rows, n = x.shape
     with np.errstate(over="ignore", invalid="ignore"):
         errors, grad = _stacked_pass(
-            _Stack([(theta.size - 1) // (n + 2)], n),
+            AnnStack([(theta.size - 1) // (n + 2)], n),
             np.asarray(theta, dtype=float), x, np.reshape(y, (rows, 1)),
             rows, np.full((1, rows), 1.0 / rows), l2, activation, steepness)
     return float(errors[0, 0]), grad
@@ -203,7 +179,7 @@ def _fit_response_scaler(y: np.ndarray) -> Scaler:
     return Scaler("meanstd", np.array([float(np.mean(y))]), np.array([std]))
 
 
-def _descend(stack: _Stack, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
+def _descend(stack: AnnStack, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
              n_fit: int, keys: list, opts: TrainOptions):
     """Momentum descent of all stacked networks from `theta`, in place, so
     `theta` ends at the final parameters; returns those of least holdout
@@ -229,7 +205,7 @@ def _descend(stack: _Stack, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
             # one network's inf or nan reaches the others' sums through
             # zero weights, so name the first that is non-finite on its own
             alone = [k for k in bad if not np.all(np.isfinite(run(
-                _Stack([keys[k][1]], stack.n), theta[stack.owner == k],
+                AnnStack([keys[k][1]], stack.n), theta[stack.owner == k],
                 y[:, k:k + 1])[0][row]))]
             response, m = keys[(alone or bad)[0]]
             raise TrainingDivergedError(
@@ -301,20 +277,18 @@ def train_anns(data: SampleSet, responses, hidden_sizes,
                    for r in responses}
     y = np.column_stack([scale_apply(out_scalers[r], y_raw[r][rows, None])
                          for r, _ in keys])
-    stack = _Stack([m for _, m in keys], n)
-    theta = np.empty(stack.owner.size)
     for k, (_, m) in enumerate(keys):
         if np.all(y[:n_fit, k] == 0.0):
             # constant response: the shift-only output scaler already
             # carries it, so start the linear layer at the exact solution
             starts[k][m * n + m:] = 0.0
-        theta[stack.owner == k] = starts[k]
-    best = _descend(stack, theta, scale_apply(in_scaler, x_raw), y, n_fit,
-                    keys, opts)
+    stack = AnnStack([m for _, m in keys], n)
+    best = _descend(stack, stack.pack(starts), scale_apply(in_scaler, x_raw),
+                    y, n_fit, keys, opts)
 
     out = {}
     for k, (response, m) in enumerate(keys):
-        w1, b1, w2, b2 = _Stack([m], n).views(best[stack.owner == k])
+        w1, b1, w2, b2 = AnnStack([m], n).views(best[stack.owner == k])
         model = AnnModel(
             input_dim=n, hidden_size=m, activation=opts.activation,
             W1=w1, b1=b1, W2=w2, b2=float(b2[0]), input_scaler=in_scaler,

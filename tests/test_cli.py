@@ -884,6 +884,53 @@ class TestUnknownSelection:
         assert not (tmp_path / "reports.json").exists()
 
 
+class TestOutputPathsCheckedFirst:
+    """An output path that cannot be written is a data error (exit 2)
+    naming the path as given, raised before the command reads any input,
+    so the run costs nothing and writes nothing."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the command started work before the check")
+        for name in ("lhs_sample", "oracles.load_csv", "_load_models"):
+            monkeypatch.setattr(f"surrokit.cli.{name}", fail)
+
+    @pytest.mark.parametrize("command,flag,bad", [
+        ("sample", "--out", "a directory"),
+        ("sample", "--out", "in a missing directory"),
+        ("train", "--out-dir", "a file"),
+        ("train", "--report-json", "a directory"),
+        ("optimize-mofa", "--out", "a directory"),
+        ("optimize-abc", "--out", "a directory"),
+        ("emit-vams", "--out-dir", "a file"),
+    ])
+    def test_exit_2_naming_path(self, opamp_pipeline_config, tmp_path,
+                                capsys, command, flag, bad):
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "taken.csv").write_text("x\n")
+        path = str(tmp_path / {"a directory": "taken",
+                               "in a missing directory": "nodir/out.csv",
+                               "a file": "taken.csv"}[bad])
+        before = sorted(tmp_path.rglob("*"))
+        flags = {"sample": ["--out"],
+                 "train": ["--train", "--verify", "--out-dir",
+                           "--report-json"],
+                 "optimize-mofa": ["--models", "--out"],
+                 "optimize-abc": ["--models", "--out"],
+                 "emit-vams": ["--models", "--out-dir"]}[command]
+        argv = [command, "--config", str(opamp_pipeline_config)]
+        for name in flags:
+            argv += [name, path if name == flag
+                     else str(tmp_path / name.strip("-"))]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("data error:") and repr(path) in err
+        assert ".tmp" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestListEntryMissingKey:
     """A list entry without a key the command reads is a usage error naming
     the entry and the key, raised before any model file is read."""

@@ -39,3 +39,17 @@ def test_failed_write_keeps_existing_file(tmp_path, monkeypatch, writer):
         WRITERS[writer](path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("target", ["taken", "nodir/out.csv"])
+def test_failed_write_names_the_path(tmp_path, writer, target):
+    """A path that cannot take the file is named in the error, not the
+    temporary file the write goes through."""
+    (tmp_path / "taken").mkdir()
+    path = tmp_path / target
+    with pytest.raises(OSError) as info:
+        WRITERS[writer](path)
+    assert info.value.filename == str(path)
+    assert ".tmp" not in str(info.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]

@@ -9,7 +9,8 @@ import pytest
 from surrokit.metamodel import (PREDICT_BLOCK, AnnModel, CallableModel,
                                 ModelBank, PolyModel, RbfModel, load_model,
                                 poly_basis, rbf_design, save_model)
-from surrokit.scaling import Scaler, fit_scaler
+from surrokit.scaling import Scaler, apply as scale_apply, fit_scaler
+from surrokit.scaling import invert as scale_invert
 
 
 def make_ann(W1, b1, W2, b2, activation="tanh", steepness=1.0,
@@ -25,7 +26,7 @@ def make_ann(W1, b1, W2, b2, activation="tanh", steepness=1.0,
     )
 
 
-def random_ann(rng, n=None, m=None, scaled=False):
+def random_ann(rng, n=None, m=None, scaled=False, activation="tanh"):
     n = n or int(rng.integers(1, 7))
     m = m or int(rng.integers(1, 7))
     if scaled:
@@ -34,7 +35,7 @@ def random_ann(rng, n=None, m=None, scaled=False):
     else:
         in_sc, out_sc = Scaler.identity(n), Scaler.identity(1)
     return make_ann(rng.normal(size=(m, n)), rng.normal(size=m),
-                    rng.normal(size=m), rng.normal(),
+                    rng.normal(size=m), rng.normal(), activation=activation,
                     steepness=float(rng.uniform(0.5, 2.0)),
                     input_scaler=in_sc, output_scaler=out_sc)
 
@@ -77,6 +78,25 @@ class TestAnnPredict:
         model = make_ann([[1.0]], [0.0], [1.0], 0.0)
         with pytest.raises(ValueError, match="non-finite"):
             model.predict([float("nan")])
+
+    @pytest.mark.parametrize("activation", ["tanh", "logsig"])
+    @pytest.mark.parametrize("rows", [1, PREDICT_BLOCK + 5])
+    def test_closed_form(self, activation, rows):
+        """predict is exactly out_inv(f(steepness * (xs W1^T + b1)) @ W2 +
+        b2), with xs the input-scaled rows, for one row and for a batch
+        that spans two blocks."""
+        rng = np.random.default_rng(rows)
+        model = random_ann(rng, scaled=True, activation=activation)
+        pts = rng.normal(size=(rows, model.input_dim))
+        z = model.steepness * (scale_apply(model.input_scaler, pts)
+                               @ model.W1.T + model.b1)
+        h = np.tanh(z) if activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
+        y = h @ model.W2 + model.b2
+        expected = scale_invert(model.output_scaler, y[:, None])[:, 0]
+        if rows == 1:
+            assert model.predict(pts[0]) == expected[0]
+        else:
+            assert np.array_equal(model.predict(pts), expected)
 
     def test_batch_matches_single(self):
         # BLAS may pick different kernels per shape: allow last-bit noise

@@ -13,7 +13,7 @@ from scipy import stats
 
 from surrokit.design_space import DesignSpace, DesignVariable, lhs_disjoint, lhs_sample
 from surrokit.errors import TrainingDivergedError
-from surrokit.metamodel import poly_basis
+from surrokit.metamodel import AnnStack, poly_basis
 from surrokit.metrics import rmse
 from surrokit.oracles import BUILTIN_ORACLES, BUILTIN_SPACES, evaluate
 from surrokit import training
@@ -21,7 +21,7 @@ from surrokit.scaling import apply as scale_apply
 from surrokit.training import (SampleSet, TrainOptions, ann_loss_and_gradient,
                                fit_polynomial, monomial_exponents, train_ann,
                                train_anns, train_rbf, _f_sf, _forward_select,
-                               _Stack, _stacked_pass)
+                               _stacked_pass)
 
 
 def sin_space():
@@ -94,6 +94,23 @@ class TestGradient:
     @pytest.mark.parametrize("seed", range(10))
     def test_analytic_matches_central_differences(self, seed):
         assert self.relative_error(seed) < 1e-6
+
+    @pytest.mark.parametrize("activation", ["tanh", "logsig"])
+    def test_loss_is_mse_plus_weight_penalty(self, activation):
+        """The loss is the mean squared error plus l2 (|W1|^2 + |W2|^2):
+        the biases are not penalized."""
+        rng = np.random.default_rng(8)
+        n, m, l2, lam = 3, 4, 0.05, 1.3
+        x, y = rng.standard_normal((20, n)), rng.standard_normal(20)
+        theta = rng.uniform(-1.0, 1.0, m * (n + 2) + 1)
+        w1, b1 = theta[:m * n].reshape(m, n), theta[m * n:m * n + m]
+        w2, b2 = theta[m * n + m:-1], theta[-1]
+        z = lam * (x @ w1.T + b1)
+        h = np.tanh(z) if activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
+        mse = np.mean((h @ w2 + b2 - y) ** 2)
+        loss, _ = ann_loss_and_gradient(theta, x, y, l2, activation, lam)
+        assert loss == pytest.approx(
+            mse + l2 * (np.sum(w1 ** 2) + np.sum(w2 ** 2)), rel=1e-12)
 
 
 class TestTrainAnn:
@@ -202,7 +219,8 @@ def best_and_final(data, response, opts):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "_descend", spy)
         model, _ = train_ann(data, response, opts)
-    w1, b1, w2, b2 = _Stack([opts.hidden_size], data.n_inputs).views(given[0])
+    w1, b1, w2, b2 = AnnStack([opts.hidden_size],
+                              data.n_inputs).views(given[0])
     return model, replace(model, W1=w1, b1=b1, W2=w2, b2=b2[0])
 
 
@@ -249,7 +267,7 @@ class TestTrainAnns:
     def test_stacked_gradient_matches_central_differences(self, activation):
         rng = np.random.default_rng(21)
         sizes, n, rows, n_fit = [2, 5, 1, 3], 3, 25, 18
-        stack = _Stack(sizes, n)
+        stack = AnnStack(sizes, n)
         x = rng.standard_normal((rows, n))
         y = rng.standard_normal((rows, len(sizes)))
         theta = rng.uniform(-0.5, 0.5, stack.owner.size)
