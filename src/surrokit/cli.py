@@ -19,15 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import bee_colony, mofa, oracles, vams_codegen
-from .design_space import (DesignSpace, check_sample_count, lhs_disjoint,
-                           lhs_sample)
+from .design_space import (DesignSpace, DesignVariable, check_sample_count,
+                           lhs_disjoint, lhs_sample)
 from .errors import (DataFormatError, DegenerateColumnError,
                      InfeasibleRunError, RankDeficiencyError, SurrokitError,
                      TrainingDivergedError, UndefinedVarianceError)
 from .files import atomic_write, check_output
 from .metamodel import _KINDS, AnnModel, load_model, save_model
 from .metrics import CRITERIA, fit_report, render_report_table, select_best
-from .training import (MIN_ANN_ROWS, SampleSet, TrainOptions,
+from .training import (SampleSet, TrainOptions, check_ann_rows,
                        check_poly_settings, check_rbf_settings,
                        fit_polynomial, train_anns, train_rbf)
 
@@ -58,10 +58,8 @@ def _load_config(path, args) -> tuple[dict, DesignSpace]:
         raise UsageError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict) or "space" not in cfg:
         raise UsageError("config must be a JSON object with a 'space' section")
-    try:
-        space = DesignSpace.from_dicts(_SPACE_ENTRIES(cfg["space"]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"bad space declaration: {exc}") from None
+    with _checked("space"):
+        space = DesignSpace(_SPACE(cfg["space"]))
     for key in cfg:
         if "." in key or key not in {"space", *_SECTIONS}:
             raise UsageError(f"config: unknown key {key!r}")
@@ -105,6 +103,14 @@ def _checked(path: str):
         raise UsageError(f"bad '{path}' section: {exc}") from None
 
 
+def _keyed(key: str, cast, value):
+    """`cast(value)`; a value it rejects is a ValueError naming `key`."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _section(cfg: dict, path: str, fields: dict, **overrides):
     """The settings of the config section at the dotted `path`, one per key
     of `fields` {key: (cast, default)}: the configured value cast, else the
@@ -123,10 +129,8 @@ def _section(cfg: dict, path: str, fields: dict, **overrides):
         section = {**section, **{key: value for key, value in overrides.items()
                                  if value is not None}}
         for key, (cast, default) in fields.items():
-            try:
-                settings[key] = cast(section[key]) if key in section else default
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{key}: {exc}") from None
+            settings[key] = (_keyed(key, cast, section[key]) if key in section
+                             else default)
         return _CHECKS[path](settings) if path in _CHECKS else settings
 
 
@@ -137,10 +141,13 @@ def _numbers(value) -> list[float]:
 
 
 def _names(value, allowed=None) -> list[str]:
-    """`value`: a JSON list of strings, non-empty and from `allowed` if given."""
+    """`value`: a JSON list of distinct strings, non-empty and from `allowed`
+    if given."""
     if not (isinstance(value, list) and all(isinstance(v, str)
                                             for v in value)):
         raise TypeError(f"expected a list of strings, got {value!r}")
+    if len(set(value)) < len(value):
+        raise ValueError(f"expected distinct strings, got {value!r}")
     if allowed is not None and not (value and set(value) <= set(allowed)):
         raise ValueError(f"expected a non-empty list drawn from "
                          f"{list(allowed)}, got {value!r}")
@@ -158,12 +165,12 @@ def _fields(cls, *skip) -> dict:
             for f in dataclasses.fields(cls) if f.name not in skip}
 
 
-def _entries(path: str, required, optional=(), build=None) -> tuple:
-    """The (cast, default) of the list of JSON objects at the dotted `path`,
-    each of which holds the `required` keys, may hold the `optional` ones
-    {key: default}, which fill in what it lacks, and holds no other key.
-    Given `build`, the cast makes each entry (its response, `build(**entry)`);
-    an entry `build` rejects is a usage error naming its section and index."""
+def _entries(path: str, casts: dict, build, optional=()) -> tuple:
+    """The (cast, default) of the list of JSON objects at the dotted `path`:
+    each holds the keys of `casts` {key: cast} and no other, but may lack
+    the `optional` ones {key: default}, which fill in what it lacks. The cast
+    makes each entry `build(**entry)` of its cast values; a value a cast or
+    `build` rejects is a usage error naming the entry's section and index."""
     section, _, key = path.rpartition(".")
 
     def cast(value):
@@ -171,18 +178,18 @@ def _entries(path: str, required, optional=(), build=None) -> tuple:
             raise TypeError(f"expected a list of JSON objects, got {value!r}")
         entries = [dict(optional, **_object(entry)) for entry in value]
         for i, entry in enumerate(entries):
-            for k in required:
+            for k in casts:
                 if k not in entry:
                     raise UsageError(f"{path}[{i}]: missing {k!r}")
             for k in entry:
-                if k not in required and k not in optional:
+                if k not in casts:
                     raise UsageError(f"{path}[{i}]: unknown key {k!r}")
-            if build:
-                try:
-                    entries[i] = entry["response"], build(**entry)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise UsageError(f"bad {section!r} section: {key}[{i}]: "
-                                     f"{exc}") from None
+            try:
+                entries[i] = build(**{k: _keyed(k, casts[k], v)
+                                      for k, v in entry.items()})
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise UsageError(f"bad {section or key!r} section: "
+                                 f"{key}[{i}]: {exc}") from None
         return entries
     return cast, []
 
@@ -191,8 +198,8 @@ def _sizes(value) -> list[int]:
     if not isinstance(value, list) or not value:
         raise TypeError(f"expected a non-empty list, got {value!r}")
     sizes = [_int(m) for m in value]
-    if len(set(sizes)) < len(sizes):
-        raise ValueError(f"expected distinct sizes, got {value!r}")
+    if 0 in sizes or len(set(sizes)) < len(sizes):
+        raise ValueError(f"expected distinct positive integers, got {value!r}")
     return sizes
 
 
@@ -211,28 +218,29 @@ _SECTIONS = {
                      "input_scaling": (_str, "meanstd")},
     "training.poly": {"degree": (_int, 2), "stepwise": (_flag, True),
                       "p_enter": (_float, 0.05)},
-    # the optimizers' entries build their specs without a model
+    # the optimizers' entries: (response, spec built without a model)
     "mofa": {**_fields(mofa.MofaParams),
              "objectives": _entries(
-                 "mofa.objectives", ("response", "direction"), (),
-                 lambda response, direction: mofa.ObjectiveSpec(
-                     response, direction, None)),
+                 "mofa.objectives", {"response": _str, "direction": _str},
+                 lambda response, direction: (response, mofa.ObjectiveSpec(
+                     response, direction, None))),
              "constraints": _entries(
-                 "mofa.constraints", ("response", "bound", "sense"), (),
-                 lambda response, bound, sense: mofa.ConstraintSpec(
-                     response, None, _float(bound), sense))},
+                 "mofa.constraints",
+                 {"response": _str, "bound": _float, "sense": _str},
+                 lambda response, bound, sense: (response, mofa.ConstraintSpec(
+                     response, None, bound, sense)))},
     "abc": {**_fields(bee_colony.AbcParams),
             **_fields(bee_colony.FomProblem, "terms", "windows"),
             "objective": _entries(
-                "abc.objective", ("response",), {"weight": 1.0},
-                lambda response, weight: bee_colony.FomTerm(
-                    None, _float(weight))),
+                "abc.objective", {"response": _str, "weight": _float},
+                lambda response, weight: (response, bee_colony.FomTerm(
+                    None, weight)), {"weight": 1.0}),
             "window": _entries(
-                "abc.window", ("response", "center"),
-                {"relative_tolerance": 0.005},
-                lambda response, center, relative_tolerance:
-                bee_colony.WindowConstraint(None, _float(center),
-                                            _float(relative_tolerance)))},
+                "abc.window", {"response": _str, "center": _float,
+                               "relative_tolerance": _float},
+                lambda response, **window: (
+                    response, bee_colony.WindowConstraint(None, **window)),
+                {"relative_tolerance": 0.005})},
     "vams": {**_fields(vams_codegen.MacromodelSpec, "module_name",
                        "variable_names", "parameter_defaults", "cpms"),
              "module_name": (_str, "analog_block"),
@@ -240,7 +248,8 @@ _SECTIONS = {
     # the model file (without `.json`) of each circuit parameter
     "vams.cpms": {key: (_str, key) for key in vams_codegen.CPM_KEYS},
 }
-_SPACE_ENTRIES, _ = _entries("space", ("name", "lower", "upper"))
+_SPACE, _ = _entries("space", {"name": _str, "lower": _float,
+                                "upper": _float}, DesignVariable)
 # the section whose settings each command's --n and --seed flags override
 _FLAGGED = {"sample": "sampling", "train": "training.ann",
             "optimize-mofa": "mofa", "optimize-abc": "abc"}
@@ -268,13 +277,6 @@ def _selection(settings: dict) -> dict:
     return settings
 
 
-def _ann(settings: dict) -> tuple[list, TrainOptions]:
-    """The hidden sizes and trainer options of 'training.ann'; the options
-    check the smallest size."""
-    sizes = settings.pop("hidden_sizes")
-    return sizes, TrainOptions(hidden_size=min(sizes), **settings)
-
-
 # each section's check, run by `_section` on its cast settings: it raises
 # ValueError for a value the library rejects and returns what the commands
 # read (a `check_*` returns None, so `or s` keeps the settings)
@@ -282,7 +284,7 @@ _CHECKS = {
     "sampling": lambda s: check_sample_count(s["n"]) or s,
     "oracle": _oracle,
     "training": _selection,
-    "training.ann": _ann,
+    "training.ann": lambda s: (s.pop("hidden_sizes"), TrainOptions(**s)),
     "training.rbf": lambda s: check_rbf_settings(**s) or s,
     "training.poly": lambda s: (check_poly_settings(s["degree"], s["p_enter"])
                                 or s),
@@ -322,10 +324,8 @@ def cmd_train(args, cfg: dict, space: DesignSpace) -> int:
     tcfg, (sizes, opts) = cfg["training"], cfg["training.ann"]
     kinds = tcfg["kinds"]
     train_set = oracles.load_csv(args.train, space.names)
-    if "ann" in kinds and train_set.n_rows < MIN_ANN_ROWS:
-        raise DataFormatError(
-            f"{args.train} has {train_set.n_rows} rows; ANN training needs at "
-            f"least {MIN_ANN_ROWS}")
+    if "ann" in kinds:
+        check_ann_rows(train_set.n_rows, opts.holdout_fraction, args.train)
     verify_set = oracles.load_csv(args.verify, space.names)
     responses = tcfg["responses"] or train_set.response_names
     if not responses:
@@ -334,6 +334,10 @@ def cmd_train(args, cfg: dict, space: DesignSpace) -> int:
         if response not in train_set.responses:
             raise DataFormatError(
                 f"response {response!r} not present in {args.train}")
+        if (tcfg["selection"] == "verify_r2"
+                and np.ptp(verify_set.response(response)) == 0):
+            raise DataFormatError(f"response {response!r} is constant in "
+                                  f"{args.verify}; verify_r2 is undefined")
 
     anns = (train_anns(train_set, responses, sizes, opts)
             if "ann" in kinds else {})
@@ -403,15 +407,16 @@ def cmd_report(args, cfg: dict, space: DesignSpace) -> int:
 def _with_models(models_dir, space: DesignSpace, *entry_lists) -> list:
     """Each list of (response, spec) config entries as the list of its specs,
     each given the model of `<models_dir>/<response>.json`; a model file of
-    another response is a data error."""
-    names = [name for entries in entry_lists for name, _ in entries]
-    models = dict(zip(names, _load_models(
-        [Path(models_dir) / f"{name}.json" for name in names], space)))
-    try:
-        return [[dataclasses.replace(spec, model=models[name])
-                 for name, spec in entries] for entries in entry_lists]
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+    another response is a data error naming the file."""
+    paths = {name: Path(models_dir) / f"{name}.json"
+             for entries in entry_lists for name, _ in entries}
+    models = dict(zip(paths, _load_models(paths.values(), space)))
+    for name, model in models.items():
+        if model.response_name != name:
+            raise DataFormatError(f"{paths[name]} holds a model of "
+                                  f"{model.response_name!r}, not {name!r}")
+    return [[dataclasses.replace(spec, model=models[name])
+             for name, spec in entries] for entries in entry_lists]
 
 
 def cmd_optimize_mofa(args, cfg: dict, space: DesignSpace) -> int:

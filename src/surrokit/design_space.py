@@ -76,14 +76,6 @@ class DesignSpace:
         """Map unit-hypercube coordinates onto the raw bounds."""
         return self.lower + np.asarray(points, dtype=float) * (self.upper - self.lower)
 
-    @classmethod
-    def from_dicts(cls, entries) -> "DesignSpace":
-        """Build from an iterable of {"name", "lower", "upper"} mappings."""
-        return cls(tuple(
-            DesignVariable(e["name"], float(e["lower"]), float(e["upper"]))
-            for e in entries
-        ))
-
     def to_dicts(self) -> list[dict]:
         return [{"name": v.name, "lower": v.lower, "upper": v.upper}
                 for v in self.variables]

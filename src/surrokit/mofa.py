@@ -53,11 +53,6 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        got = getattr(self.model, "response_name", self.name)
-        if got and got != self.name:
-            raise ValueError(
-                f"objective {self.name!r} bound to model for {got!r}"
-            )
 
 
 @dataclass(frozen=True)

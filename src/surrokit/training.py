@@ -14,14 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RankDeficiencyError, TrainingDivergedError
+from .errors import (DataFormatError, RankDeficiencyError,
+                     TrainingDivergedError)
 from .metamodel import AnnModel, AnnStack, PolyModel, RbfModel, poly_basis
 from .metrics import FitReport, fit_report
 from .scaling import KINDS as SCALER_KINDS, Scaler, fit_scaler
 from .scaling import apply as scale_apply
 
 __all__ = [
-    "SampleSet", "TrainOptions", "MIN_ANN_ROWS",
+    "SampleSet", "TrainOptions", "MIN_ANN_ROWS", "check_ann_rows",
     "train_ann", "train_anns", "train_rbf", "fit_polynomial",
     "check_rbf_settings", "check_poly_settings",
     "ann_loss_and_gradient", "monomial_exponents",
@@ -241,6 +242,21 @@ def _descend(stack: AnnStack, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
             theta += velocity
 
 
+def check_ann_rows(n_rows: int, holdout_fraction: float,
+                   source="the training set") -> int:
+    """The early-stopping holdout's row count out of the `n_rows` rows of
+    `source`; a DataFormatError naming it if the ANN trainers cannot split
+    them."""
+    if n_rows < MIN_ANN_ROWS:
+        raise DataFormatError(f"{source} has {n_rows} rows; ANN training "
+                              f"needs at least {MIN_ANN_ROWS}")
+    n_hold = max(1, round(n_rows * holdout_fraction))
+    if n_hold >= n_rows:
+        raise DataFormatError(f"{source} has {n_rows} rows; holdout_fraction "
+                              f"{holdout_fraction} leaves none to train on")
+    return n_hold
+
+
 def train_anns(data: SampleSet, responses, hidden_sizes,
                opts: TrainOptions) -> dict[tuple[str, int],
                                            tuple[AnnModel, FitReport]]:
@@ -248,15 +264,10 @@ def train_anns(data: SampleSet, responses, hidden_sizes,
     loop; return {(response, hidden_size): (model, report)}. Each network
     matches `train_ann` on its own with that hidden size to rounding
     (`opts.hidden_size` is ignored)."""
-    if data.n_rows < MIN_ANN_ROWS:
-        raise ValueError(f"need at least {MIN_ANN_ROWS} rows to train, "
-                         f"got {data.n_rows}")
+    n_hold = check_ann_rows(data.n_rows, opts.holdout_fraction)
     if any(m < 1 for m in hidden_sizes):
         raise ValueError(f"hidden sizes must be >= 1, got {hidden_sizes}")
     y_raw = {r: data.response(r) for r in responses}
-    n_hold = max(1, round(data.n_rows * opts.holdout_fraction))
-    if n_hold >= data.n_rows:
-        raise ValueError("holdout_fraction leaves no training rows")
     keys = [(r, m) for r in responses for m in hidden_sizes]
     if not keys:
         return {}

@@ -549,17 +549,33 @@ class TestBadSectionValues:
             ["train", "--config", str(cfg), "--train", str(train_csv),
              "--verify", str(verify_csv), "--out-dir", str(tmp_path / "m")])
         assert code == 1
-        assert "'training.ann'" in err
+        assert "'training.ann'" in err and next(iter(ann)) in err
         assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("key,value", [("lower", True), ("name", 5)])
+    def test_space_entry(self, opamp_pipeline_config, tmp_path, capsys, key,
+                         value):
+        """A `space` value of the wrong type is a usage error naming the
+        entry and the key, as in any other config list."""
+        code, err = self.run_with(
+            opamp_pipeline_config, tmp_path, capsys,
+            lambda config: config["space"][2].update({key: value}),
+            ["sample", "--config", str(opamp_pipeline_config),
+             "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert err.startswith(f"usage error: bad 'space' section: "
+                              f"space[2]: {key}: expected")
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda abc: abc["objective"][0].update(weight=True),
         lambda abc: abc["window"][0].update(center=10 ** 400),
-    ], ids=["weight-true", "center-huge"])
+        lambda abc: abc["window"][0].update(response=5),
+    ], ids=["weight-true", "center-huge", "response-number"])
     def test_abc_entry_numbers(self, opamp_pipeline_config, tmp_path, capsys,
                                edit):
-        """A boolean or an integer beyond float range in an entry is a
-        usage error, not a traceback."""
+        """A boolean, an integer beyond float range or a number where a
+        string belongs in an entry is a usage error, not a traceback."""
         write_toy_models(tmp_path, opamp_pipeline_config)
         code, err = self.run_with(
             opamp_pipeline_config, tmp_path, capsys,
@@ -701,6 +717,7 @@ class TestFitSectionsCheckedFirst:
         ("train", "training.ann", "hidden_sizes", [True]),
         ("compare", "training", "kinds", ["foo"]),
         ("compare", "training", "kinds", "ann"),
+        ("train", "training", "responses", ["y", "y"]),
     ])
     def test_rejected_list(self, sin_project, tmp_path, capsys, run,
                            section, key, value):
@@ -748,6 +765,71 @@ class TestTrainInputFaults:
         assert code == 2
         assert str(short) in err and "10" in err
         assert not (tmp_path / "reports.json").exists()
+
+    def test_holdout_takes_every_row_is_data_error(self, sin_project,
+                                                   tmp_path, capsys):
+        """A holdout fraction that leaves no row to fit exits 2 naming the
+        file, its row count and the fraction."""
+        cfg, train_csv, verify_csv = sin_project
+        config = json.loads(cfg.read_text())
+        config["training"]["ann"]["holdout_fraction"] = 0.999
+        cfg.write_text(json.dumps(config))
+        code = fit_run("train", cfg, train_csv, verify_csv, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"data error: {train_csv} has 200 rows; "
+                       f"holdout_fraction 0.999 leaves none to train on\n")
+        assert not (tmp_path / "m").exists()
+
+    def test_constant_verify_response_under_verify_r2(self, sin_project,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        """`verify_r2` cannot rank models of a response that is constant in
+        the verification set: exit 2 naming both, before any ANN trains."""
+        def fail(*args, **kwargs):
+            raise AssertionError("an ANN trained before the check")
+        monkeypatch.setattr("surrokit.cli.train_anns", fail)
+        cfg, train_csv, verify_csv = sin_project
+        config = json.loads(cfg.read_text())
+        config["training"]["selection"] = "verify_r2"
+        cfg.write_text(json.dumps(config))
+        flat = tmp_path / "flat.csv"
+        data = load_csv(verify_csv, ["x"])
+        save_csv(SampleSet(data.inputs, {"y": np.full(data.n_rows, 1.5)},
+                           ["x"]), flat)
+        code = fit_run("train", cfg, train_csv, flat, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: response 'y' is constant in "
+                              f"{flat};")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "m").exists()
+
+
+class TestSwappedModelFile:
+    """A model file holding the model of another response is a data error
+    naming the file, whichever config entry loads it."""
+
+    @pytest.mark.parametrize("command,response,holder", [
+        ("optimize-mofa", "sr", "pd"), ("optimize-mofa", "a0", "bw"),
+        ("optimize-abc", "pd", "sr"), ("optimize-abc", "a0", "bw"),
+    ], ids=["mofa-objective", "mofa-constraint", "abc-objective",
+            "abc-window"])
+    def test_exit_2(self, opamp_pipeline_config, tmp_path, capsys, command,
+                    response, holder):
+        write_toy_models(tmp_path, opamp_pipeline_config)
+        models = tmp_path / "models"
+        (models / f"{response}.json").write_bytes(
+            (models / f"{holder}.json").read_bytes())
+        capsys.readouterr()
+        code = main([command, "--config", str(opamp_pipeline_config),
+                     "--models", str(models),
+                     "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"data error: {models / response}.json holds a model "
+                       f"of {holder!r}, not {response!r}\n")
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestModelSpaceMismatch:
