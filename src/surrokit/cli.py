@@ -82,7 +82,7 @@ _object, _flag, _str = (_typed(dict, "a JSON object"),
 
 
 def _float(value) -> float:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):  # float() would take "7" and True
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -331,9 +331,10 @@ def cmd_train(args, cfg: dict, space: DesignSpace) -> int:
     if not responses:
         raise UsageError("no responses configured and none found in the data")
     for response in responses:
-        if response not in train_set.responses:
-            raise DataFormatError(
-                f"response {response!r} not present in {args.train}")
+        for data, path in ((train_set, args.train), (verify_set, args.verify)):
+            if response not in data.responses:
+                raise DataFormatError(
+                    f"response {response!r} not present in {path}")
         if (tcfg["selection"] == "verify_r2"
                 and np.ptp(verify_set.response(response)) == 0):
             raise DataFormatError(f"response {response!r} is constant in "

@@ -92,20 +92,31 @@ class AnnStack:
             theta[self.owner == k] = vec
         return theta
 
-    def output_matrix(self, w2: np.ndarray) -> np.ndarray:
-        """The (H, N) output weights block * w2[:, None]."""
-        return self.block * w2[:, None]
+    def output_matrix(self, w2: np.ndarray, out=None) -> np.ndarray:
+        """The (H, N) output weights block * w2[:, None], written to `out`
+        if given."""
+        return np.multiply(self.block, w2[:, None], out=out)
 
     def forward(self, theta: np.ndarray, xs: np.ndarray, activation: str,
-                steepness: float, w_out=None):
+                steepness: float, w_out=None, h=None, out=None):
         """The one ANN forward pass over the scaled rows `xs`: (h, out), the
         hidden outputs h = f(steepness * (xs @ W1.T + b1)) and the outputs
         h @ w_out + b2, one column per network; fixed weights may pass in
-        w_out, the `output_matrix` of theta's W2."""
+        w_out, the `output_matrix` of theta's W2, and a caller that runs
+        many passes the (rows, H) and (rows, N) arrays to write h and out
+        to."""
         w1, b1, w2, b2 = self.views(theta)
-        z = steepness * (xs @ w1.T + b1)
-        h = np.tanh(z) if activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
-        return h, h @ (self.output_matrix(w2) if w_out is None else w_out) + b2
+        h = np.add(np.matmul(xs, w1.T, out=h), b1, out=h)
+        if steepness != 1.0:  # 1.0 * z is z
+            h *= steepness
+        if activation == "tanh":
+            np.tanh(h, out=h)
+        else:  # 1 / (1 + exp(-z))
+            np.exp(np.negative(h, out=h), out=h)
+            np.divide(1.0, np.add(h, 1.0, out=h), out=h)
+        out = np.matmul(h, self.output_matrix(w2) if w_out is None else w_out,
+                        out=out)
+        return h, np.add(out, b2, out=out)
 
     def predict(self, pts: np.ndarray) -> np.ndarray:
         """A stack made by `of`: its networks' predictions for the raw rows

@@ -122,36 +122,55 @@ class TrainOptions:
 def _stacked_pass(stack: AnnStack, theta: np.ndarray, x: np.ndarray,
                   y: np.ndarray, n_fit: int, row_means: np.ndarray,
                   l2: float, activation: str, steepness: float):
-    """`AnnStack.forward` of all stacked networks over the rows of `x`, with
-    one target column per network in `y`, then the loss gradient. Row 0 of
-    `row_means` averages the first `n_fit` rows; an optional row 1 averages
-    the others. Returns
-    (errors, grad): per network, errors[0] is the loss (that mean squared
-    error plus the L2 weight penalty) and errors[1] the mean squared error
-    under row 1; `grad` is the loss gradient, packed like `theta`."""
-    w1, _, w2, _ = stack.views(theta)
+    """The working arrays of a training run of the networks of `stack`, and
+    `run()`, which writes them: `AnnStack.forward` over the rows of `x` at
+    the current values of `theta`, with one target column per network in
+    `y`, then the loss gradient. Row 0 of `row_means` averages the first
+    `n_fit` rows; an optional row 1 averages the others. `run` returns the
+    same (errors, grad) every call: per network, errors[0] is the loss
+    (that mean squared error plus the L2 weight penalty) and errors[1] the
+    mean squared error under row 1; `grad` is the loss gradient, packed
+    like `theta`. Each product keeps its association, so the values are
+    those of the formulas written out with fresh arrays."""
+    rows, nets = y.shape
+    _, _, w2, _ = stack.views(theta)
     grad = np.empty_like(theta)
     g_w1, g_b1, g_w2, g_b2 = stack.views(grad)
-    h, resid = stack.forward(theta, x, activation, steepness)
-    resid -= y
-    errors = row_means @ (resid * resid)
-    errors[0] += l2 * (stack.penalty @ (theta * theta))
+    decay = 2.0 * l2 * stack.penalty.sum(axis=0)  # 0 on the biases
+    h, r_units, dh, du = np.empty((4, rows, stack.hidden))
+    h_fit, r_units, dh, du = h[:n_fit], r_units[:n_fit], dh[:n_fit], du[:n_fit]
+    resid, square = np.empty((2, rows, nets))
+    r, resid_fit, x_fit = np.empty((n_fit, nets)), resid[:n_fit], x[:n_fit]
+    errors, penalty = np.empty((len(row_means), nets)), np.empty(nets)
+    w_out, theta_term = np.empty((stack.hidden, nets)), np.empty_like(theta)
 
-    h = h[:n_fit]
-    r = (2.0 / n_fit) * resid[:n_fit]
-    r_units = r @ stack.block.T  # each hidden unit's network residual
-    if activation == "tanh":
-        dh = steepness * (1.0 - h * h)
-    else:
-        dh = steepness * h * (1.0 - h)
-    du = r_units * w2 * dh
-    np.matmul(du.T, x[:n_fit], out=g_w1)
-    g_w1 += 2.0 * l2 * w1
-    np.add.reduce(du, axis=0, out=g_b1)
-    np.add.reduce(h * r_units, axis=0, out=g_w2)
-    g_w2 += 2.0 * l2 * w2
-    np.add.reduce(r, axis=0, out=g_b2)
-    return errors, grad
+    def run():
+        stack.forward(theta, x, activation, steepness,
+                      stack.output_matrix(w2, w_out), h, resid)
+        np.subtract(resid, y, out=resid)
+        np.matmul(row_means, np.multiply(resid, resid, out=square), out=errors)
+        np.matmul(stack.penalty, np.multiply(theta, theta, out=theta_term),
+                  out=penalty)
+        errors[0] += np.multiply(penalty, l2, out=penalty)
+
+        np.multiply(resid_fit, 2.0 / n_fit, out=r)
+        np.matmul(r, stack.block.T, out=r_units)  # each unit's network's r
+        if activation == "tanh":  # steepness * (1 - h * h)
+            np.subtract(1.0, np.multiply(h_fit, h_fit, out=dh), out=dh)
+            if steepness != 1.0:
+                np.multiply(dh, steepness, out=dh)
+        else:  # (steepness * h) * (1 - h)
+            np.subtract(1.0, h_fit, out=dh)
+            np.multiply(dh, h_fit if steepness == 1.0 else np.multiply(
+                h_fit, steepness, out=du), out=dh)
+        np.multiply(np.multiply(r_units, w2, out=du), dh, out=du)
+        np.matmul(du.T, x_fit, out=g_w1)
+        np.add.reduce(du, axis=0, out=g_b1)
+        np.add.reduce(np.multiply(h_fit, r_units, out=du), axis=0, out=g_w2)
+        np.add.reduce(r, axis=0, out=g_b2)
+        np.add(grad, np.multiply(decay, theta, out=theta_term), out=grad)
+        return errors, grad
+    return run
 
 
 def ann_loss_and_gradient(theta: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -168,7 +187,7 @@ def ann_loss_and_gradient(theta: np.ndarray, x: np.ndarray, y: np.ndarray,
         errors, grad = _stacked_pass(
             AnnStack([(theta.size - 1) // (n + 2)], n),
             np.asarray(theta, dtype=float), x, np.reshape(y, (rows, 1)),
-            rows, np.full((1, rows), 1.0 / rows), l2, activation, steepness)
+            rows, np.full((1, rows), 1.0 / rows), l2, activation, steepness)()
     return float(errors[0, 0]), grad
 
 
@@ -185,18 +204,19 @@ def _descend(stack: AnnStack, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
     """Momentum descent of all stacked networks from `theta`, in place, so
     `theta` ends at the final parameters; returns those of least holdout
     error. Epoch t's pass gives the holdout error of theta_t and the
-    gradient there. A network whose holdout error has not improved for
-    early_stop_patience epochs is frozen: its parameters stop moving and
-    its errors are not checked."""
+    gradient there. A network is frozen early_stop_patience epochs after
+    its best holdout epoch: its parameters stop moving and its errors are
+    not checked."""
     best, best_err = theta.copy(), np.full(len(keys), np.inf)
-    stale = np.zeros(len(keys), dtype=int)
+    best_epoch = np.zeros(len(keys), dtype=int)
     active = np.ones(len(keys), dtype=bool)
+    patience = due = opts.early_stop_patience  # none is done before `due`
     frozen = None  # parameter mask of the frozen networks, once any are
-    velocity = np.zeros_like(theta)
+    velocity, step = np.zeros((2, theta.size))
     row_means = np.zeros((2, len(x)))
     row_means[0, :n_fit], row_means[1, n_fit:] = 1 / n_fit, 1 / (len(x) - n_fit)
 
-    def run(stack, theta, y):
+    def kernel(stack, theta, y):
         return _stacked_pass(stack, theta, x, y, n_fit, row_means,
                              opts.l2_penalty, opts.activation, opts.steepness)
 
@@ -205,32 +225,37 @@ def _descend(stack: AnnStack, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
         if bad:
             # one network's inf or nan reaches the others' sums through
             # zero weights, so name the first that is non-finite on its own
-            alone = [k for k in bad if not np.all(np.isfinite(run(
+            alone = [k for k in bad if not np.all(np.isfinite(kernel(
                 AnnStack([keys[k][1]], stack.n), theta[stack.owner == k],
-                y[:, k:k + 1])[0][row]))]
+                y[:, k:k + 1])()[0][row]))]
             response, m = keys[(alone or bad)[0]]
             raise TrainingDivergedError(
                 f"{message}; response {response!r}, hidden size {m}")
 
+    run = kernel(stack, theta, y)
     # overflow here just means a diverged run; check() reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in itertools.count():
-            errors, grad = run(stack, theta, y)
+            errors, grad = run()
             finite = math.isfinite(errors.sum())
             if not finite:
                 check(errors[1], 1, "holdout error became non-finite" if epoch
                       else "non-finite holdout error at initialization")
             improved = active & (errors[1] < best_err)
-            np.copyto(best_err, errors[1], where=improved)
-            np.copyto(best, theta, where=improved[stack.owner])
-            stale += 1
-            stale[improved] = 0
-            done = active & (stale >= opts.early_stop_patience)
-            if done.any():
-                active &= ~done
-                frozen = ~active[stack.owner]
-                velocity[frozen] = 0.0
-            if epoch >= opts.max_epochs or not active.any():
+            if improved.any():
+                np.copyto(best_err, errors[1], where=improved)
+                np.copyto(best, theta, where=improved[stack.owner])
+                best_epoch[improved] = epoch
+            if epoch >= due:
+                done = active & (epoch - best_epoch >= patience)
+                if done.any():
+                    active &= ~done
+                    if not active.any():
+                        return best
+                    frozen = ~active[stack.owner]
+                    velocity[frozen] = 0.0
+                due = patience + best_epoch.min(where=active, initial=epoch)
+            if epoch >= opts.max_epochs:
                 return best
             if not finite:
                 check(errors[0], 0, f"training loss became non-finite "
@@ -238,7 +263,7 @@ def _descend(stack: AnnStack, theta: np.ndarray, x: np.ndarray, y: np.ndarray,
             if frozen is not None:
                 grad[frozen] = 0.0
             velocity *= opts.momentum
-            velocity -= opts.learning_rate * grad
+            velocity -= np.multiply(grad, opts.learning_rate, out=step)
             theta += velocity
 
 

@@ -552,7 +552,8 @@ class TestBadSectionValues:
         assert "'training.ann'" in err and next(iter(ann)) in err
         assert not (tmp_path / "m").exists()
 
-    @pytest.mark.parametrize("key,value", [("lower", True), ("name", 5)])
+    @pytest.mark.parametrize("key,value", [("lower", True), ("name", 5),
+                                           ("lower", "2")])
     def test_space_entry(self, opamp_pipeline_config, tmp_path, capsys, key,
                          value):
         """A `space` value of the wrong type is a usage error naming the
@@ -565,6 +566,21 @@ class TestBadSectionValues:
         assert code == 1
         assert err.startswith(f"usage error: bad 'space' section: "
                               f"space[2]: {key}: expected")
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("key", ["n", "seed"])
+    def test_numeric_string_setting(self, opamp_pipeline_config, tmp_path,
+                                    capsys, key):
+        """A number written as a JSON string is a usage error naming the
+        section and the key, though `float()` would read it."""
+        code, err = self.run_with(
+            opamp_pipeline_config, tmp_path, capsys,
+            lambda config: config.update(sampling={key: "7"}),
+            ["sample", "--config", str(opamp_pipeline_config),
+             "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert err == (f"usage error: bad 'sampling' section: {key}: "
+                       f"expected a number, got '7'\n")
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("edit", [
@@ -803,6 +819,25 @@ class TestTrainInputFaults:
         assert err.startswith("data error: response 'y' is constant in "
                               f"{flat};")
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "m").exists()
+
+
+    def test_response_missing_from_verify_set(self, sin_project, tmp_path,
+                                             capsys, monkeypatch):
+        """A trained response the verification set lacks exits 2 naming
+        the response and the file, before any ANN trains."""
+        def fail(*args, **kwargs):
+            raise AssertionError("an ANN trained before the check")
+        monkeypatch.setattr("surrokit.cli.train_anns", fail)
+        cfg, train_csv, verify_csv = sin_project
+        other = tmp_path / "other.csv"
+        data = load_csv(verify_csv, ["x"])
+        save_csv(SampleSet(data.inputs, {"z": data.response("y")}, ["x"]),
+                 other)
+        code = fit_run("train", cfg, train_csv, other, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: response 'y' not present in {other}\n")
         assert not (tmp_path / "m").exists()
 
 

@@ -263,8 +263,12 @@ class TestTrainAnns:
         flat = stacked["flat", 5][0]
         assert np.all(flat.W2 == 0.0) and flat.b2 == 0.0
 
-    @pytest.mark.parametrize("activation", ["tanh", "logsig"])
-    def test_stacked_gradient_matches_central_differences(self, activation):
+    # steepness 1.0 skips the multiplies by it
+    @pytest.mark.parametrize("activation,steepness", [
+        ("tanh", 1.3), ("logsig", 1.3), ("tanh", 1.0), ("logsig", 1.0)],
+        ids=["tanh", "logsig", "tanh-steepness-1", "logsig-steepness-1"])
+    def test_stacked_gradient_matches_central_differences(self, activation,
+                                                          steepness):
         rng = np.random.default_rng(21)
         sizes, n, rows, n_fit = [2, 5, 1, 3], 3, 25, 18
         stack = AnnStack(sizes, n)
@@ -276,10 +280,10 @@ class TestTrainAnns:
 
         def total_loss(vec):
             return _stacked_pass(stack, vec, x, y, n_fit, means, 1e-3,
-                                 activation, 1.3)[0][0].sum()
+                                 activation, steepness)()[0][0].sum()
 
         errors, grad = _stacked_pass(stack, theta, x, y, n_fit, means, 1e-3,
-                                     activation, 1.3)
+                                     activation, steepness)()
         assert errors.shape == (2, len(sizes))
         h = 1e-6
         fd = np.zeros(stack.owner.size)
@@ -310,6 +314,99 @@ class TestTrainAnns:
         second = train_anns(data, self.RESPONSES, [2, 5], opts)
         for key, (model, _) in first.items():
             assert np.array_equal(weights(model), weights(second[key][0]))
+
+
+def formula_pass(stack, theta, x, y, n_fit, row_means, l2, activation,
+                 steepness):
+    """(errors, grad) of `_stacked_pass`, written out with fresh arrays."""
+    w1, b1, w2, b2 = stack.views(theta)
+    z = steepness * (x @ w1.T + b1)
+    h = np.tanh(z) if activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
+    resid = h @ (stack.block * w2[:, None]) + b2 - y
+    errors = row_means @ (resid * resid)
+    errors[0] += l2 * (stack.penalty @ (theta * theta))
+    h, r = h[:n_fit], (2.0 / n_fit) * resid[:n_fit]
+    r_units = r @ stack.block.T
+    dh = (steepness * (1.0 - h * h) if activation == "tanh"
+          else steepness * h * (1.0 - h))
+    du = r_units * w2 * dh
+    grad = np.concatenate([(du.T @ x[:n_fit] + 2.0 * l2 * w1).ravel(),
+                           du.sum(axis=0), (h * r_units).sum(axis=0)
+                           + 2.0 * l2 * w2, r.sum(axis=0)])
+    return errors, grad
+
+
+class TestStackedPassWorkspace:
+    """A training run allocates its working arrays once and every pass
+    rewrites all of them."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "logsig"])
+    @pytest.mark.parametrize("steepness", [1.0, 1.3])
+    def test_reused_workspace_is_bit_identical(self, activation, steepness):
+        """One workspace run at theta_A, theta_B, theta_A gives, bit for
+        bit, what a fresh one-shot pass and the formulas give. Network 2's
+        entries are equal in both, as when it is frozen."""
+        rng = np.random.default_rng(17)
+        sizes, n, rows, n_fit = [3, 1, 6, 2], 4, 30, 22
+        stack = AnnStack(sizes, n)
+        x = rng.standard_normal((rows, n))
+        y = rng.standard_normal((rows, len(sizes)))
+        means = np.zeros((2, rows))
+        means[0, :n_fit], means[1, n_fit:] = 1 / n_fit, 1 / (rows - n_fit)
+        theta_a = rng.uniform(-0.5, 0.5, stack.owner.size)
+        theta_b = theta_a + rng.normal(scale=0.3, size=theta_a.size)
+        theta_b[stack.owner == 2] = theta_a[stack.owner == 2]
+        args = (x, y, n_fit, means, 1e-3, activation, steepness)
+        theta = np.empty_like(theta_a)
+        run = _stacked_pass(stack, theta, *args)
+        for point in (theta_a, theta_b, theta_a):
+            theta[:] = point
+            got = run()
+            for want in (_stacked_pass(stack, point.copy(), *args)(),
+                         formula_pass(stack, point, *args)):
+                for got_array, want_array in zip(got, want):
+                    assert got_array.tobytes() == want_array.tobytes()
+
+    def test_loss_and_gradient_arrays_unaliased(self):
+        rng = np.random.default_rng(2)
+        x, y = rng.standard_normal((20, 3)), rng.standard_normal(20)
+        theta = rng.uniform(-0.5, 0.5, 4 * 5 + 1)
+        _, first = ann_loss_and_gradient(theta, x, y, 1e-3)
+        kept = first.copy()
+        _, second = ann_loss_and_gradient(theta + 0.1, x, y, 1e-3)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    def test_early_stop_at_best_epoch_plus_patience(self):
+        """A network whose best holdout epoch is b stops at epoch b + p for
+        patience p: every max_epochs from b + p on ends at the same final
+        weights."""
+        data, p = mixed_set(), 40
+        opts = TrainOptions(hidden_size=5, max_epochs=2000,
+                            learning_rate=0.05, early_stop_patience=p, seed=4)
+        holdout, make = [], training._stacked_pass
+
+        def spy(*args):
+            run = make(*args)
+
+            def recorded():
+                errors, grad = run()
+                holdout.append(errors[1, 0])
+                return errors, grad
+            return recorded
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "_stacked_pass", spy)
+            train_ann(data, "noise", opts)
+        b = int(np.argmin(holdout))  # the first epoch of least error
+        assert len(holdout) == b + p + 1 < opts.max_epochs
+
+        def final(max_epochs):
+            return final_weights(data, "noise",
+                                 replace(opts, max_epochs=max_epochs))
+        stopped = final(b + p)
+        for k in (1, 25):
+            assert np.array_equal(final(b + p + k), stopped)
+        assert not np.array_equal(final(b + p - 1), stopped)
 
 
 class TestTrainRbf:
