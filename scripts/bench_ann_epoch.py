@@ -115,13 +115,6 @@ def _spawn(tree: Path, args) -> dict:
     return json.loads(proc.stdout)
 
 
-def _quartiles(values: list[float]) -> dict:
-    if len(values) == 1:
-        return {"median": values[0], "q1": values[0], "q3": values[0],
-                "runs": values}
-    return _summary(values)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", type=Path)
@@ -157,7 +150,7 @@ def main() -> None:
     def compare(values: dict) -> dict:
         """Both trees' summaries of `values[side]`, the share of pairs in
         which `after` is lower, and the change of the medians."""
-        out = {side: _quartiles(values[side]) for side in trees}
+        out = {side: _summary(values[side]) for side in trees}
         out["after_lower"] = (f"{sum(a < b for b, a in zip(*values.values()))}"
                               f"/{args.pairs}")
         out["change"] = out["after"]["median"] / out["before"]["median"] - 1.0

@@ -2,7 +2,7 @@
 fixed opamp-flow inputs, and write the before/after record as JSON.
 
     python scripts/bench_optimizers.py --before ../parent-checkout \\
-        --pairs 10 --out BENCH_model_bank.json
+        --pairs 10 --out BENCH_optimizer_loop.json
 
 `--before` and `--after` (default: this checkout) are repository roots, each
 with a `src/surrokit`. The inputs are built once, with the `--after` tree:
@@ -11,7 +11,9 @@ the opamp-flow pipeline of `perfbench/workloads.py` (seed `--seed`, pass 0:
 and its config and model files are what both trees optimize. Each pair then
 runs one worker process per tree, alternating which goes first. A worker
 imports surrokit from its tree, runs each command once to warm up and
-`--repeats` times timed, and reports the median seconds. It then runs each
+`--repeats` times timed, and reports the median seconds of the command
+and of its optimizer call alone (`mofa_optimize` or `abc_optimize`; per
+firefly iteration or bee-colony cycle, `us_per_step`). It then runs each
 command once more with `tracemalloc` on and the optimizer's model evaluator
 wrapped, which gives the command's peak traced memory and the model rows it
 evaluated (rows times models per evaluator call). The record also gives the
@@ -76,9 +78,23 @@ def worker(work: Path, repeats: int) -> dict:
     """Measure both commands in this process's tree (see the module doc)."""
     import tracemalloc
     import numpy as np
-    from surrokit import cli
+    from surrokit import bee_colony, cli, mofa
 
-    def run(command: str, out: Path) -> float:
+    inner = {}
+
+    def timed(optimize):
+        """`optimize`, recording the seconds of its last call in `inner`."""
+        def call(*args, **kwargs):
+            start = time.perf_counter()
+            result = optimize(*args, **kwargs)
+            inner["s"] = time.perf_counter() - start
+            return result
+        return call
+    mofa.mofa_optimize = timed(mofa.mofa_optimize)
+    bee_colony.abc_optimize = timed(bee_colony.abc_optimize)
+
+    def run(command: str, out: Path) -> tuple[float, float]:
+        """The command's seconds and its optimizer call's seconds."""
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -86,7 +102,7 @@ def worker(work: Path, repeats: int) -> dict:
         seconds = time.perf_counter() - start
         if code != 0:
             raise SystemExit(f"{command} exited {code}")
-        return seconds
+        return seconds, inner["s"]
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_opt_"))
     try:
@@ -95,7 +111,9 @@ def worker(work: Path, repeats: int) -> dict:
             out = scratch / f"{command}.csv"
             run(command, out)  # warm-up
             times = [run(command, out) for _ in range(repeats)]
-            result[command] = {"wall_s": statistics.median(times)}
+            result[command] = {
+                "wall_s": statistics.median(t for t, _ in times),
+                "optimizer_s": statistics.median(t for _, t in times)}
         counts = {}
         _count_evaluator_rows(counts)
         for command in COMMANDS:
@@ -156,7 +174,9 @@ def _revision(tree: Path) -> str:
 
 
 def _summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles of `values`; a single value is all three."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -180,14 +200,16 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=41)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_model_bank.json"))
+    parser.add_argument("--out", type=Path,
+                        default=Path("BENCH_optimizer_loop.json"))
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
         print(json.dumps(worker(args.worker, args.repeats)))
         return
-    if args.before is None or args.pairs < 2:
-        parser.error("--before is required and --pairs must be >= 2")
+    if args.before is None or min(args.pairs, args.repeats) < 1:
+        parser.error("--before is required, and --pairs and --repeats must "
+                     "be >= 1")
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
     os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads
 
@@ -206,13 +228,20 @@ def main() -> None:
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
+    # firefly iterations and bee-colony cycles per run
+    steps = {"optimize-mofa": config["mofa"]["t_max"],
+             "optimize-abc": config["abc"]["max_cycles"]}
     commands = {}
     for command in COMMANDS:
         record = {}
         for side in trees:
             first = runs[side][0][command]
+            optimizer_s = _summary([r[command]["optimizer_s"]
+                                    for r in runs[side]])
             record[side] = {
                 "wall_s": _summary([r[command]["wall_s"] for r in runs[side]]),
+                "optimizer_s": optimizer_s,
+                "us_per_step": optimizer_s["median"] / steps[command] * 1e6,
                 "peak_traced_mb": first["peak_traced_mb"],
                 "model_rows": first["model_rows"],
                 "evaluator_calls": first["evaluator_calls"],
@@ -247,7 +276,9 @@ def main() -> None:
         print(f"{command}: before {record['before']['wall_s']['median']:.4f}"
               f" s, after {record['after']['wall_s']['median']:.4f} s "
               f"({record['wall_change']:+.1%}, after wins "
-              f"{record['after_wins']}), model rows "
+              f"{record['after_wins']}), us per step "
+              f"{record['before']['us_per_step']:.1f} -> "
+              f"{record['after']['us_per_step']:.1f}, model rows "
               f"{record['before']['model_rows']} -> "
               f"{record['after']['model_rows']}", file=sys.stderr)
 

@@ -148,68 +148,82 @@ def abc_optimize(space: DesignSpace, problem: FomProblem,
 
     sources = space.from_unit(rng.random((n_src, dim)))
     fom, viol = evaluate(sources)
-    trials = np.zeros(n_src, dtype=int)
+    trials = [0] * n_src
 
     best_x = sources[int(np.argmin(fom))].copy()
     best_f = float(fom.min())
     best_feasible_x = None
     best_feasible_f = np.inf
 
-    def note(points, values, violations):
-        # argmin keeps the first of equal values, as a strict < scan would
+    def note(points, values: list, violations: list) -> None:
+        """Fold the rows into the best so far, in order; a strict < keeps
+        the first of equal values."""
         nonlocal best_x, best_f, best_feasible_x, best_feasible_f
-        i = int(np.argmin(values))
-        if values[i] < best_f:
-            best_f, best_x = float(values[i]), points[i].copy()
-        feasible_values = np.where(violations == 0.0, values, np.inf)
-        i = int(np.argmin(feasible_values))
-        if feasible_values[i] < best_feasible_f:
-            best_feasible_f, best_feasible_x = float(values[i]), points[i].copy()
+        best = best_feasible = None
+        for r, (f, g) in enumerate(zip(values, violations)):
+            if f < best_f:
+                best_f, best = f, r
+            if g == 0.0 and f < best_feasible_f:
+                best_feasible_f, best_feasible = f, r
+        if best is not None:
+            best_x = points[best].copy()
+        if best_feasible is not None:
+            best_feasible_x = points[best_feasible].copy()
 
-    note(sources, fom, viol)
+    note(sources, fom.tolist(), viol.tolist())
+    all_sources = np.arange(n_src)
 
     def greedy(picks: np.ndarray):
         """Perturb each picked source against the colony as it stands now,
         evaluate all candidates in one batch, then apply the greedy
         replacements in pick order."""
-        n = picks.size
-        rows = np.arange(n)
-        j = rng.integers(dim, size=n)
-        k = rng.integers(n_src - 1, size=n)
+        j = rng.integers(dim, size=n_src)
+        k = rng.integers(n_src - 1, size=n_src)
         k += k >= picks
-        phi = rng.uniform(-1.0, 1.0, size=n)
+        phi = rng.uniform(-1.0, 1.0, size=n_src)
         cand = sources[picks]
-        moved = cand[rows, j] + phi * (cand[rows, j] - sources[k, j])
-        cand[rows, j] = np.clip(moved, lower[j], upper[j])
+        x = cand[all_sources, j]
+        # maximum then minimum: np.clip's values in fewer calls
+        cand[all_sources, j] = np.minimum(
+            np.maximum(x + phi * (x - sources[k, j]), lower[j]), upper[j])
         f_new, g_new = evaluate(cand)
-        note(cand, f_new, g_new)
-        for r, i in enumerate(picks):
-            if f_new[r] < np.inf and f_new[r] <= fom[i]:
-                sources[i] = cand[r]
-                fom[i] = f_new[r]
-                viol[i] = g_new[r]
+        values = f_new.tolist()
+        note(cand, values, g_new.tolist())
+        # in pick order, in Python floats: a source picked twice compares
+        # its second candidate with the value its first left
+        current, won = fom.tolist(), {}
+        for r, (i, f) in enumerate(zip(picks.tolist(), values)):
+            if f < np.inf and f <= current[i]:
+                current[i], won[i] = f, r
                 trials[i] = 0
             else:
                 trials[i] += 1
+        if won:  # each source takes its last winning candidate
+            src, rows = list(won), list(won.values())
+            sources[src], fom[src], viol[src] = (cand[rows], f_new[rows],
+                                                 g_new[rows])
 
     trace: list[float] = []
-    all_sources = np.arange(n_src)
     for _ in range(params.max_cycles):
         greedy(all_sources)
 
         fitness = np.where(fom >= 0, 1.0 / (1.0 + fom), 1.0 + np.abs(fom))
-        if not fitness.sum() > 0:  # every source is infinite: pick uniformly
+        total = fitness.sum()
+        if not total > 0:  # every source is infinite: pick uniformly
             fitness = np.ones(n_src)
-        cdf = np.cumsum(fitness / fitness.sum())
+            total = fitness.sum()
+        cdf = np.cumsum(fitness / total)
         picks = np.searchsorted(cdf, rng.random(n_src), side="right")
         greedy(np.minimum(picks, n_src - 1))
 
-        scouts = np.flatnonzero(trials > params.limit)
-        if scouts.size:
-            sources[scouts] = space.from_unit(rng.random((scouts.size, dim)))
-            fom[scouts], viol[scouts] = evaluate(sources[scouts])
-            trials[scouts] = 0
-            note(sources[scouts], fom[scouts], viol[scouts])
+        scouts = [i for i, t in enumerate(trials) if t > params.limit]
+        if scouts:
+            new = space.from_unit(rng.random((len(scouts), dim)))
+            f_new, g_new = evaluate(new)
+            sources[scouts], fom[scouts], viol[scouts] = new, f_new, g_new
+            for i in scouts:
+                trials[i] = 0
+            note(new, f_new.tolist(), g_new.tolist())
 
         trace.append(best_f)
 

@@ -69,12 +69,15 @@ class AnnStack:
         activation and steepness, holding their weights to `predict`."""
         first = models[0]
         stack = cls([m.hidden_size for m in models], first.input_dim)
-        stack.input_scaler, stack.activation, stack.steepness = (
-            first.input_scaler, first.activation, first.steepness)
-        stack.theta = stack.pack([np.concatenate(
-            [m.W1.ravel(), m.b1, m.W2, [m.b2]]) for m in models])
-        stack.w_out = stack.output_matrix(stack.views(stack.theta)[2])
-        # each column's output step, y * scale + shift as in `scale_invert`
+        stack.activation, stack.steepness = first.activation, first.steepness
+        # the fixed steps of `predict`, taken once: input scaling as in
+        # `scale_apply`, the weights as `forward` takes them, and each
+        # column's output step, y * scale + shift as in `scale_invert`
+        stack.in_shift = first.input_scaler.shift
+        stack.in_scale = first.input_scaler.scale
+        w1, b1, w2, b2 = stack.views(stack.pack([np.concatenate(
+            [m.W1.ravel(), m.b1, m.W2, [m.b2]]) for m in models]))
+        stack.weights = (w1.T, b1, stack.output_matrix(w2), b2)
         stack.scale = np.array([m.output_scaler.scale[0] for m in models])
         stack.shift = np.array([m.output_scaler.shift[0] for m in models])
         return stack
@@ -97,16 +100,16 @@ class AnnStack:
         if given."""
         return np.multiply(self.block, w2[:, None], out=out)
 
-    def forward(self, theta: np.ndarray, xs: np.ndarray, activation: str,
-                steepness: float, w_out=None, h=None, out=None):
+    def forward(self, weights, xs: np.ndarray, activation: str,
+                steepness: float, h=None, out=None):
         """The one ANN forward pass over the scaled rows `xs`: (h, out), the
         hidden outputs h = f(steepness * (xs @ W1.T + b1)) and the outputs
-        h @ w_out + b2, one column per network; fixed weights may pass in
-        w_out, the `output_matrix` of theta's W2, and a caller that runs
-        many passes the (rows, H) and (rows, N) arrays to write h and out
-        to."""
-        w1, b1, w2, b2 = self.views(theta)
-        h = np.add(np.matmul(xs, w1.T, out=h), b1, out=h)
+        h @ w_out + b2, one column per network, where `weights` is (W1.T,
+        b1, w_out, b2): views of a flat vector's W1, b1 and b2, and the
+        `output_matrix` of its W2. A caller that runs many passes may give
+        the (rows, H) and (rows, N) arrays to write h and out to."""
+        w1t, b1, w_out, b2 = weights
+        h = np.add(np.matmul(xs, w1t, out=h), b1, out=h)
         if steepness != 1.0:  # 1.0 * z is z
             h *= steepness
         if activation == "tanh":
@@ -114,15 +117,14 @@ class AnnStack:
         else:  # 1 / (1 + exp(-z))
             np.exp(np.negative(h, out=h), out=h)
             np.divide(1.0, np.add(h, 1.0, out=h), out=h)
-        out = np.matmul(h, self.output_matrix(w2) if w_out is None else w_out,
-                        out=out)
+        out = np.matmul(h, w_out, out=out)
         return h, np.add(out, b2, out=out)
 
     def predict(self, pts: np.ndarray) -> np.ndarray:
         """A stack made by `of`: its networks' predictions for the raw rows
         `pts`, one column each."""
-        _, y = self.forward(self.theta, scale_apply(self.input_scaler, pts),
-                            self.activation, self.steepness, self.w_out)
+        _, y = self.forward(self.weights, (pts - self.in_shift) / self.in_scale,
+                            self.activation, self.steepness)
         return y * self.scale + self.shift
 
 
@@ -375,9 +377,11 @@ class ModelBank:
 
     ANNs whose input scalers are equal by value and which share input count,
     activation and steepness run as one `AnnStack`, built once: one input
-    check, one input scaling and one forward pass for the whole group, in
-    blocks of at most PREDICT_BLOCK rows. Any other model runs its own
-    `predict` on the rows.
+    scaling and one forward pass for the whole group, in blocks of at most
+    PREDICT_BLOCK rows. A bank holding ANNs checks its input once per call
+    for all of them, so they must share one input count. When one stack
+    holds every column, a call of at most PREDICT_BLOCK rows returns its
+    output as it is. Any other model runs its own `predict` on the rows.
     A stack's predictions equal each network's `predict` up to rounding.
     """
 
@@ -397,15 +401,27 @@ class ModelBank:
                 self._others.append((col, model))
         self._stacks = [(np.array(cols), AnnStack.of([models[c] for c in cols]))
                         for cols in groups.values()]
+        dims = {stack.n for _, stack in self._stacks}
+        if len(dims) > 1:
+            raise ValueError(f"the ANNs of one bank take different input "
+                             f"counts {sorted(dims)}")
+        self._dim = dims.pop() if dims else None
+        # columns are grouped in order, so a lone stack holds them in order
+        self._whole = (self._stacks[0][1] if len(self._stacks) == 1
+                       and not self._others else None)
 
     def predict(self, x) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(x, dtype=float))
+        if self._dim is None:  # no ANN: each model checks its own input
+            rows = np.atleast_2d(np.asarray(x, dtype=float))
+        else:
+            rows, _ = _as_matrix(x, self._dim)
+        if self._whole is not None and rows.shape[0] <= PREDICT_BLOCK:
+            return self._whole.predict(rows)
         out = np.empty((rows.shape[0], self.width))
         for cols, stack in self._stacks:
-            pts, _ = _as_matrix(rows, stack.n)
-            for start in range(0, pts.shape[0], PREDICT_BLOCK):
+            for start in range(0, rows.shape[0], PREDICT_BLOCK):
                 block = slice(start, start + PREDICT_BLOCK)
-                out[block, cols] = stack.predict(pts[block])
+                out[block, cols] = stack.predict(rows[block])
         for col, model in self._others:
             out[:, col] = np.asarray(model.predict(rows)).reshape(-1)
         return out

@@ -133,13 +133,21 @@ def non_dominated(points, directions) -> list[int]:
     pts = np.atleast_2d(pts)
     if len(directions) != pts.shape[1]:
         raise ValueError("one direction per objective required")
-    sign = np.array([1.0 if d == "minimize" else -1.0 for d in directions])
-    f = pts * sign  # now everything is minimization
+    return _non_dominated_min(pts * _minimizing(directions))
+
+
+def _minimizing(directions) -> np.ndarray:
+    """Per objective, the sign that makes it minimized."""
+    return np.array([1.0 if d == "minimize" else -1.0 for d in directions])
+
+
+def _non_dominated_min(f: np.ndarray) -> list[int]:
+    """`non_dominated` of the minimization matrix `f`, any row count."""
     if f.shape[1] == 2:
         return _non_dominated_2d(f)
     n, k = f.shape
     keep = np.empty(n, dtype=bool)
-    step = max(1, ND_BLOCK // (n * k))
+    step = max(1, ND_BLOCK // max(1, n * k))
     for start in range(0, n, step):
         block = f[start:start + step, None, :]
         # [i, j]: row j dominates row i of the block
@@ -156,7 +164,7 @@ def _non_dominated_2d(f: np.ndarray) -> list[int]:
     first row of its own group has a strictly smaller f2.
     """
     nan = np.isnan(f).any(axis=1)
-    rows = np.flatnonzero(~nan)
+    rows = (~nan).nonzero()[0]
     order = rows[np.lexsort((f[rows, 1], f[rows, 0]))]
     f1, f2 = f[order, 0], f[order, 1]
     new_group = np.ones(f1.size, dtype=bool)
@@ -170,7 +178,7 @@ def _non_dominated_2d(f: np.ndarray) -> list[int]:
     keep = np.zeros(f.shape[0], dtype=bool)
     keep[order[~dominated]] = True
     keep[nan] = True
-    return np.flatnonzero(keep).tolist()
+    return keep.nonzero()[0].tolist()
 
 
 def scalarize(objective_values, w, directions) -> np.ndarray:
@@ -211,12 +219,19 @@ def move_vector(current, target, params: MofaParams,
     tgt = np.asarray(target, dtype=float)
     if cur.shape != tgt.shape:
         raise ValueError("current and target dimensions differ")
-    a = params.alpha if alpha is None else alpha
+    return _move(cur, tgt, params, params.alpha if alpha is None else alpha,
+                 rng)
+
+
+def _move(cur: np.ndarray, tgt: np.ndarray, params: MofaParams, alpha: float,
+          rng: np.random.Generator) -> np.ndarray:
+    """The attraction step of `move_vector` on float arrays of one shape."""
     diff = tgt - cur
-    r2 = (diff * diff).sum(axis=-1, keepdims=True)
+    r2 = np.add.reduce(diff * diff, axis=-1, keepdims=True)
     step = params.beta0 * np.exp(-params.gamma * r2) * diff
-    step = step + a * (rng.random(cur.shape) - 0.5)
-    return np.clip(cur + step, 0.0, 1.0)
+    step = step + alpha * (rng.random(cur.shape) - 0.5)
+    # maximum then minimum: np.clip's values, NaN included, in fewer calls
+    return np.minimum(np.maximum(cur + step, 0.0), 1.0)
 
 
 def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
@@ -232,8 +247,8 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
     batches per iteration. A move is accepted when its destination is
     feasible or, while no firefly is feasible, when it lowers the mover's
     total violation.
-    Constraint values computed while vetting a move are reused as the
-    mover's values next iteration. A move with a non-finite constraint
+    Constraint values computed while vetting a move, and their total
+    violation, are reused as the mover's values next iteration. A move with a non-finite constraint
     prediction is rejected, and a row with any non-finite prediction is
     infeasible, so it is never a target and never enters the archive.
     Raises InfeasibleRunError (carrying the smallest total violation seen)
@@ -254,6 +269,8 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
     # the population moves in unit-cube coordinates; `pop` is its raw image
     rng = np.random.default_rng(params.seed)
     lower, upper = space.lower, space.upper
+    span = upper - lower  # as in `space.from_unit`
+    sign = _minimizing(directions)
     unit = rng.random((params.K, space.dim))
     pop = space.from_unit(unit)
     g_pop = con_bank.predict(pop)
@@ -271,17 +288,22 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
         best_violation = min(best_violation, float(viol.min()))
         return viol
 
-    def feasible_rows(f_rows: np.ndarray, viol: np.ndarray) -> np.ndarray:
-        return (viol == 0.0) & np.isfinite(f_rows).all(axis=1)
+    def feasible_rows(finite: np.ndarray, viol: np.ndarray) -> np.ndarray:
+        return ((viol == 0.0) & finite).nonzero()[0]
 
+    # each firefly's total violation travels with its constraint values, so
+    # only new rows are summed (and folded into best_violation)
+    viol_pop = total_violation(g_pop)
     for _ in range(params.t_max):
         f_pop = obj_bank.predict(pop)
-        viol_pop = total_violation(g_pop)
-        feasible = np.flatnonzero(feasible_rows(f_pop, viol_pop))
-        nd_idx = feasible[non_dominated(f_pop[feasible], directions)]
-        scored = np.flatnonzero(np.isfinite(f_pop).all(axis=1))
+        finite = np.isfinite(f_pop).all(axis=1)
+        feasible = feasible_rows(finite, viol_pop)
+        nd_idx = feasible[_non_dominated_min(f_pop[feasible] * sign)]
+        if not nd_idx.size:
+            scored = finite.nonzero()[0]
 
-        new_unit, new_pop, new_g = unit.copy(), pop.copy(), g_pop.copy()
+        new_unit, new_pop = unit.copy(), pop.copy()
+        new_g, new_viol = g_pop.copy(), viol_pop.copy()
         pending = np.arange(params.K)
         for _ in range(1 + params.max_regen):
             n = pending.size
@@ -298,9 +320,9 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
                 target = unit[scored[np.argmax(psi, axis=0)]]
             else:  # no finite objective row to aim at: random walk only
                 target = current
-            dest_unit = move_vector(current, target, params, rng, alpha=alpha)
+            dest_unit = _move(current, target, params, alpha, rng)
             # re-clamp: mapping to raw units can overshoot a bound by an ulp
-            dest = np.clip(space.from_unit(dest_unit), lower, upper)
+            dest = np.minimum(np.maximum(lower + dest_unit * span, lower), upper)
             g_dest = con_bank.predict(dest)
             viol_dest = total_violation(g_dest)
             ok = viol_dest == 0.0
@@ -308,19 +330,19 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
                 ok |= viol_dest < viol_pop[pending]
             moved = pending[ok]
             new_unit[moved], new_pop[moved] = dest_unit[ok], dest[ok]
-            new_g[moved] = g_dest[ok]
+            new_g[moved], new_viol[moved] = g_dest[ok], viol_dest[ok]
             pending = pending[~ok]
             if not pending.size:
                 break
         # fireflies still pending found no acceptable move on any attempt:
         # they stay put
 
-        unit, pop, g_pop = new_unit, new_pop, new_g
+        unit, pop, g_pop, viol_pop = new_unit, new_pop, new_g, new_viol
         alpha *= params.alpha_decay
 
     # archive = feasible non-dominated subset of the final population
     f_pop = obj_bank.predict(pop)
-    feasible = np.flatnonzero(feasible_rows(f_pop, total_violation(g_pop)))
+    feasible = feasible_rows(np.isfinite(f_pop).all(axis=1), viol_pop)
     if not feasible.size:
         raise InfeasibleRunError(
             "no feasible design found; smallest total constraint violation "

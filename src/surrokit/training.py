@@ -133,7 +133,7 @@ def _stacked_pass(stack: AnnStack, theta: np.ndarray, x: np.ndarray,
     like `theta`. Each product keeps its association, so the values are
     those of the formulas written out with fresh arrays."""
     rows, nets = y.shape
-    _, _, w2, _ = stack.views(theta)
+    w1, b1, w2, b2 = stack.views(theta)
     grad = np.empty_like(theta)
     g_w1, g_b1, g_w2, g_b2 = stack.views(grad)
     decay = 2.0 * l2 * stack.penalty.sum(axis=0)  # 0 on the biases
@@ -145,8 +145,8 @@ def _stacked_pass(stack: AnnStack, theta: np.ndarray, x: np.ndarray,
     w_out, theta_term = np.empty((stack.hidden, nets)), np.empty_like(theta)
 
     def run():
-        stack.forward(theta, x, activation, steepness,
-                      stack.output_matrix(w2, w_out), h, resid)
+        stack.forward((w1.T, b1, stack.output_matrix(w2, w_out), b2), x,
+                      activation, steepness, h, resid)
         np.subtract(resid, y, out=resid)
         np.matmul(row_means, np.multiply(resid, resid, out=square), out=errors)
         np.matmul(stack.penalty, np.multiply(theta, theta, out=theta_term),

@@ -169,6 +169,94 @@ class TestAbcOptimize:
         assert best_f == pytest.approx(best_x[0] + 2.0 * (1.0 - best_x[1]))
 
 
+def per_pick_abc(space, problem, params):
+    """abc_optimize written one pick at a time: the greedy replacement and
+    the best-so-far bookkeeping compare each candidate in pick order, with
+    numpy scalars. Returns (best, FoM, trace, ties, repeats): how many
+    candidates equalled the value they were compared with, and how many
+    onlooker phases picked a source twice."""
+    rng = np.random.default_rng(params.seed)
+    n, dim, lower, upper = params.n_sources, space.dim, space.lower, space.upper
+
+    def evaluate(points):
+        fom, viol = problem.evaluate(points)
+        return np.where(np.isfinite(fom), fom, np.inf), viol
+
+    sources = space.from_unit(rng.random((n, dim)))
+    fom, viol = evaluate(sources)
+    trials, counts = np.zeros(n, dtype=int), {"ties": 0, "repeats": 0}
+    best = [fom.min(), sources[np.argmin(fom)].copy(), np.inf, None]
+
+    def note(points, values, violations):
+        for x, f, g in zip(points, values, violations):
+            counts["ties"] += f == best[0]
+            if f < best[0]:
+                best[:2] = f, x.copy()
+            if g == 0.0 and f < best[2]:
+                best[2:] = f, x.copy()
+
+    def greedy(picks):
+        j, k = rng.integers(dim, size=n), rng.integers(n - 1, size=n)
+        k += k >= picks
+        phi = rng.uniform(-1.0, 1.0, size=n)
+        cand, rows = sources[picks], np.arange(n)
+        moved = cand[rows, j] + phi * (cand[rows, j] - sources[k, j])
+        cand[rows, j] = np.clip(moved, lower[j], upper[j])
+        f_new, g_new = evaluate(cand)
+        note(cand, f_new, g_new)
+        for r, i in enumerate(picks):
+            counts["ties"] += f_new[r] == fom[i]
+            if f_new[r] < np.inf and f_new[r] <= fom[i]:
+                sources[i], fom[i], viol[i], trials[i] = cand[r], f_new[r], \
+                    g_new[r], 0
+            else:
+                trials[i] += 1
+
+    note(sources, fom, viol)
+    trace = []
+    for _ in range(params.max_cycles):
+        greedy(np.arange(n))
+        fitness = np.where(fom >= 0, 1.0 / (1.0 + fom), 1.0 + np.abs(fom))
+        if not fitness.sum() > 0:
+            fitness = np.ones(n)
+        cdf = np.cumsum(fitness / fitness.sum())
+        picks = np.searchsorted(cdf, rng.random(n), side="right")
+        counts["repeats"] += len(set(picks.tolist())) < n
+        greedy(np.minimum(picks, n - 1))
+        scouts = np.flatnonzero(trials > params.limit)
+        if scouts.size:
+            sources[scouts] = space.from_unit(rng.random((scouts.size, dim)))
+            fom[scouts], viol[scouts] = evaluate(sources[scouts])
+            trials[scouts] = 0
+            note(sources[scouts], fom[scouts], viol[scouts])
+        trace.append(float(best[0]))
+    x, f = (best[3], best[2]) if best[3] is not None else (best[1], best[0])
+    return x, float(f), trace, counts["ties"], counts["repeats"]
+
+
+@pytest.mark.parametrize("center", [2.0, 10.0], ids=["window", "never-feasible"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pick_order_matches_per_pick_reference(seed, center):
+    """A staircase FoM (so candidates tie on its steps), a window (met, or
+    never met, so that the penalized best is returned) and a roulette that
+    picks sources twice: abc_optimize's best, FoM and trace equal the
+    per-pick reference's bit for bit."""
+    space = box_space(3, -2.0, 2.0)
+    cost = CallableModel(input_dim=3, fn=lambda X: np.floor(
+        4.0 * np.sum((X - 0.5) ** 2, axis=1)))
+    target = CallableModel(input_dim=3, fn=lambda X: X[:, 0] + 2.0)
+    problem = FomProblem(terms=(FomTerm(cost),), windows=(
+        WindowConstraint(target, center=center, relative_tolerance=0.3),))
+    params = AbcParams(colony_size=10, limit=8, max_cycles=60, seed=seed)
+    want_x, want_f, want_trace, ties, repeats = per_pick_abc(
+        space, problem, params)
+    assert ties > 0 and repeats > 0  # the cases this test is about occur
+    best_x, best_f, trace = abc_optimize(space, problem, params)
+    np.testing.assert_array_equal(best_x, want_x)
+    assert best_f == want_f
+    assert trace == want_trace
+
+
 def test_model_space_mismatch_rejected():
     space = box_space(4)
     with pytest.raises(ValueError, match="inputs"):

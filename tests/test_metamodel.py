@@ -543,7 +543,39 @@ def assert_columns_match(bank_out, models, x):
         assert np.max(np.abs(col - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def stacked_closed_form(models, pts):
+    """The predictions of ANNs sharing input scaling, activation and
+    steepness, written out as one network over all their hidden units, in
+    which network k's output weights are its W2 on its own units and 0 on
+    the others: the arithmetic of one `ModelBank` stack, step for step."""
+    first = models[0]
+    owner = np.repeat(np.arange(len(models)), [m.hidden_size for m in models])
+    w2 = np.concatenate([m.W2 for m in models])
+    w_out = (owner[:, None] == np.arange(len(models))) * w2[:, None]
+    z = first.steepness * (scale_apply(first.input_scaler, pts)
+                           @ np.vstack([m.W1 for m in models]).T
+                           + np.concatenate([m.b1 for m in models]))
+    h = np.tanh(z) if first.activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
+    y = h @ w_out + np.array([m.b2 for m in models])
+    return (y * np.array([m.output_scaler.scale[0] for m in models])
+            + np.array([m.output_scaler.shift[0] for m in models]))
+
+
 class TestModelBank:
+    def single_stack(self, rng, n=3):
+        """Three tanh ANNs on one input scaler, which form one stack holding
+        every column, as in each bank of the op-amp flow."""
+        scaler = Scaler("meanstd", rng.normal(size=n), rng.uniform(0.5, 2, n))
+        models = []
+        for _ in range(3):
+            m = int(rng.integers(1, 6))
+            out = Scaler("meanstd", rng.normal(size=1) + 5.0,
+                         rng.uniform(0.5, 2, 1))
+            models.append(make_ann(rng.normal(size=(m, n)), rng.normal(size=m),
+                                   rng.normal(size=m), rng.normal(),
+                                   input_scaler=scaler, output_scaler=out))
+        return models
+
     def mixed_models(self, rng, n=3):
         """Stacked tanh and logsig ANNs in two input-scaler groups, with an
         RBF, a polynomial and a callable between them."""
@@ -625,6 +657,35 @@ class TestModelBank:
         np.testing.assert_array_equal(out[-5:],
                                       ModelBank(models).predict(x[-5:]))
 
+    # the columns of each stack of the two banks; the rest are not ANNs
+    STACKS = {"single-stack": [[0, 1, 2]],
+              "mixed": [[0, 3], [2, 7], [5, 8]]}
+
+    @pytest.mark.parametrize("rows", [1, 2, 20, PREDICT_BLOCK + 1, "1-D"])
+    @pytest.mark.parametrize("kind", ["single-stack", "mixed"])
+    def test_bit_identical_to_closed_form(self, kind, rows):
+        """Each stack's columns are its closed form bit for bit, and every
+        other column is its model's own predict, whether the one stack's
+        output is returned as it is, scattered into the bank's matrix or
+        computed in blocks."""
+        rng = np.random.default_rng(7)
+        models = (self.single_stack(rng) if kind == "single-stack"
+                  else self.mixed_models(rng))
+        x = rng.normal(size=3 if rows == "1-D" else (rows, 3))
+        pts = np.atleast_2d(x)
+        want = np.column_stack([m.predict(pts) for m in models])
+        for cols in self.STACKS[kind]:
+            want[:, cols] = stacked_closed_form([models[c] for c in cols], pts)
+        bank = ModelBank(models)
+        assert len(bank._stacks) == len(self.STACKS[kind])
+        np.testing.assert_array_equal(bank.predict(x), want)
+
+    def test_ann_input_counts_must_agree(self):
+        rng = np.random.default_rng(2)
+        models = [random_ann(rng, n=2), random_ann(rng, n=3)]
+        with pytest.raises(ValueError, match=r"input counts \[2, 3\]"):
+            ModelBank(models)
+
     def test_empty_bank(self):
         x = np.zeros((17, 3))
         assert ModelBank([]).predict(x).shape == (17, 0)
@@ -642,3 +703,18 @@ class TestModelBank:
         x[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             bank.predict(x)
+
+    def test_single_stack_input_errors(self):
+        """A bank that returns its one stack's output as it is still gives
+        the models' messages: a wrong width, also of a single point, and a
+        non-finite entry."""
+        bank = ModelBank(self.single_stack(np.random.default_rng(41)))
+        for x in (np.zeros((2, 4)), np.zeros(4)):
+            with pytest.raises(ValueError,
+                               match="4 columns, model takes 3 inputs"):
+                bank.predict(x)
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.zeros((2, 3))
+            x[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                bank.predict(x)

@@ -334,6 +334,35 @@ class TestMofaOptimize:
             mofa_optimize(space, objectives, constraints, params)
         assert 4.0 <= err.value.best_violation <= 5.0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_best_violation_is_least_over_every_vetted_row(self, seed):
+        """Each firefly's violation is summed once, when its row is vetted,
+        and carried after: the reported best is still the least total
+        violation over every row the constraint models saw."""
+        space, objectives = convex_problem()
+        seen = []
+
+        def g(X):
+            seen.append(X.copy())
+            return X[:, 0] + X[:, 1]
+
+        constraints = [  # together violated everywhere in the unit square
+            ConstraintSpec("g", CallableModel(input_dim=2, fn=g), 2.5,
+                           "greater"),
+            ConstraintSpec("h", CallableModel(input_dim=2,
+                                              fn=lambda X: X[:, 0] ** 2),
+                           -0.5, "less")]
+        params = MofaParams(K=6, t_max=15, max_regen=2, seed=seed)
+        with pytest.raises(InfeasibleRunError) as err:
+            mofa_optimize(space, objectives, constraints, params)
+        rows = np.vstack(seen)
+        values = np.column_stack([rows[:, 0] + rows[:, 1], rows[:, 0] ** 2])
+        # the violation of "greater" 2.5 and "less" -0.5, as the run sums it
+        total = np.maximum(0.0, np.array([1.0, -1.0])
+                           * (np.array([2.5, -0.5]) - values)).sum(axis=1)
+        assert len(seen) > params.t_max  # the initial rows and every move
+        assert err.value.best_violation == total.min()
+
     @pytest.mark.parametrize("seed", range(20))
     def test_infeasible_start_descends_to_feasibility(self, seed):
         # x1 + x2 >= 1.8 holds on 2 % of the square, so a population of 6
