@@ -4,13 +4,12 @@ fixed pll-fit inputs, and write the before/after record as JSON.
     python scripts/bench_f_tail.py --before ../parent-checkout \\
         --pairs 10 --out BENCH_f_tail.json
 
-`--before` and `--after` (default: this checkout) are repository roots, each
-with a `src/surrokit`. The inputs are built once, with the `--after` tree:
-the pll-fit pipeline of `perfbench/workloads.py` (seed `--seed`, pass 0:
+The two-tree harness, its flags and the record's header are
+`scripts/benchpairs.py`'s. The inputs are built once, with the `--after`
+tree: the pll-fit pipeline of `perfbench/workloads.py` (seed `--seed`, pass 0:
 120 training rows, 50 verify rows, a stepwise degree-3 polynomial, a grown
 RBF network and the ANN sweep) runs to completion, and its config and CSV
-files are what both trees train on. Each pair then runs, per tree and
-alternating which tree goes first:
+files are what both trees train on. Each pair then runs, per tree:
 
 - a cold `python -m surrokit train` on those inputs, timed from outside,
   with the child's peak resident memory (`ru_maxrss`);
@@ -23,26 +22,21 @@ The record also gives the largest relative difference between the
 `--after` tree's `_f_sf` and `scipy.special.fdtrc` over df 1..500 and
 df = 1e3, 1e4, 1e5, each at 200 F values log-spaced in [1e-8, 1e4], and
 whether the two trees' model files and fit reports are byte-identical.
-BLAS runs on one thread, as in perfbench.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
-import os
-import platform
-import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from bench_optimizers import THREAD_VARS, _revision, _summary  # same directory
+import benchpairs  # same directory
+from benchpairs import SIDES
 
 
 def _train_argv(work: Path, out: Path) -> list[str]:
@@ -51,11 +45,6 @@ def _train_argv(work: Path, out: Path) -> list[str]:
             "--verify", str(work / "verify.csv"),
             "--out-dir", str(out / "models"),
             "--report-json", str(out / "reports.json")]
-
-
-def _env(tree: Path) -> dict:
-    return {**os.environ, **{var: "1" for var in THREAD_VARS},
-            "PYTHONPATH": str(tree / "src")}
 
 
 def worker(work: Path, repeats: int) -> dict:
@@ -70,15 +59,14 @@ def worker(work: Path, repeats: int) -> dict:
         calls.append((f_stat, df))
         return f_sf(f_stat, df)
 
-    scratch = Path(tempfile.mkdtemp(prefix="bench_f_tail_"))
     training._f_sf = recorded
     try:
-        with contextlib.redirect_stdout(io.StringIO()), \
+        with tempfile.TemporaryDirectory(prefix="bench_f_tail_") as scratch, \
+                contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(_train_argv(work, scratch))
+            code = cli.main(_train_argv(work, Path(scratch)))
     finally:
         training._f_sf = f_sf
-        shutil.rmtree(scratch, ignore_errors=True)
     if code != 0:
         raise SystemExit(f"train exited {code}")
 
@@ -94,45 +82,6 @@ def worker(work: Path, repeats: int) -> dict:
     return {"calls": len(calls), "f_tail_s": replay(f_sf),
             "scipy_fdtrc_s": replay(
                 lambda f_stat, df: float(special.fdtrc(1, df, f_stat)))}
-
-
-def _cold_train(tree: Path, work: Path, out: Path) -> dict:
-    """Run `python -m surrokit train` from `tree` in a new process; return
-    its wall seconds and peak resident memory."""
-    with tempfile.TemporaryFile() as stderr:
-        start = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "surrokit", *_train_argv(work, out)],
-            env=_env(tree), stdout=subprocess.DEVNULL, stderr=stderr)
-        _, status, usage = os.wait4(proc.pid, 0)
-        seconds = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here
-        if proc.returncode != 0:
-            stderr.seek(0)
-            raise SystemExit(f"train in {tree} exited {proc.returncode}: "
-                             f"{stderr.read().decode()}")
-    return {"wall_s": seconds, "max_rss_mb": usage.ru_maxrss / 1024}
-
-
-def _spawn(tree: Path, work: Path, repeats: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, __file__, "--worker", str(work),
-         "--repeats", str(repeats)],
-        env=_env(tree), capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def _build_inputs(after: Path, seed: int, work: Path) -> dict:
-    """Run the pll-fit pipeline of seed `seed`, pass 0, with the `after`
-    tree into `work`; return its training config section."""
-    sys.path[:0] = [str(after / "src"), str(after / "perfbench")]
-    import workloads
-    fit = workloads.PllFit(seed, "full")
-    fit.setup()
-    state = fit.execute(0, work)
-    if any(state["codes"].values()):
-        raise SystemExit(f"input pipeline failed: {state['codes']}")
-    return json.loads((work / "project.json").read_text())["training"]
 
 
 def _accuracy() -> dict:
@@ -168,96 +117,59 @@ def _outputs(root: Path) -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--before", type=Path)
-    parser.add_argument("--after", type=Path,
-                        default=Path(__file__).resolve().parents[1])
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--repeats", type=int, default=20)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_f_tail.json"))
-    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    args = parser.parse_args()
+    args = benchpairs.parse(benchpairs.parser(
+        __file__, __doc__, seed=3, pairs=10, repeats=20,
+        out="BENCH_f_tail.json"))
     if args.worker:
         print(json.dumps(worker(args.worker, args.repeats)))
         return
-    if args.before is None or args.pairs < 2:
-        parser.error("--before is required and --pairs must be >= 2")
-    trees = {"before": args.before.resolve(), "after": args.after.resolve()}
-    os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads
 
-    work = Path(tempfile.mkdtemp(prefix="bench_f_tail_inputs_"))
-    try:
-        training = _build_inputs(trees["after"], args.seed, work / "fit")
-        cold = {side: [] for side in trees}
-        tails = {side: [] for side in trees}
-        for pair in range(args.pairs):
-            order = ("before", "after") if pair % 2 == 0 else ("after", "before")
-            for side in order:
-                out = work / f"{side}-{pair}"
-                cold[side].append(_cold_train(trees[side], work / "fit", out))
-                tails[side].append(_spawn(trees[side], work / "fit",
-                                          args.repeats))
-                print(f"pair {pair} {side}: train "
-                      f"{cold[side][-1]['wall_s']:.3f} s "
-                      f"{cold[side][-1]['max_rss_mb']:.1f} MB, F tail "
-                      f"{tails[side][-1]['f_tail_s'] * 1e3:.3f} ms",
-                      file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench_f_tail_inputs_") as work:
+        work = Path(work)
+        training = benchpairs.build_inputs(args, "pll-fit",
+                                           work / "fit")["training"]
+
+        def measure(side: str, pair: int) -> dict:
+            out = work / f"{side}-{pair}"
+            out.mkdir()
+            _, wall_s, rss_mb = benchpairs.run(
+                args.trees[side],
+                ["-m", "surrokit", *_train_argv(work / "fit", out)])
+            return {"wall_s": wall_s, "max_rss_mb": rss_mb,
+                    **benchpairs.run_worker(args, side, str(work / "fit"))}
+
+        runs = benchpairs.alternate(
+            args.pairs, measure,
+            lambda run: f"train {run['wall_s']:.3f} s {run['max_rss_mb']:.1f}"
+            f" MB, F tail {run['f_tail_s'] * 1e3:.3f} ms")
         identical = all(_outputs(work / f"before-{pair}")
                         == _outputs(work / f"after-{pair}")
                         for pair in range(args.pairs))
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
 
-    def wins(key: str, records: dict) -> str:
-        before, after = ([r[key] for r in records[s]] for s in trees)
-        return f"{sum(a < b for b, a in zip(before, after))}/{len(before)}"
-
-    cold_train = {side: {key: _summary([r[key] for r in cold[side]])
-                         for key in ("wall_s", "max_rss_mb")}
-                  for side in trees}
-    for key in ("wall_s", "max_rss_mb"):
-        cold_train[f"{key}_after_wins"] = wins(key, cold)
-        cold_train[f"{key}_change"] = (
-            cold_train["after"][key]["median"]
-            / cold_train["before"][key]["median"] - 1.0)
+    cold_train = {key: benchpairs.compare(runs, lambda r: r[key])
+                  for key in ("wall_s", "max_rss_mb")}
     cold_train["outputs_identical"] = identical
-
-    f_tail = {"calls_per_pass": tails["after"][0]["calls"]}
-    for side in trees:
-        f_tail[side] = {"pass_s": _summary([r["f_tail_s"]
-                                            for r in tails[side]])}
-    f_tail["scipy_fdtrc"] = {"pass_s": _summary(
-        [r["scipy_fdtrc_s"] for side in trees for r in tails[side]])}
-    after_s = f_tail["after"]["pass_s"]["median"]
-    f_tail["after_over_before"] = after_s / f_tail["before"]["pass_s"]["median"]
+    f_tail = {"calls_per_pass": runs["after"][0]["calls"],
+              "pass_s": benchpairs.compare(runs, lambda r: r["f_tail_s"]),
+              "scipy_fdtrc_pass_s": benchpairs.summary(
+                  [r["scipy_fdtrc_s"] for side in SIDES for r in runs[side]])}
     f_tail["after_over_scipy_fdtrc"] = (
-        after_s / f_tail["scipy_fdtrc"]["pass_s"]["median"])
-
-    import numpy
-    report = {
-        "script": "scripts/bench_f_tail.py",
-        "trees": {side: _revision(path) for side, path in trees.items()},
-        "machine": {"platform": platform.platform(),
-                    "processor": platform.processor() or platform.machine(),
-                    "cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": numpy.__version__, "blas_threads": 1},
-        "inputs": {"workload": "pll-fit", "seed": args.seed, "pass": 0,
-                   "training": training},
-        "pairs": args.pairs, "repeats": args.repeats,
-        "cold_train": cold_train,
-        "f_tail": f_tail,
-        "accuracy": _accuracy(),
-    }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"cold train: peak RSS {cold_train['before']['max_rss_mb']['median']:.1f}"
-          f" -> {cold_train['after']['max_rss_mb']['median']:.1f} MB (after "
-          f"wins {cold_train['max_rss_mb_after_wins']}), wall "
-          f"{cold_train['before']['wall_s']['median']:.3f} -> "
-          f"{cold_train['after']['wall_s']['median']:.3f} s; F tail "
-          f"{f_tail['after_over_before']:.2f}x the before tree's; max "
-          f"relative difference {report['accuracy']['max_relative_difference']:.2e}",
-          file=sys.stderr)
+        f_tail["pass_s"]["after"]["median"]
+        / f_tail["scipy_fdtrc_pass_s"]["median"])
+    accuracy = _accuracy()
+    benchpairs.write(
+        args, {"workload": "pll-fit", "seed": args.seed, "pass": 0,
+               "training": training},
+        {"cold_train": cold_train, "f_tail": f_tail, "accuracy": accuracy})
+    rss = cold_train["max_rss_mb"]
+    print(f"cold train: peak RSS {rss['before']['median']:.1f} -> "
+          f"{rss['after']['median']:.1f} MB (after lower "
+          f"{rss['after_lower']}), wall "
+          f"{cold_train['wall_s']['before']['median']:.3f} -> "
+          f"{cold_train['wall_s']['after']['median']:.3f} s; F tail "
+          f"{f_tail['pass_s']['change'] + 1:.2f}x the before tree's; max "
+          f"relative difference {accuracy['max_relative_difference']:.2e}; "
+          f"outputs identical: {identical}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -133,16 +133,7 @@ def non_dominated(points, directions) -> list[int]:
     pts = np.atleast_2d(pts)
     if len(directions) != pts.shape[1]:
         raise ValueError("one direction per objective required")
-    return _non_dominated_min(pts * _minimizing(directions))
-
-
-def _minimizing(directions) -> np.ndarray:
-    """Per objective, the sign that makes it minimized."""
-    return np.array([1.0 if d == "minimize" else -1.0 for d in directions])
-
-
-def _non_dominated_min(f: np.ndarray) -> list[int]:
-    """`non_dominated` of the minimization matrix `f`, any row count."""
+    f = pts * np.array([1.0 if d == "minimize" else -1.0 for d in directions])
     if f.shape[1] == 2:
         return _non_dominated_2d(f)
     n, k = f.shape
@@ -219,13 +210,8 @@ def move_vector(current, target, params: MofaParams,
     tgt = np.asarray(target, dtype=float)
     if cur.shape != tgt.shape:
         raise ValueError("current and target dimensions differ")
-    return _move(cur, tgt, params, params.alpha if alpha is None else alpha,
-                 rng)
-
-
-def _move(cur: np.ndarray, tgt: np.ndarray, params: MofaParams, alpha: float,
-          rng: np.random.Generator) -> np.ndarray:
-    """The attraction step of `move_vector` on float arrays of one shape."""
+    if alpha is None:
+        alpha = params.alpha
     diff = tgt - cur
     r2 = np.add.reduce(diff * diff, axis=-1, keepdims=True)
     step = params.beta0 * np.exp(-params.gamma * r2) * diff
@@ -270,7 +256,6 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
     rng = np.random.default_rng(params.seed)
     lower, upper = space.lower, space.upper
     span = upper - lower  # as in `space.from_unit`
-    sign = _minimizing(directions)
     unit = rng.random((params.K, space.dim))
     pop = space.from_unit(unit)
     g_pop = con_bank.predict(pop)
@@ -298,7 +283,7 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
         f_pop = obj_bank.predict(pop)
         finite = np.isfinite(f_pop).all(axis=1)
         feasible = feasible_rows(finite, viol_pop)
-        nd_idx = feasible[_non_dominated_min(f_pop[feasible] * sign)]
+        nd_idx = feasible[non_dominated(f_pop[feasible], directions)]
         if not nd_idx.size:
             scored = finite.nonzero()[0]
 
@@ -320,7 +305,7 @@ def mofa_optimize(space: DesignSpace, objectives: list[ObjectiveSpec],
                 target = unit[scored[np.argmax(psi, axis=0)]]
             else:  # no finite objective row to aim at: random walk only
                 target = current
-            dest_unit = _move(current, target, params, alpha, rng)
+            dest_unit = move_vector(current, target, params, rng, alpha)
             # re-clamp: mapping to raw units can overshoot a bound by an ulp
             dest = np.minimum(np.maximum(lower + dest_unit * span, lower), upper)
             g_dest = con_bank.predict(dest)
