@@ -116,6 +116,19 @@ def _outputs(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def measure(args, work: Path, side: str, pair: int) -> dict:
+    """One pair's run in `side`'s tree: the cold `train` on the inputs in
+    `work / "fit"`, writing to `work / "<side>-<pair>"`, then the worker.
+    `wall_s` and `max_rss_mb` are the cold `train` child's; the worker's
+    own peak memory is not recorded."""
+    out = work / f"{side}-{pair}"
+    out.mkdir()
+    _, wall_s, rss_mb = benchpairs.run(
+        args.trees[side], ["-m", "surrokit", *_train_argv(work / "fit", out)])
+    return {**benchpairs.run_worker(args, side, str(work / "fit")),
+            "wall_s": wall_s, "max_rss_mb": rss_mb}
+
+
 def main() -> None:
     args = benchpairs.parse(benchpairs.parser(
         __file__, __doc__, seed=3, pairs=10, repeats=20,
@@ -129,17 +142,9 @@ def main() -> None:
         training = benchpairs.build_inputs(args, "pll-fit",
                                            work / "fit")["training"]
 
-        def measure(side: str, pair: int) -> dict:
-            out = work / f"{side}-{pair}"
-            out.mkdir()
-            _, wall_s, rss_mb = benchpairs.run(
-                args.trees[side],
-                ["-m", "surrokit", *_train_argv(work / "fit", out)])
-            return {"wall_s": wall_s, "max_rss_mb": rss_mb,
-                    **benchpairs.run_worker(args, side, str(work / "fit"))}
-
         runs = benchpairs.alternate(
-            args.pairs, measure,
+            args.pairs,
+            lambda side, pair: measure(args, work, side, pair),
             lambda run: f"train {run['wall_s']:.3f} s {run['max_rss_mb']:.1f}"
             f" MB, F tail {run['f_tail_s'] * 1e3:.3f} ms")
         identical = all(_outputs(work / f"before-{pair}")

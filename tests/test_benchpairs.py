@@ -2,6 +2,7 @@
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,3 +60,24 @@ def test_failing_child_stops_the_run_with_its_exit_code_and_stderr(tmp_path):
     assert str(tmp_path) in message
     assert "exited 3" in message
     assert "no inputs here" in message
+
+
+def test_f_tail_cold_train_keeps_the_train_childs_peak_memory(tmp_path,
+                                                               monkeypatch):
+    import bench_f_tail
+    children = []
+
+    def run(tree, argv):
+        children.append(argv[:2])
+        return "", 1.5, 111.0
+
+    monkeypatch.setattr(benchpairs, "run", run)
+    monkeypatch.setattr(benchpairs, "run_worker", lambda *_: {
+        "calls": 7, "f_tail_s": 0.1, "scipy_fdtrc_s": 0.2,
+        "max_rss_mb": 222.0})
+    args = SimpleNamespace(trees={"before": tmp_path})
+    result = bench_f_tail.measure(args, tmp_path, "before", 0)
+    assert children == [["-m", "surrokit"]]
+    assert (tmp_path / "before-0").is_dir()
+    assert result == {"calls": 7, "f_tail_s": 0.1, "scipy_fdtrc_s": 0.2,
+                      "wall_s": 1.5, "max_rss_mb": 111.0}
