@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -84,7 +85,10 @@ _object, _flag, _str = (_typed(dict, "a JSON object"),
 def _float(value) -> float:
     if isinstance(value, (bool, str)):  # float() would take "7" and True
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):  # json reads NaN, Infinity and -Infinity
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _int(value) -> int:

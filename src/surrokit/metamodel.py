@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .files import atomic_write
-from .scaling import Scaler, apply as scale_apply, invert as scale_invert
+from .scaling import Scaler, invert as scale_invert
 
 __all__ = [
     "AnnModel", "RbfModel", "PolyModel", "CallableModel",
@@ -71,7 +71,7 @@ class AnnStack:
         stack = cls([m.hidden_size for m in models], first.input_dim)
         stack.activation, stack.steepness = first.activation, first.steepness
         # the fixed steps of `predict`, taken once: input scaling as in
-        # `scale_apply`, the weights as `forward` takes them, and each
+        # `scaling.apply`, the weights as `forward` takes them, and each
         # column's output step, y * scale + shift as in `scale_invert`
         stack.in_shift = first.input_scaler.shift
         stack.in_scale = first.input_scaler.scale
@@ -132,16 +132,40 @@ def rbf_design(xs: np.ndarray, centers: np.ndarray,
                spread: float) -> np.ndarray:
     """Gaussian columns exp(-||x - c||^2 / spread^2) of the scaled inputs
     `xs`, one row per point and one column per center: the RBF forward pass
-    of `RbfModel.predict`. The squared distance is ||x||^2 - 2 x.c + ||c||^2
-    with one matrix product for the cross term, clamped at 0 because the
-    cancellation can leave it a rounding error below 0 near a center.
+    of `RbfModel.predict`, which builds `_rbf_centers` once per model and
+    writes its scaled rows straight into the work array of `_rbf_columns`.
     """
-    d2 = xs @ (-2.0 * centers).T  # -2 is exact, so this is -2 (xs @ c.T)
-    d2 += np.einsum("ij,ij->i", xs, xs)[:, None]
-    d2 += np.einsum("ij,ij->i", centers, centers)
-    np.maximum(d2, 0.0, out=d2)
-    np.divide(d2, -spread ** 2, out=d2)
-    return np.exp(d2, out=d2)
+    aug = np.empty((xs.shape[0], xs.shape[1] + 2))
+    aug[:, :-2] = xs
+    return _rbf_columns(aug, _rbf_centers(centers, spread))
+
+
+def _rbf_centers(centers: np.ndarray, spread: float) -> np.ndarray:
+    """The (n + 2, neurons) center side [2c / s^2; -1 / s^2; -||c||^2 / s^2]
+    of `_rbf_columns`, s the spread, one column per center, read-only."""
+    s2 = spread ** 2
+    block = np.vstack([(2.0 * centers.T) / s2, np.full(len(centers), -1 / s2),
+                       np.einsum("ij,ij->i", centers, centers) / -s2])
+    block.setflags(write=False)
+    return block
+
+
+def _rbf_columns(aug: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The Gaussian columns of the scaled rows held in the first n columns
+    of the (rows, n + 2) work array `aug`, for the `_rbf_centers` block.
+    It fills the last two columns with ||x||^2 and 1, so one matrix product
+    of the rows [x, ||x||^2, 1] with the block gives the exponent
+    -||x - c||^2 / s^2, clamped at 0 because the cancellation can leave it
+    a rounding error above 0 near a center. That is three passes over the
+    (rows, neurons) result: the product, then the clamp and the exp in
+    place.
+    """
+    n = aug.shape[1] - 2
+    np.einsum("ij,ij->i", aug[:, :n], aug[:, :n], out=aug[:, n])
+    aug[:, n + 1] = 1.0
+    z = np.matmul(aug, block)
+    np.minimum(z, 0.0, out=z)
+    return np.exp(z, out=z)
 
 
 def poly_basis(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -294,6 +318,9 @@ class RbfModel(_Fitted):
         if not (self.spread > 0
                 and np.all(np.isfinite([self.spread, self.bias]))):
             raise ValueError("spread must be positive and finite, bias finite")
+        # the center side of every predict's product, made once
+        object.__setattr__(self, "_centers",
+                           _rbf_centers(self.centers, self.spread))
 
     @property
     def n_neurons(self) -> int:
@@ -306,10 +333,13 @@ class RbfModel(_Fitted):
     predict = _Fitted.predict
 
     def _forward(self, pts: np.ndarray) -> np.ndarray:
-        xs = scale_apply(self.input_scaler, pts)
         if self.n_neurons:
-            phi = rbf_design(xs, self.centers, self.spread)
-            y = phi @ self.weights + self.bias
+            # the scaled rows, as `scaling.apply` makes them, written straight
+            # into the work array of `_rbf_columns`
+            aug = np.empty((pts.shape[0], self.input_dim + 2))
+            xs = np.subtract(pts, self.input_scaler.shift, out=aug[:, :-2])
+            np.divide(xs, self.input_scaler.scale, out=xs)
+            y = _rbf_columns(aug, self._centers) @ self.weights + self.bias
         else:
             y = np.full(pts.shape[0], self.bias)
         return scale_invert(self.output_scaler, y[:, None])[:, 0]

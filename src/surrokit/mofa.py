@@ -39,6 +39,10 @@ __all__ = [
 
 DIRECTIONS = ("maximize", "minimize")
 ND_BLOCK = 1 << 20  # elementwise comparisons per block of non_dominated
+# at most this many rows, two objectives sweep in Python, where the numpy
+# sweep's fixed cost of about 15 us is more than the loop it replaces (the
+# two break even near 56 rows on one 2-vCPU Xeon)
+ND_SMALL = 48
 SENSES = ("greater", "less")
 
 
@@ -93,6 +97,9 @@ class MofaParams:
             raise ValueError("t_max must be >= 1")
         if self.max_regen < 1:
             raise ValueError("max_regen must be >= 1")
+        for name in ("beta0", "gamma", "alpha", "alpha_decay"):
+            if not 0 <= getattr(self, name) < np.inf:  # False for NaN
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 @dataclass
@@ -123,9 +130,10 @@ def non_dominated(points, directions) -> list[int]:
     strictly better in at least one, respecting each objective's direction.
     Exact duplicates do not dominate each other, and a row holding a NaN
     neither dominates nor is dominated. Two objectives take an O(n log n)
-    sort-and-sweep (Kung, Luccio & Preparata 1975); more objectives compare
-    every row with all rows in one broadcast per block of rows, at most
-    ND_BLOCK comparisons at a time.
+    sort-and-sweep (Kung, Luccio & Preparata 1975), in Python over the rows
+    of at most ND_SMALL points and in numpy over more; more objectives
+    compare every row with all rows in one broadcast per block of rows, at
+    most ND_BLOCK comparisons at a time.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -135,7 +143,8 @@ def non_dominated(points, directions) -> list[int]:
         raise ValueError("one direction per objective required")
     f = pts * np.array([1.0 if d == "minimize" else -1.0 for d in directions])
     if f.shape[1] == 2:
-        return _non_dominated_2d(f)
+        return (_non_dominated_2d_small(f.tolist())
+                if f.shape[0] <= ND_SMALL else _non_dominated_2d(f))
     n, k = f.shape
     keep = np.empty(n, dtype=bool)
     step = max(1, ND_BLOCK // max(1, n * k))
@@ -170,6 +179,25 @@ def _non_dominated_2d(f: np.ndarray) -> list[int]:
     keep[order[~dominated]] = True
     keep[nan] = True
     return keep.nonzero()[0].tolist()
+
+
+def _non_dominated_2d_small(f: list) -> list[int]:
+    """`_non_dominated_2d` over the rows `f` as lists, one sweep in Python.
+    `earlier` is None, not +inf, before the first group ends, so a +inf f2
+    in the first group is not dominated."""
+    keep = [True] * len(f)
+    earlier = first = f1 = None
+    # NaN != NaN: a row holding a NaN stays out of the sweep and is kept
+    for i in sorted((i for i, (a, b) in enumerate(f) if a == a and b == b),
+                    key=f.__getitem__):
+        a, b = f[i]
+        if first is None or a != f1:  # a new group of equal f1
+            if first is not None and (earlier is None or first < earlier):
+                earlier = first
+            f1, first = a, b
+        if (earlier is not None and earlier <= b) or first < b:
+            keep[i] = False
+    return [i for i, kept in enumerate(keep) if kept]
 
 
 def scalarize(objective_values, w, directions) -> np.ndarray:

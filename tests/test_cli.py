@@ -236,10 +236,10 @@ def write_toy_models(tmp_path, cfg_path):
     assert code == 0
 
 
-@pytest.fixture
-def opamp_pipeline_config(tmp_path):
+def pipeline_config() -> dict:
+    """The op-amp pipeline config: five responses, both optimizers."""
     from surrokit.oracles import opamp_space
-    config = {
+    return {
         "space": opamp_space().to_dicts(),
         "oracle": {"name": "opamp"},
         "training": {
@@ -266,8 +266,12 @@ def opamp_pipeline_config(tmp_path):
             "colony_size": 8, "limit": 20, "max_cycles": 60, "seed": 5,
         },
     }
+
+
+@pytest.fixture
+def opamp_pipeline_config(tmp_path):
     path = tmp_path / "pipeline.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(pipeline_config()))
     return path
 
 
@@ -601,6 +605,68 @@ class TestBadSectionValues:
              "--out", str(tmp_path / "t.csv")])
         assert code == 1
         assert err.startswith("usage error: bad 'abc' section")
+
+
+@pytest.fixture(scope="module")
+def pipeline_models(tmp_path_factory):
+    """The toy models of the pipeline config, trained once for the module."""
+    d = tmp_path_factory.mktemp("pipeline")
+    (d / "pipeline.json").write_text(json.dumps(pipeline_config()))
+    write_toy_models(d, d / "pipeline.json")
+    return d / "models"
+
+
+class TestNonFiniteSettings:
+    """json reads NaN, Infinity and -Infinity. In any float setting of the
+    optimizers they are usage errors naming the section and the key, not a
+    traceback from the models nor a run that prints `fom,inf`."""
+
+    def run_with(self, pipeline_models, tmp_path, capsys, section, path,
+                 value):
+        config = pipeline_config()
+        holder = config[section]
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        capsys.readouterr()
+        code = main([{"mofa": "optimize-mofa", "abc": "optimize-abc"}[section],
+                     "--config", str(cfg), "--models", str(pipeline_models),
+                     "--out", str(out)])
+        return code, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("section,path", [
+        ("mofa", ("beta0",)), ("mofa", ("gamma",)), ("mofa", ("alpha",)),
+        ("mofa", ("alpha_decay",)), ("mofa", ("constraints", 0, "bound")),
+        ("abc", ("penalty_weight",)), ("abc", ("objective", 0, "weight")),
+        ("abc", ("window", 0, "center")),
+        ("abc", ("window", 0, "relative_tolerance")),
+    ], ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else p)
+    def test_exit_1_naming_section_and_key(self, pipeline_models, tmp_path,
+                                           capsys, section, path, value):
+        code, err, out = self.run_with(pipeline_models, tmp_path, capsys,
+                                       section, path, value)
+        assert code == 1
+        assert err.startswith(f"usage error: bad '{section}' section")
+        assert f"{path[-1]}: expected a finite number" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("key", ["beta0", "gamma", "alpha",
+                                     "alpha_decay"])
+    def test_negative_mofa_setting(self, pipeline_models, tmp_path, capsys,
+                                   key):
+        """A negative -1e308 gamma would overflow exp to inf * 0."""
+        code, err, out = self.run_with(pipeline_models, tmp_path, capsys,
+                                       "mofa", (key,), -1e308)
+        assert code == 1
+        assert err == (f"usage error: bad 'mofa' section: {key} must be "
+                       f"non-negative and finite\n")
+        assert not out.exists()
 
 
 class TestRulesCheckedUpFront:

@@ -291,6 +291,32 @@ class TestRbfDesign:
         phi = np.diagonal(rbf_design(centers, centers, 0.7))
         assert np.all(phi > 1 - 1e-12) and np.all(phi <= 1.0)
 
+    @pytest.mark.parametrize("spread", [2.0, 1.3])
+    @pytest.mark.parametrize("point", ["1-row", "1-D"])
+    def test_single_point_predict(self, spread, point):
+        """A one-row and a 1-D-point predict, at a power-of-two spread and
+        at another, equal the broadcast reference."""
+        rng = np.random.default_rng(8)
+        model = RbfModel(input_dim=16, centers=rng.normal(size=(60, 16)),
+                         spread=spread, weights=rng.normal(size=60), bias=0.3,
+                         input_scaler=Scaler("meanstd", rng.normal(size=16),
+                                             rng.uniform(0.5, 2, 16)),
+                         output_scaler=Scaler("meanstd", [1.0], [2.0]))
+        for x in rng.normal(size=(20, 16)):
+            phi = broadcast_rbf_design(
+                scale_apply(model.input_scaler, x[None, :]), model.centers,
+                spread)
+            want = (phi @ model.weights + 0.3) * 2.0 + 1.0
+            got = model.predict(x if point == "1-D" else x[None, :])
+            assert np.ndim(got) == (0 if point == "1-D" else 1)
+            assert abs(np.squeeze(got) - want[0]) <= 1e-12 * abs(want[0])
+
+    def test_center_block_is_read_only(self):
+        model = screening_models(np.random.default_rng(9))["rbf"]
+        assert model._centers.flags.writeable is False
+        with pytest.raises(ValueError):
+            model._centers[0, 0] = 1.0
+
     def test_far_rows_are_zero_without_warning(self):
         centers = np.random.default_rng(5).normal(size=(3, 4))
         xs = np.full((2, 4), 1e3)
@@ -330,6 +356,20 @@ class TestBlockwisePredict:
                                for i in range(0, len(x), 1000)])
         assert got.shape == (len(x),)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def test_rbf_predicts_repeat_and_leave_model_unchanged(self):
+        """Every work array is per call: two predicts on one model return
+        equal arrays, and neither changes the model's arrays."""
+        rng = np.random.default_rng(13)
+        model = screening_models(rng)["rbf"]
+        before = {name: getattr(model, name).copy()
+                  for name in ("centers", "weights", "_centers")}
+        x = rng.random((100, 16))
+        first = model.predict(x)
+        second = model.predict(x)
+        assert first is not second and np.array_equal(first, second)
+        for name, value in before.items():
+            assert np.array_equal(getattr(model, name), value)
 
     def test_zero_neuron_rbf_is_bias(self):
         model = RbfModel(input_dim=2, centers=np.zeros((0, 2)), spread=1.0,

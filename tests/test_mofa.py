@@ -1,14 +1,17 @@
 """Firefly optimizer: domination filter, scalarization, moves, full runs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surrokit.design_space import DesignSpace, DesignVariable
 from surrokit.errors import InfeasibleRunError
 from surrokit.metamodel import CallableModel
-from surrokit.mofa import (ConstraintSpec, MofaParams, ObjectiveSpec,
-                           mofa_optimize, move_vector, non_dominated,
-                           scalarize)
+from surrokit.mofa import (ND_SMALL, ConstraintSpec, MofaParams,
+                           ObjectiveSpec, mofa_optimize, move_vector,
+                           non_dominated, scalarize)
 
 
 def brute_force_non_dominated(points, directions):
@@ -127,6 +130,40 @@ class TestNonDominated:
         directions = ["minimize", "maximize", "minimize"]
         assert non_dominated(pts, directions) == \
             brute_force_non_dominated(pts, directions)
+
+
+SPECIAL = st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0,
+                           -0.0, 1.0, -1.0, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(SPECIAL, SPECIAL), min_size=1,
+                max_size=ND_SMALL + 8),
+       st.lists(st.sampled_from(["minimize", "maximize"]), min_size=2,
+                max_size=2))
+def test_both_two_objective_sweeps_match_brute_force(rows, directions):
+    """The Python sweep (at most ND_SMALL rows) and the numpy sweep (more)
+    return the brute-force indices on rows of NaN, infinities, signed zeros
+    and ties, whichever size picks the path."""
+    want = brute_force_non_dominated(rows, directions)
+    for small in (0, len(rows)):  # numpy sweep, then Python sweep
+        with mock.patch("surrokit.mofa.ND_SMALL", small):
+            assert non_dominated(rows, directions) == want
+
+
+class TestMofaParams:
+    @pytest.mark.parametrize("value", [-1.0, -1e308, float("nan"),
+                                       float("inf")])
+    @pytest.mark.parametrize("key", ["beta0", "gamma", "alpha",
+                                     "alpha_decay"])
+    def test_rejects_negative_or_non_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be non-negative"):
+            MofaParams(**{key: value})
+
+    @pytest.mark.parametrize("key", ["beta0", "gamma", "alpha",
+                                     "alpha_decay"])
+    def test_zero_is_valid(self, key):
+        assert getattr(MofaParams(**{key: 0.0}), key) == 0.0
 
 
 class TestScalarize:
