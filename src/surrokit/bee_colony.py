@@ -105,17 +105,35 @@ class FomProblem:
             raise ValueError("need at least one objective term")
         object.__setattr__(self, "_bank", ModelBank(
             [t.model for t in self.terms] + [w.model for w in self.windows]))
+        object.__setattr__(self, "_weights",
+                           [float(t.weight) for t in self.terms])
+        object.__setattr__(self, "_windows", [
+            (float(w.center), abs(float(w.center)),
+             float(w.relative_tolerance)) for w in self.windows])
 
     def evaluate(self, points: np.ndarray):
         """Penalized FoM and total window violation for each row."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cols = self._bank.predict(pts)
-        fom = np.zeros(pts.shape[0])
-        for term, col in zip(self.terms, cols.T):
-            fom += term.weight * col
-        viol = np.zeros(pts.shape[0])
-        for win, col in zip(self.windows, cols.T[len(self.terms):]):
-            viol += win.violation(col)
+        cols = self._bank.predict(points)
+        # each row adds its terms, then its violations, in order from +0.0
+        weights, windows = self._weights, self._windows
+        fom = weights[0] * cols[:, 0]
+        fom += 0.0
+        for j in range(1, len(weights)):
+            fom += weights[j] * cols[:, j]
+        if not windows:
+            viol = np.zeros(len(cols))
+        for j, (center, scale, tolerance) in enumerate(windows):
+            # `WindowConstraint.violation`, in place: +0.0 or more, or NaN,
+            # so the first one needs no +0.0 added
+            v = np.subtract(cols[:, len(weights) + j], center)
+            np.abs(v, out=v)
+            v /= scale
+            v -= tolerance
+            np.maximum(0.0, v, out=v)
+            if j:
+                viol += v
+            else:
+                viol = v
         return fom + self.penalty_weight * viol, viol
 
 

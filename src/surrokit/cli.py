@@ -30,7 +30,7 @@ from .metamodel import _KINDS, AnnModel, load_model, save_model
 from .metrics import CRITERIA, fit_report, render_report_table, select_best
 from .training import (SampleSet, TrainOptions, check_ann_rows,
                        check_poly_settings, check_rbf_settings,
-                       fit_polynomial, train_anns, train_rbf)
+                       fit_polynomials, train_anns, train_rbf)
 
 __all__ = ["main", "entry"]
 
@@ -216,7 +216,7 @@ _SECTIONS = {
                  "selection": (_str, "verify_rmse")},
     "training.ann": {**_fields(TrainOptions, "hidden_size"),
                      "hidden_sizes": (_sizes, [4])},
-    # the CLI's own defaults: `fit_polynomial` alone does not select stepwise
+    # the CLI's own defaults: `fit_polynomials` alone does not select stepwise
     "training.rbf": {"error_goal": (_float, 1e-4), "spread": (_float, 1.0),
                      "max_neurons": (_int, 25),
                      "input_scaling": (_str, "meanstd")},
@@ -346,6 +346,8 @@ def cmd_train(args, cfg: dict, space: DesignSpace) -> int:
 
     anns = (train_anns(train_set, responses, sizes, opts)
             if "ann" in kinds else {})
+    polys = (fit_polynomials(train_set, responses, **cfg["training.poly"])
+             if "poly" in kinds else {})
     out_dir = Path(args.out_dir)
     all_reports = {}
     for response in responses:
@@ -354,9 +356,8 @@ def cmd_train(args, cfg: dict, space: DesignSpace) -> int:
         if "rbf" in kinds:
             model, _ = train_rbf(train_set, response, **cfg["training.rbf"])
             rows.append((f"rbf-{model.n_neurons}", model))
-        if "poly" in kinds:
-            model, _ = fit_polynomial(train_set, response,
-                                      **cfg["training.poly"])
+        if response in polys:
+            model = polys[response][0]
             rows.append((f"poly-{model.degree}", model))
         rows = [(label, model, fit_report(
             model, train_set.inputs, train_set.response(response),

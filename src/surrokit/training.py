@@ -24,7 +24,7 @@ from .scaling import apply as scale_apply
 __all__ = [
     "SampleSet", "TrainOptions", "MIN_ANN_ROWS", "check_ann_rows",
     "train_ann", "train_anns", "train_rbf", "fit_polynomial",
-    "check_rbf_settings", "check_poly_settings",
+    "fit_polynomials", "check_rbf_settings", "check_poly_settings",
     "ann_loss_and_gradient", "monomial_exponents",
 ]
 
@@ -479,55 +479,72 @@ def monomial_exponents(n_vars: int, degree: int) -> np.ndarray:
 
 
 def check_poly_settings(degree: int, p_enter: float) -> None:
-    """Raise ValueError for `fit_polynomial` settings it cannot fit with."""
+    """Raise ValueError for `fit_polynomials` settings it cannot fit with."""
     if not 1 <= degree <= 6:
         raise ValueError(f"degree must be in 1..6, got {degree}")
     if not 0 < p_enter <= 1:
         raise ValueError(f"p_enter must be in (0, 1], got {p_enter!r}")
 
 
-def fit_polynomial(data: SampleSet, response: str, degree: int,
-                   stepwise: bool = False,
-                   p_enter: float = 0.05) -> tuple[PolyModel, FitReport]:
-    """Least-squares polynomial fit over the monomial basis.
+def fit_polynomials(data: SampleSet, responses, degree: int,
+                    stepwise: bool = False, p_enter: float = 0.05
+                    ) -> dict[str, tuple[PolyModel, FitReport]]:
+    """Least-squares polynomial fits of each of `responses` over the
+    monomial basis; return {response: (model, report)}.
 
     With `stepwise`, forward selection starts from the intercept and adds
     the candidate term with the greatest F statistic while its p-value is
-    below `p_enter`. Without it, the basis is truncated to at most the
-    number of rows and fit in one shot.
+    below `p_enter`; the paths of all responses run in lockstep over one
+    candidate matrix (`_forward_paths`). Without it, the basis is truncated
+    to at most the number of rows and fit in one shot. Each response's fit
+    equals `fit_polynomial` on its own bit for bit.
     """
     check_poly_settings(degree, p_enter)
-    y = data.response(response)
+    ys = [data.response(r) for r in responses]
+    if not ys:
+        return {}
     x = data.inputs
-    n = data.n_rows
-
     exponents = monomial_exponents(data.n_inputs, degree)
+    if not stepwise:
+        exponents = exponents[:data.n_rows]
+    # poly_basis computes each column on its own, so cand[:, chosen] equals
+    # poly_basis(x, exponents[chosen]) bit for bit
+    cand = poly_basis(x, exponents)
+    paths = (_forward_paths(cand, ys, p_enter) if stepwise
+             else [list(range(len(exponents)))] * len(ys))
 
-    if stepwise:
-        chosen = _forward_select(x, y, exponents, p_enter)
-    else:
-        chosen = list(range(min(len(exponents), n)))
-
-    design = poly_basis(x, exponents[chosen])
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        raise RankDeficiencyError(
-            f"design matrix rank {rank} < {design.shape[1]} retained terms"
+    out = {}
+    for response, y, chosen in zip(responses, ys, paths):
+        design = cand[:, chosen]
+        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        if rank < design.shape[1]:
+            raise RankDeficiencyError(
+                f"design matrix rank {rank} < {design.shape[1]} retained terms"
+            )
+        if not np.all(np.isfinite(coef)):
+            raise RankDeficiencyError(
+                "least squares returned non-finite coefficients")
+        model = PolyModel(
+            input_dim=data.n_inputs, degree=degree,
+            terms=exponents[chosen], coefficients=coef,
+            response_name=response,
         )
-    if not np.all(np.isfinite(coef)):
-        raise RankDeficiencyError("least squares returned non-finite coefficients")
+        out[response] = model, fit_report(
+            model, x, y,
+            descriptor=(f"poly(degree={degree}, "
+                        f"{'stepwise, ' if stepwise else ''}"
+                        f"terms={len(chosen)})"),
+        )
+    return out
 
-    model = PolyModel(
-        input_dim=data.n_inputs, degree=degree,
-        terms=exponents[chosen], coefficients=coef,
-        response_name=response,
-    )
-    report = fit_report(
-        model, x, y,
-        descriptor=(f"poly(degree={degree}, "
-                    f"{'stepwise, ' if stepwise else ''}terms={len(chosen)})"),
-    )
-    return model, report
+
+def fit_polynomial(data: SampleSet, response: str, degree: int,
+                   stepwise: bool = False,
+                   p_enter: float = 0.05) -> tuple[PolyModel, FitReport]:
+    """Least-squares polynomial fit of one response over the monomial
+    basis: `fit_polynomials` for `response` alone."""
+    return fit_polynomials(data, [response], degree, stepwise,
+                           p_enter)[response]
 
 
 _LN_SQRT_PI = 0.5 * math.log(math.pi)
@@ -592,61 +609,91 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 
 def _forward_select(x: np.ndarray, y: np.ndarray, exponents: np.ndarray,
                     p_enter: float) -> list[int]:
-    """Forward stepwise selection by the partial-F test.
+    """Forward stepwise selection by the partial-F test of the response `y`
+    over the monomials `exponents` of `x`: the one-path view of the
+    lockstep kernel `_forward_paths`."""
+    return _forward_paths(poly_basis(x, exponents), [y], p_enter)[0]
 
-    The candidate columns are built once and never written. The unit
-    directions of the entered terms form an orthonormal basis; each entered
-    column is orthogonalized against it. One product of [q; residual] with
-    the candidate matrix per step gives every candidate's projection on
-    the new direction q, which downdates its squared norm orthogonal to the
+
+def _forward_paths(cand: np.ndarray, ys, p_enter: float) -> list[list[int]]:
+    """Forward stepwise selection by the partial-F test over the candidate
+    columns `cand`, one path per response vector in `ys`, all in lockstep.
+
+    The candidate columns are never written. The unit directions of a
+    path's entered terms form an orthonormal basis; each entered column is
+    orthogonalized against it. A product of [q; residual] with the
+    candidate matrix per step gives every candidate's projection on the
+    new direction q, which downdates its squared norm orthogonal to the
     design, and its dot product with the residual, which equals that with
     its orthogonalized column since the residual is orthogonal to the
     design. A candidate's extra sum of squares is that dot product squared
-    over that squared norm. Selection stops once the residual is rounding
+    over that squared norm. A path stops once the residual is rounding
     noise, sse <= (n * eps)^2 * sst with sst the sum of squares about the
     mean, because a partial-F test on that noise is a coin flip.
+
+    The running paths stack their [q; residual] rows, so one product
+    serves them all, and the norm downdates, gains and argmax run on
+    (paths, candidates) arrays; orthogonalization, the F test and the stop
+    rules are per path, and a path that stops leaves the stack. Each row of
+    a product is that of the row alone, so every path picks the terms it
+    picks on its own.
     """
-    n = x.shape[0]
-    cand = poly_basis(x, exponents)
+    n, m = cand.shape
     norms2 = np.einsum("ij,ij->j", cand, cand)
     # the collinearity test compares against the original column norms
     floor = 1e-12 * norms2.clip(min=1e-300)
-    available = np.ones(cand.shape[1], dtype=bool)
-    basis = np.empty((n, min(n, cand.shape[1])), order="F")
-    rows = np.empty((2, n))  # [q; residual]
-    q, resid = rows
-    resid[:] = y
-    chosen: list[int] = []
-    best, sst = 0, None  # the intercept enters first
+    noise = (n * np.finfo(float).eps) ** 2
+    chosen: list[list[int]] = [[] for _ in ys]
+    bases = [np.empty((n, min(n, m)), order="F") for _ in ys]
+    sse, sst = [0.0] * len(ys), [0.0] * len(ys)
+    best: list = [0] * len(ys)  # the intercept enters first; None: stopped
+    # per running path, in stack order: its id, [q; residual], the squared
+    # norms of the candidates orthogonal to its design, and which are left
+    live = list(range(len(ys)))
+    rows = np.empty((len(ys), 2, n))
+    rows[:, 1] = ys
+    norms2 = np.tile(norms2, (len(ys), 1))
+    available = np.ones((len(ys), m), dtype=bool)
 
     while True:
-        v = _orthogonalize(cand[:, best], basis[:, :len(chosen)])
-        chosen.append(best)
-        available[best] = False
-        q[:] = v / math.sqrt(float(v @ v))
-        basis[:, len(chosen) - 1] = q
-        resid -= q * (q @ resid)
-        sse = float(resid @ resid)
-        if sst is None:
-            sst = sse
-        df_resid = n - len(chosen) - 1  # residual df after one more term
-        if (df_resid < 1 or not available.any()
-                or sse <= (n * np.finfo(float).eps) ** 2 * sst):
-            break
+        keep = []
+        for i, p in enumerate(live):
+            if best[p] is None:
+                continue
+            path, basis = chosen[p], bases[p]
+            v = _orthogonalize(cand[:, best[p]], basis[:, :len(path)])
+            path.append(best[p])
+            available[i, best[p]] = False
+            q, resid = rows[i]
+            q[:] = v / math.sqrt(float(v @ v))
+            basis[:, len(path) - 1] = q
+            resid -= q * (q @ resid)
+            sse[p] = float(resid @ resid)
+            if len(path) == 1:
+                sst[p] = sse[p]
+            # residual df after one more term; every pick is a new candidate
+            if not (n - len(path) - 1 < 1 or len(path) == m
+                    or sse[p] <= noise * sst[p]):
+                keep.append(i)
+        if len(keep) < len(live):
+            live, rows = [live[i] for i in keep], rows[keep]
+            norms2, available = norms2[keep], available[keep]
+            if not live:
+                return chosen
 
-        proj, dots = rows @ cand
+        k = len(live)
+        prod = (rows.reshape(2 * k, n) @ cand).reshape(k, 2, m)
+        proj, dots = prod[:, 0], prod[:, 1]
         norms2 -= proj * proj
         ok = available & (norms2 > floor)
-        gain = np.zeros(cand.shape[1])
-        gain[ok] = dots[ok] ** 2 / norms2[ok]
-        best = int(np.argmax(np.where(available, gain, -1.0)))
-        sse_new = max(sse - float(gain[best]), 0.0)
-        if sse_new <= 0:
-            p_value = 0.0
-        else:
-            f_stat = gain[best] / (sse_new / df_resid)
-            p_value = _f_sf(f_stat, df_resid)
-        if p_value >= p_enter:
-            break
-
-    return chosen
+        gain = np.where(available, 0.0, -1.0)
+        np.divide(np.square(dots), norms2, out=gain, where=ok)
+        for i, (p, pick) in enumerate(zip(live, gain.argmax(axis=1).tolist())):
+            df_resid = n - len(chosen[p]) - 1
+            extra = float(gain[i, pick])
+            sse_new = max(sse[p] - extra, 0.0)
+            if sse_new <= 0:
+                p_value = 0.0
+            else:
+                p_value = _f_sf(extra / (sse_new / df_resid), df_resid)
+            best[p] = pick if p_value < p_enter else None

@@ -848,6 +848,26 @@ class TestTrainInputFaults:
         assert str(short) in err and "10" in err
         assert not (tmp_path / "reports.json").exists()
 
+    def test_poly_rank_deficiency_writes_no_model(self, sin_project,
+                                                  tmp_path, capsys):
+        """A polynomial design of lower rank than its terms exits 3, and
+        no model file is written: every response's polynomial is fit
+        before the first model is saved."""
+        cfg, _, _ = sin_project
+        config = json.loads(cfg.read_text())
+        config["training"].update(responses=["y", "z"], kinds=["poly"])
+        cfg.write_text(json.dumps(config))
+        two_points = tmp_path / "two_points.csv"
+        x = np.repeat([[0.2], [0.7]], 10, axis=0)
+        save_csv(SampleSet(x, {"y": x[:, 0], "z": x[:, 0] ** 2}, ["x"]),
+                 two_points)
+        code = fit_run("compare", cfg, two_points, two_points, tmp_path)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: design matrix rank 2 < 4 retained terms\n")
+        assert not (tmp_path / "m").exists()
+        assert not (tmp_path / "reports.json").exists()
+
     def test_holdout_takes_every_row_is_data_error(self, sin_project,
                                                    tmp_path, capsys):
         """A holdout fraction that leaves no row to fit exits 2 naming the

@@ -19,8 +19,9 @@ from surrokit.oracles import BUILTIN_ORACLES, BUILTIN_SPACES, evaluate
 from surrokit import training
 from surrokit.scaling import apply as scale_apply
 from surrokit.training import (SampleSet, TrainOptions, ann_loss_and_gradient,
-                               fit_polynomial, monomial_exponents, train_ann,
-                               train_anns, train_rbf, _f_sf, _forward_select,
+                               fit_polynomial, fit_polynomials,
+                               monomial_exponents, train_ann, train_anns,
+                               train_rbf, _f_sf, _forward_select,
                                _stacked_pass)
 
 
@@ -799,6 +800,103 @@ class TestStepwiseOnePass:
             tracemalloc.stop()
         assert len(chosen) > 100
         assert peak < cand.nbytes / 2
+
+
+def _blas() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+class TestFitPolynomials:
+    """`fit_polynomials` runs the stepwise paths of all its responses in
+    lockstep, one candidate product per step; each fit equals the
+    one-response fit bit for bit."""
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        (model, report), (want_model, want_report) = got, want
+        assert model.terms.tobytes() == want_model.terms.tobytes()
+        assert model.terms.shape == want_model.terms.shape
+        assert model.coefficients.tobytes() == want_model.coefficients.tobytes()
+        assert model.response_name == want_model.response_name
+        assert repr(report) == repr(want_report)
+
+    @pytest.mark.parametrize("name", ["opamp", "pll"])
+    @pytest.mark.parametrize("degree", [2, 3])
+    @pytest.mark.parametrize("stepwise", [False, True])
+    def test_matches_one_response_fits(self, name, degree, stepwise):
+        data = oracle_set(name, 0)
+        fits = fit_polynomials(data, data.response_names, degree, stepwise)
+        assert list(fits) == data.response_names
+        for response in data.response_names:
+            self.assert_same_fit(fits[response], fit_polynomial(
+                data, response, degree, stepwise))
+
+    def test_paths_stopping_differently(self):
+        """One run in which paths stop at different steps and by each rule:
+        an all-zero response on the rounding floor at once, the exact cubic
+        `pd` on it once complete, `a0` by saturation (119 terms, the last
+        with one residual df) and the others by `p_enter`."""
+        data = oracle_set("opamp", 0)
+        data.responses["flat"] = np.zeros(data.n_rows)
+        data.responses["noise"] = np.random.default_rng(0).standard_normal(
+            data.n_rows)
+        responses = data.response_names
+        fits = fit_polynomials(data, responses, 3, stepwise=True)
+        terms = {r: fits[r][0].n_parameters for r in responses}
+        assert terms["flat"] == 1
+        assert terms["pd"] == 10 and fits["pd"][1].r2_train == pytest.approx(
+            1.0, abs=1e-12)
+        assert terms["a0"] == data.n_rows - 1
+        by_p_enter = [r for r in responses if r not in ("flat", "pd", "a0")]
+        assert all(1 <= terms[r] < data.n_rows - 1 for r in by_p_enter)
+        assert len(set(terms.values())) >= 6
+        for response in responses:
+            self.assert_same_fit(fits[response], fit_polynomial(
+                data, response, 3, stepwise=True))
+
+    def test_response_order_and_repeats(self):
+        """The fits do not depend on which other paths share the run."""
+        data = oracle_set("pll", 1)
+        alone = {r: _forward_select(data.inputs, data.response(r),
+                                    monomial_exponents(data.n_inputs, 3),
+                                    0.05) for r in data.response_names}
+        responses = data.response_names[::-1] + data.response_names[:1]
+        fits = fit_polynomials(data, responses, 3, stepwise=True)
+        exponents = monomial_exponents(data.n_inputs, 3)
+        for response in data.response_names:
+            assert fits[response][0].terms.tolist() == \
+                exponents[alone[response]].tolist()
+
+    def test_no_responses(self):
+        assert fit_polynomials(oracle_set("pll", 0), [], 3, True) == {}
+
+    def test_settings_checked_first(self):
+        data = oracle_set("pll", 0)
+        with pytest.raises(ValueError, match="degree"):
+            fit_polynomials(data, ["freq"], 7)
+        with pytest.raises(KeyError, match="nope"):
+            fit_polynomials(data, ["freq", "nope"], 2)
+
+    @pytest.mark.parametrize("n", [30, 120])
+    def test_stacked_product_rows_match_their_own(self, n):
+        """Lockstep selection relies on BLAS computing each row of a
+        product as it computes that row alone: every 2-row slice of a
+        stacked (2 * paths, n) x (n, candidates) product equals its own
+        2-row product bit for bit."""
+        data = oracle_set("pll", 2, n)
+        cand = poly_basis(data.inputs, monomial_exponents(data.n_inputs, 3))
+        rng = np.random.default_rng(n)
+        for paths in (2, 3, 5, 8, 18):
+            rows = rng.standard_normal((paths, 2, n))
+            rows[:, 1] *= 1e3  # a residual in response units beside a unit q
+            stacked = (rows.reshape(2 * paths, n) @ cand).reshape(
+                paths, 2, -1)
+            differ = [p for p in range(paths)
+                      if not np.array_equal(stacked[p], rows[p] @ cand)]
+            assert not differ, (
+                f"with {_blas()}, rows {differ} of a {paths}-path stacked "
+                f"product differ from their own 2-row products")
 
 
 def test_import_leaves_scipy_stats_unloaded():
