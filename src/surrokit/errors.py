@@ -24,7 +24,7 @@ class UndefinedVarianceError(SurrokitError, ValueError):
 
 
 class TrainingDivergedError(SurrokitError, ArithmeticError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or RBF exponent."""
 
 
 class RankDeficiencyError(SurrokitError, ArithmeticError):

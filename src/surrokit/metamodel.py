@@ -20,7 +20,7 @@ from .scaling import Scaler, invert as scale_invert
 
 __all__ = [
     "AnnModel", "RbfModel", "PolyModel", "CallableModel",
-    "ModelBank", "AnnStack", "rbf_design", "poly_basis",
+    "ModelBank", "AnnStack", "poly_basis",
     "save_model", "load_model",
 ]
 
@@ -128,42 +128,42 @@ class AnnStack:
         return y * self.scale + self.shift
 
 
-def rbf_design(xs: np.ndarray, centers: np.ndarray,
-               spread: float) -> np.ndarray:
-    """Gaussian columns exp(-||x - c||^2 / spread^2) of the scaled inputs
-    `xs`, one row per point and one column per center: the RBF forward pass
-    of `RbfModel.predict`, which builds `_rbf_centers` once per model and
-    writes its scaled rows straight into the work array of `_rbf_columns`.
-    """
-    aug = np.empty((xs.shape[0], xs.shape[1] + 2))
-    aug[:, :-2] = xs
-    return _rbf_columns(aug, _rbf_centers(centers, spread))
+def _rbf_rows(pts: np.ndarray, scaler: Scaler) -> np.ndarray:
+    """The (rows, n + 2) row side [x, ||x||^2, 1] of `_rbf_columns`, x the
+    raw rows `pts` scaled by `scaler` as `scaling.apply` scales them."""
+    aug = np.empty((pts.shape[0], pts.shape[1] + 2))
+    xs = np.subtract(pts, scaler.shift, out=aug[:, :-2])
+    np.divide(xs, scaler.scale, out=xs)
+    np.einsum("ij,ij->i", xs, xs, out=aug[:, -2])
+    aug[:, -1] = 1.0
+    return aug
 
 
 def _rbf_centers(centers: np.ndarray, spread: float) -> np.ndarray:
     """The (n + 2, neurons) center side [2c / s^2; -1 / s^2; -||c||^2 / s^2]
-    of `_rbf_columns`, s the spread, one column per center, read-only."""
-    s2 = spread ** 2
-    block = np.vstack([(2.0 * centers.T) / s2, np.full(len(centers), -1 / s2),
-                       np.einsum("ij,ij->i", centers, centers) / -s2])
+    of `_rbf_columns`, s the spread, one column per center, read-only.
+    Raises ValueError unless 4 times it is finite, which keeps its product
+    with a row x among the centers finite: the terms of a column's product
+    add up to at most (||x|| + ||c||)^2 / s^2 in absolute value."""
+    with np.errstate(all="ignore"):  # reported by the check below
+        s2 = np.float64(spread) ** 2
+        block = np.vstack([(2.0 * centers.T) / s2,
+                           np.full(len(centers), -1 / s2),
+                           np.einsum("ij,ij->i", centers, centers) / -s2])
+        if not np.isfinite(4.0 * block).all():
+            raise ValueError(f"spread {spread:g} overflows the Gaussian "
+                             f"exponent of these centers")
     block.setflags(write=False)
     return block
 
 
-def _rbf_columns(aug: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The Gaussian columns of the scaled rows held in the first n columns
-    of the (rows, n + 2) work array `aug`, for the `_rbf_centers` block.
-    It fills the last two columns with ||x||^2 and 1, so one matrix product
-    of the rows [x, ||x||^2, 1] with the block gives the exponent
-    -||x - c||^2 / s^2, clamped at 0 because the cancellation can leave it
-    a rounding error above 0 near a center. That is three passes over the
-    (rows, neurons) result: the product, then the clamp and the exp in
-    place.
-    """
-    n = aug.shape[1] - 2
-    np.einsum("ij,ij->i", aug[:, :n], aug[:, :n], out=aug[:, n])
-    aug[:, n + 1] = 1.0
-    z = np.matmul(aug, block)
+def _rbf_columns(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The one RBF kernel: the Gaussian columns exp(-||x - c||^2 / s^2) of
+    the `_rbf_rows` side `rows` for the `_rbf_centers` side `block`. Their
+    product is the exponent, clamped at 0 because the cancellation can
+    leave it a rounding error above 0 near a center; the clamp and the exp
+    run in place."""
+    z = np.matmul(rows, block)
     np.minimum(z, 0.0, out=z)
     return np.exp(z, out=z)
 
@@ -334,12 +334,8 @@ class RbfModel(_Fitted):
 
     def _forward(self, pts: np.ndarray) -> np.ndarray:
         if self.n_neurons:
-            # the scaled rows, as `scaling.apply` makes them, written straight
-            # into the work array of `_rbf_columns`
-            aug = np.empty((pts.shape[0], self.input_dim + 2))
-            xs = np.subtract(pts, self.input_scaler.shift, out=aug[:, :-2])
-            np.divide(xs, self.input_scaler.scale, out=xs)
-            y = _rbf_columns(aug, self._centers) @ self.weights + self.bias
+            y = (_rbf_columns(_rbf_rows(pts, self.input_scaler), self._centers)
+                 @ self.weights + self.bias)
         else:
             y = np.full(pts.shape[0], self.bias)
         return scale_invert(self.output_scaler, y[:, None])[:, 0]

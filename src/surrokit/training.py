@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import (DataFormatError, RankDeficiencyError,
                      TrainingDivergedError)
-from .metamodel import AnnModel, AnnStack, PolyModel, RbfModel, poly_basis
+from .metamodel import (AnnModel, AnnStack, PolyModel, RbfModel, _rbf_centers,
+                        _rbf_columns, _rbf_rows, poly_basis)
 from .metrics import FitReport, fit_report
 from .scaling import KINDS as SCALER_KINDS, Scaler, fit_scaler
 from .scaling import apply as scale_apply
@@ -358,8 +359,11 @@ def check_rbf_settings(error_goal: float, spread: float, max_neurons: int,
     """Raise ValueError for `train_rbf` settings it cannot grow from."""
     if not error_goal >= 0:
         raise ValueError(f"error_goal must be >= 0, got {error_goal!r}")
-    if not 0 < spread < math.inf:
-        raise ValueError(f"spread must be positive and finite, got {spread!r}")
+    # the Gaussian kernel divides by spread^2 and holds -1 / spread^2
+    if not (0 < spread < math.inf and 0 < spread * spread < math.inf
+            and 1 / (spread * spread) < math.inf):
+        raise ValueError(f"spread must be positive with a finite, nonzero "
+                         f"square and reciprocal square, got {spread!r}")
     if max_neurons < 0:
         raise ValueError(f"max_neurons must be >= 0, got {max_neurons!r}")
     if input_scaling not in SCALER_KINDS:
@@ -378,8 +382,9 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
     basis of the design's columns, which each new column extends by
     Gram-Schmidt (orthogonal least squares, Chen, Cowan & Grant 1991); a
     column that adds nothing numerically leaves the projection unchanged
-    but keeps its neuron. One least-squares solve on the final design
-    gives the output weights and bias.
+    but keeps its neuron. Every column comes from `RbfModel`'s Gaussian
+    kernel, and one least-squares solve on the columns the model's predict
+    computes on the training rows gives the output weights and bias.
     """
     if data.n_rows < 1:
         raise ValueError("need at least one training row")
@@ -388,20 +393,22 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
 
     in_scaler = fit_scaler(data.inputs, input_scaling, names=data.variable_names)
     out_scaler = _fit_response_scaler(y_raw)
-    x = scale_apply(in_scaler, data.inputs)
+    # the row side of every Gaussian column below, x its scaled inputs
+    rows = _rbf_rows(data.inputs, in_scaler)
+    x = rows[:, :-2]
     y = scale_apply(out_scaler, y_raw[:, None])[:, 0]
     n = data.n_rows
+    try:  # every training row is a candidate center
+        candidates = _rbf_centers(x, spread)
+    except ValueError as exc:
+        raise TrainingDivergedError(str(exc)) from None
     # error_goal is expressed in response units
     mse_scale = float(out_scaler.scale[0]) ** 2
 
     center_rows: list[int] = []
     used = np.zeros(n, dtype=bool)  # rows already claimed as (or equal to) a center
-    cols = min(max_neurons, n) + 1
-    # a Gaussian column per neuron, then the bias; column-major, so each
-    # column is one contiguous run
-    design = np.empty((n, cols), order="F")
-    # an orthonormal basis of the filled columns' span
-    basis = np.empty((n, min(cols, n)), order="F")
+    # an orthonormal basis of the span of the bias and Gaussian columns
+    basis = np.empty((n, min(max_neurons + 1, n)), order="F")
     basis[:, 0] = 1.0 / math.sqrt(n)
     rank = 1
     resid = y - np.mean(y)
@@ -416,8 +423,7 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
         # mark every row identical to the chosen one
         dup = np.all(x == x[worst], axis=1)
         used |= dup
-        phi = np.exp(-((x - x[worst]) ** 2).sum(axis=1) / spread ** 2,
-                     out=design[:, len(center_rows)])
+        phi = _rbf_columns(rows, candidates[:, worst:worst + 1])[:, 0]
         center_rows.append(worst)
         q = _orthogonalize(phi, basis[:, :rank])
         norm = math.sqrt(float(q @ q))
@@ -429,10 +435,11 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
 
     weights, bias = np.zeros(0), float(np.mean(y))
     if center_rows:
-        k = len(center_rows)
-        design[:, k] = 1.0
+        # the model's own predict columns on the training rows, and the bias
+        phis = _rbf_columns(rows, _rbf_centers(x[center_rows], spread))
+        design = np.hstack([phis, np.ones((n, 1))])
         try:
-            coef, *_ = np.linalg.lstsq(design[:, :k + 1], y, rcond=None)
+            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         except np.linalg.LinAlgError as exc:
             raise RankDeficiencyError(f"linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(coef)):
@@ -628,8 +635,10 @@ def _forward_paths(cand: np.ndarray, ys, p_enter: float) -> list[list[int]]:
     its orthogonalized column since the residual is orthogonal to the
     design. A candidate's extra sum of squares is that dot product squared
     over that squared norm. A path stops once the residual is rounding
-    noise, sse <= (n * eps)^2 * sst with sst the sum of squares about the
-    mean, because a partial-F test on that noise is a coin flip.
+    noise, because a partial-F test on that noise is a coin flip: after
+    the intercept when sse <= (n * eps)^2 * y @ y (a constant response),
+    after a later term when sse <= (n * eps)^2 * sst, with sst the sum of
+    squares about the mean.
 
     The running paths stack their [q; residual] rows, so one product
     serves them all, and the norm downdates, gains and argmax run on
@@ -665,6 +674,8 @@ def _forward_paths(cand: np.ndarray, ys, p_enter: float) -> list[list[int]]:
             path.append(best[p])
             available[i, best[p]] = False
             q, resid = rows[i]
+            # the rounding floor's reference: y @ y at the intercept, then sst
+            ref = float(resid @ resid) if len(path) == 1 else sst[p]
             q[:] = v / math.sqrt(float(v @ v))
             basis[:, len(path) - 1] = q
             resid -= q * (q @ resid)
@@ -673,7 +684,7 @@ def _forward_paths(cand: np.ndarray, ys, p_enter: float) -> list[list[int]]:
                 sst[p] = sse[p]
             # residual df after one more term; every pick is a new candidate
             if not (n - len(path) - 1 < 1 or len(path) == m
-                    or sse[p] <= noise * sst[p]):
+                    or sse[p] <= noise * ref):
                 keep.append(i)
         if len(keep) < len(live):
             live, rows = [live[i] for i in keep], rows[keep]

@@ -766,6 +766,7 @@ class TestFitSectionsCheckedFirst:
         ("rbf", {"spread": 0.0}), ("rbf", {"max_neurons": "many"}),
         ("rbf", {"error_goal": -1.0}), ("rbf", {"input_scaling": "log"}),
         ("rbf", {"max_neurons": 2.5}), ("poly", {"degree": True}),
+        ("rbf", {"spread": 1e300}), ("rbf", {"spread": 1e-160}),
     ])
     @pytest.mark.parametrize("run", ["train", "compare"])
     def test_rejected_value(self, sin_project, tmp_path, capsys, section,
@@ -867,6 +868,21 @@ class TestTrainInputFaults:
             "numerical failure: design matrix rank 2 < 4 retained terms\n")
         assert not (tmp_path / "m").exists()
         assert not (tmp_path / "reports.json").exists()
+
+    def test_rbf_exponent_overflow_is_numerical_failure(self, sin_project,
+                                                        tmp_path, capfd):
+        """A spread whose Gaussian exponent overflows for the training rows
+        exits 3 with one stderr line: no numpy warning, no LAPACK text."""
+        cfg, train_csv, verify_csv = sin_project
+        config = json.loads(cfg.read_text())
+        config["training"].update(kinds=["rbf"], rbf={"spread": 1e-154})
+        cfg.write_text(json.dumps(config))
+        code = fit_run("train", cfg, train_csv, verify_csv, tmp_path)
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err == ("numerical failure: spread 1e-154 overflows the "
+                       "Gaussian exponent of these centers\n")
+        assert not (tmp_path / "m").exists()
 
     def test_holdout_takes_every_row_is_data_error(self, sin_project,
                                                    tmp_path, capsys):
@@ -1380,6 +1396,12 @@ class TestModelFileContract:
         model[field] = ([10 ** 400] * len(model[field])
                         if isinstance(model[field], list) else 10 ** 400)
         self.assert_rejected(model_project, model)
+
+    def test_rbf_center_block_beyond_float_range(self, model_project):
+        """A spread whose Gaussian exponent overflows for the centers, so
+        that every prediction would be NaN."""
+        self.assert_rejected(model_project,
+                             {**model_project[2]["rbf"], "spread": 1e-160})
 
     def test_input_count_differs_from_space(self, model_project):
         model = json.loads(json.dumps(model_project[2]["poly"]))

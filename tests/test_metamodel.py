@@ -8,7 +8,7 @@ import pytest
 
 from surrokit.metamodel import (PREDICT_BLOCK, AnnModel, CallableModel,
                                 ModelBank, PolyModel, RbfModel, load_model,
-                                poly_basis, rbf_design, save_model)
+                                poly_basis, save_model)
 from surrokit.scaling import Scaler, apply as scale_apply, fit_scaler
 from surrokit.scaling import invert as scale_invert
 
@@ -275,12 +275,24 @@ def broadcast_rbf_design(xs, centers, spread):
     return np.exp(-d2 / spread ** 2)
 
 
+def rbf_columns(xs, centers, spread):
+    """The Gaussian columns `RbfModel.predict` computes on the rows `xs`,
+    one per center: a predict with identity scalers, one-hot weights and no
+    bias gives each column exactly."""
+    n = centers.shape[1]
+    return np.column_stack([
+        RbfModel(input_dim=n, centers=centers, spread=spread, weights=w,
+                 bias=0.0, input_scaler=Scaler.identity(n),
+                 output_scaler=Scaler.identity(1)).predict(xs)
+        for w in np.eye(len(centers))])
+
+
 class TestRbfDesign:
     def test_matches_broadcast(self):
         rng = np.random.default_rng(3)
         centers = rng.normal(size=(7, 5))
         xs = np.vstack([rng.normal(size=(50, 5)), centers])
-        got = rbf_design(xs, centers, 1.3)
+        got = rbf_columns(xs, centers, 1.3)
         want = broadcast_rbf_design(xs, centers, 1.3)
         assert got.shape == (57, 7)
         assert np.max(np.abs(got - want) / want) <= 1e-12
@@ -288,7 +300,7 @@ class TestRbfDesign:
     def test_at_centers_at_most_one(self):
         rng = np.random.default_rng(4)
         centers = rng.uniform(-3, 3, (40, 16))
-        phi = np.diagonal(rbf_design(centers, centers, 0.7))
+        phi = np.diagonal(rbf_columns(centers, centers, 0.7))
         assert np.all(phi > 1 - 1e-12) and np.all(phi <= 1.0)
 
     @pytest.mark.parametrize("spread", [2.0, 1.3])
@@ -322,7 +334,7 @@ class TestRbfDesign:
         xs = np.full((2, 4), 1e3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            phi = rbf_design(xs, centers, 0.1)
+            phi = rbf_columns(xs, centers, 0.1)
         assert np.array_equal(phi, np.zeros((2, 3)))
 
 

@@ -13,11 +13,11 @@ from scipy import stats
 
 from surrokit.design_space import DesignSpace, DesignVariable, lhs_disjoint, lhs_sample
 from surrokit.errors import TrainingDivergedError
-from surrokit.metamodel import AnnStack, poly_basis
+from surrokit.metamodel import AnnStack, RbfModel, poly_basis
 from surrokit.metrics import rmse
 from surrokit.oracles import BUILTIN_ORACLES, BUILTIN_SPACES, evaluate
 from surrokit import training
-from surrokit.scaling import apply as scale_apply
+from surrokit.scaling import Scaler, apply as scale_apply
 from surrokit.training import (SampleSet, TrainOptions, ann_loss_and_gradient,
                                fit_polynomial, fit_polynomials,
                                monomial_exponents, train_ann, train_anns,
@@ -537,6 +537,26 @@ def oracle_set(name, seed, n=120):
                     space.names)
 
 
+def predict_columns(model, inputs):
+    """The Gaussian columns `model.predict` computes on the raw rows
+    `inputs`, one per neuron: its predict with one-hot weights, no bias and
+    an identity output scaler, which gives each column exactly."""
+    return np.column_stack([
+        replace(model, weights=w, bias=0.0,
+                output_scaler=Scaler.identity(1)).predict(inputs)
+        for w in np.eye(model.n_neurons)])
+
+
+def reference_design(x, spread, rows):
+    """The full design [Gaussian columns, 1] on the scaled rows `x` for the
+    neurons centered at `rows`, built by the model's own predict."""
+    model = RbfModel(input_dim=x.shape[1], centers=x[rows], spread=spread,
+                     weights=np.zeros(len(rows)), bias=0.0,
+                     input_scaler=Scaler.identity(x.shape[1]),
+                     output_scaler=Scaler.identity(1))
+    return np.hstack([predict_columns(model, x), np.ones((len(x), 1))])
+
+
 def reference_growth(x, y, spread, max_neurons):
     """Greedy RBF growth that rebuilds and re-solves the whole design after
     every neuron; returns (center rows, weights, bias)."""
@@ -550,9 +570,7 @@ def reference_growth(x, y, spread, max_neurons):
             break
         used |= np.all(x == x[worst], axis=1)
         rows.append(worst)
-        centers = x[rows]
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        design = np.hstack([np.exp(-d2 / spread ** 2), np.ones((n, 1))])
+        design = reference_design(x, spread, rows)
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         pred = design @ coef
     return rows, coef[:-1], float(coef[-1])
@@ -573,11 +591,29 @@ class TestRbfGrowth:
             assert np.array_equal(model.weights, weights)
             assert model.bias == bias
 
+    @pytest.mark.parametrize("spread", [1.3, 4.0])
+    @pytest.mark.parametrize("name", ["pll", "opamp"])
+    def test_weights_solve_predict_columns(self, name, spread):
+        """The weights and bias are the least-squares solution on the
+        columns the trained model's own predict computes on its training
+        rows, bit for bit."""
+        data = oracle_set(name, 3)
+        for response in data.response_names:
+            model, _ = train_rbf(data, response, error_goal=0.0,
+                                 spread=spread, max_neurons=40)
+            y = scale_apply(model.output_scaler,
+                            data.response(response)[:, None])[:, 0]
+            design = np.hstack([predict_columns(model, data.inputs),
+                                np.ones((data.n_rows, 1))])
+            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+            assert model.n_neurons == 40
+            assert np.array_equal(model.weights, coef[:-1])
+            assert model.bias == coef[-1]
+
 
 def reference_residual(x, y, spread, rows):
     """Residual of the full re-solve on the neurons centered at `rows`."""
-    d2 = ((x[:, None, :] - x[rows][None, :, :]) ** 2).sum(axis=2)
-    design = np.hstack([np.exp(-d2 / spread ** 2), np.ones((len(y), 1))])
+    design = reference_design(x, spread, rows)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return y - design @ coef
 
@@ -826,6 +862,20 @@ class TestFitPolynomials:
         for response in data.response_names:
             self.assert_same_fit(fits[response], fit_polynomial(
                 data, response, degree, stepwise))
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_constant_response_keeps_the_intercept(self, degree):
+        """What the intercept leaves of a constant nonzero response is
+        rounding noise, so its path stops there."""
+        data = oracle_set("opamp", 0)
+        constants = {"c1": 2.5, "c2": 1.0, "c3": -3.0}
+        for name, value in constants.items():
+            data.responses[name] = np.full(data.n_rows, value)
+        fits = fit_polynomials(data, list(constants), degree, stepwise=True)
+        for name, value in constants.items():
+            model = fits[name][0]
+            assert model.n_parameters == 1 and not model.terms.any()
+            assert model.coefficients[0] == pytest.approx(value, rel=1e-12)
 
     def test_paths_stopping_differently(self):
         """One run in which paths stop at different steps and by each rule:
