@@ -66,7 +66,9 @@ class FomTerm:
 
 @dataclass(frozen=True)
 class WindowConstraint:
-    """Keep a model's prediction within relative_tolerance of center."""
+    """Keep a model's prediction within relative_tolerance of center; its
+    violation, summed by `FomProblem.evaluate`, is the relative distance
+    outside that window."""
 
     model: object
     center: float
@@ -77,11 +79,6 @@ class WindowConstraint:
             raise ValueError("relative_tolerance must be positive")
         if self.center == 0:
             raise ValueError("window center must be nonzero")
-
-    def violation(self, value) -> np.ndarray:
-        """Relative distance outside the window, 0 when inside."""
-        rel = np.abs(np.asarray(value, dtype=float) - self.center) / abs(self.center)
-        return np.maximum(0.0, rel - self.relative_tolerance)
 
 
 @dataclass(frozen=True)
@@ -123,8 +120,9 @@ class FomProblem:
         if not windows:
             viol = np.zeros(len(cols))
         for j, (center, scale, tolerance) in enumerate(windows):
-            # `WindowConstraint.violation`, in place: +0.0 or more, or NaN,
-            # so the first one needs no +0.0 added
+            # the relative distance outside the window, in place:
+            # max(0, |value - center| / |center| - tolerance), +0.0 or more,
+            # or NaN, so the first one needs no +0.0 added
             v = np.subtract(cols[:, len(weights) + j], center)
             np.abs(v, out=v)
             v /= scale

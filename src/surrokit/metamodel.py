@@ -65,21 +65,13 @@ class AnnStack:
 
     @classmethod
     def of(cls, models) -> AnnStack:
-        """The stack of AnnModels sharing input count and scaling,
-        activation and steepness, holding their weights to `predict`."""
-        first = models[0]
-        stack = cls([m.hidden_size for m in models], first.input_dim)
-        stack.activation, stack.steepness = first.activation, first.steepness
-        # the fixed steps of `predict`, taken once: input scaling as in
-        # `scaling.apply`, the weights as `forward` takes them, and each
-        # column's output step, y * scale + shift as in `scale_invert`
-        stack.in_shift = first.input_scaler.shift
-        stack.in_scale = first.input_scaler.scale
-        w1, b1, w2, b2 = stack.views(stack.pack([np.concatenate(
-            [m.W1.ravel(), m.b1, m.W2, [m.b2]]) for m in models]))
+        """The stack of AnnModels sharing input count and activation,
+        holding their `folded` weights, as `forward` takes them, to
+        `predict`."""
+        stack = cls([m.hidden_size for m in models], models[0].input_dim)
+        stack.activation = models[0].activation
+        w1, b1, w2, b2 = stack.views(stack.pack([m.folded for m in models]))
         stack.weights = (w1.T, b1, stack.output_matrix(w2), b2)
-        stack.scale = np.array([m.output_scaler.scale[0] for m in models])
-        stack.shift = np.array([m.output_scaler.shift[0] for m in models])
         return stack
 
     def views(self, theta: np.ndarray):
@@ -102,7 +94,8 @@ class AnnStack:
 
     def forward(self, weights, xs: np.ndarray, activation: str,
                 steepness: float, h=None, out=None):
-        """The one ANN forward pass over the scaled rows `xs`: (h, out), the
+        """The one ANN forward pass over the rows `xs` (scaled in training,
+        raw in `predict`, whose weights are `folded`): (h, out), the
         hidden outputs h = f(steepness * (xs @ W1.T + b1)) and the outputs
         h @ w_out + b2, one column per network, where `weights` is (W1.T,
         b1, w_out, b2): views of a flat vector's W1, b1 and b2, and the
@@ -123,9 +116,22 @@ class AnnStack:
     def predict(self, pts: np.ndarray) -> np.ndarray:
         """A stack made by `of`: its networks' predictions for the raw rows
         `pts`, one column each."""
-        _, y = self.forward(self.weights, (pts - self.in_shift) / self.in_scale,
-                            self.activation, self.steepness)
-        return y * self.scale + self.shift
+        return self.forward(self.weights, pts, self.activation, 1.0)[1]
+
+
+def fold(model: AnnModel) -> np.ndarray:
+    """The packing (W1 row-major, b1, W2, b2) of the network `model` with
+    its input scaler, steepness and output scaler folded into the weights:
+    the tanh or logistic network on raw inputs, steepness 1 and no output
+    scaling, that `model` is. Its one prediction form, and the weights the
+    emitted Verilog-AMS module reads."""
+    s_in, s_out, lam = model.input_scaler, model.output_scaler, model.steepness
+    gain = 1.0 / s_in.scale            # x' = gain * x + offset
+    offset = -s_in.shift / s_in.scale
+    w1 = lam * model.W1 * gain[None, :]
+    b1 = lam * (model.b1 + model.W1 @ offset)
+    a, c = float(s_out.scale[0]), float(s_out.shift[0])  # y = a * z + c
+    return np.concatenate([w1.ravel(), b1, a * model.W2, [a * model.b2 + c]])
 
 
 def _rbf_rows(pts: np.ndarray, scaler: Scaler) -> np.ndarray:
@@ -242,12 +248,16 @@ class AnnModel(_Fitted):
     """Feed-forward network with one nonlinear hidden layer and a linear
     output neuron.
 
-    Prediction on a raw point x:
+    The network on a raw point x is
 
         y = out_inv( b2 + sum_j W2[j] * f(steepness * (b1[j] + W1[j] @ x')) )
 
     where x' is the input-scaled point, f is tanh or the logistic sigmoid,
-    and out_inv undoes the output scaling.
+    and out_inv undoes the output scaling. `folded`, made once by `fold`,
+    holds it with scalers and steepness folded into the weights, and
+    `predict` runs that form alone: b2' + sum_j W2'[j] * f(b1'[j] + W1'[j]
+    @ x), the sum the emitted Verilog-AMS module computes from the same
+    weights. It equals the formula above to rounding.
     """
 
     input_dim: int
@@ -274,6 +284,11 @@ class AnnModel(_Fitted):
         if not (self.steepness > 0  # isfinite also rejects ints beyond float
                 and np.all(np.isfinite([self.steepness, self.b2]))):
             raise ValueError("steepness must be positive and finite, b2 finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            object.__setattr__(self, "folded", fold(self))
+        if not np.isfinite(self.folded).all():
+            raise ValueError("folding the scalers in overflows the weights")
+        self.folded.setflags(write=False)
         # the network as a stack of one, made once for every predict
         object.__setattr__(self, "_stack", AnnStack.of([self]))
 
@@ -401,37 +416,35 @@ class ModelBank:
     `x`, one column per model in the given order. The one model evaluator
     of the optimizers.
 
-    ANNs whose input scalers are equal by value and which share input count,
-    activation and steepness run as one `AnnStack`, built once: one input
-    scaling and one forward pass for the whole group, in blocks of at most
-    PREDICT_BLOCK rows. A bank holding ANNs checks its input once per call
-    for all of them, so they must share one input count. When one stack
-    holds every column, a call of at most PREDICT_BLOCK rows returns its
-    output as it is. Any other model runs its own `predict` on the rows.
-    A stack's predictions equal each network's `predict` up to rounding.
+    ANNs that share input count and activation run as one `AnnStack` of
+    their `folded` weights, built once: one forward pass for the whole
+    group, in blocks of at most PREDICT_BLOCK rows. The models must take
+    one input count, checked when the bank is made; a bank holding ANNs
+    checks its input once per call for all of them. When one stack holds
+    every column, a call of at most PREDICT_BLOCK rows returns its output
+    as it is. Any other model runs its own `predict` on the rows. A
+    stack's columns equal each network's `predict` up to the summation
+    order of their products.
     """
 
     def __init__(self, models):
         models = list(models)
         self.width = len(models)
+        dims = {m.input_dim for m in models if hasattr(m, "input_dim")}
+        if len(dims) > 1:
+            raise ValueError(f"the models of one bank take different input "
+                             f"counts {sorted(dims)}")
         groups: dict[tuple, list[int]] = {}
         self._others = []
         for col, model in enumerate(models):
             if isinstance(model, AnnModel):
-                sc = model.input_scaler
-                key = (model.input_dim, model.activation, model.steepness,
-                       sc.kind, tuple(sc.shift.tolist()),
-                       tuple(sc.scale.tolist()))
-                groups.setdefault(key, []).append(col)
+                groups.setdefault((model.input_dim, model.activation),
+                                  []).append(col)
             else:
                 self._others.append((col, model))
         self._stacks = [(np.array(cols), AnnStack.of([models[c] for c in cols]))
                         for cols in groups.values()]
-        dims = {stack.n for _, stack in self._stacks}
-        if len(dims) > 1:
-            raise ValueError(f"the ANNs of one bank take different input "
-                             f"counts {sorted(dims)}")
-        self._dim = dims.pop() if dims else None
+        self._dim = dims.pop() if self._stacks else None
         # columns are grouped in order, so a lone stack holds them in order
         self._whole = (self._stacks[0][1] if len(self._stacks) == 1
                        and not self._others else None)

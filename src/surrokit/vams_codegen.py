@@ -98,31 +98,19 @@ def weight_files(prefix: str) -> dict[str, str]:
 
 
 def fold_scalers(model: AnnModel) -> AnnModel:
-    """Algebraically absorb scalers and steepness into the weights.
+    """`model` with scalers and steepness absorbed into the weights: its
+    `folded` weights, with identity scalers and steepness 1.
 
-    The returned model predicts identically (to rounding) but carries
-    identity scalers and steepness 1, matching what the emitted reader
-    loop computes: v = sum_j w2[j] * tanh(b1[j] + W1[j] . x), v + b2.
+    The returned model predicts exactly what `model` does, and what the
+    emitted reader loop computes: v = sum_j w2[j] * tanh(b1[j] + W1[j] . x),
+    v + b2.
     """
-    s_in = model.input_scaler
-    s_out = model.output_scaler
-    lam = model.steepness
-
-    gain = 1.0 / s_in.scale            # x' = gain * x + offset
-    offset = -s_in.shift / s_in.scale
-    w1 = lam * model.W1 * gain[None, :]
-    b1 = lam * (model.b1 + model.W1 @ offset)
-
-    a = float(s_out.scale[0])          # y = a * z + c undoes output scaling
-    c = float(s_out.shift[0])
-    w2 = a * model.W2
-    b2 = a * model.b2 + c
-
+    h, n = model.hidden_size, model.input_dim
+    w1, b1, w2, b2 = np.split(model.folded, [h * n, h * n + h, h * n + 2 * h])
     return AnnModel(
-        input_dim=model.input_dim, hidden_size=model.hidden_size,
-        activation=model.activation, W1=w1, b1=b1, W2=w2, b2=b2,
-        input_scaler=Scaler.identity(model.input_dim),
-        output_scaler=Scaler.identity(1),
+        input_dim=n, hidden_size=h, activation=model.activation,
+        W1=w1.reshape(h, n), b1=b1, W2=w2, b2=b2[0],
+        input_scaler=Scaler.identity(n), output_scaler=Scaler.identity(1),
         steepness=1.0, role=model.role, response_name=model.response_name,
     )
 
@@ -158,10 +146,10 @@ def import_weights(directory, nl: int, size_x: int,
     """Reconstruct an AnnModel of `nl` hidden units and `size_x` inputs from
     the four weight files `export_weights` wrote under `directory`.
 
-    The model is a tanh network with identity scalers and steepness 1, i.e.
-    it computes exactly what the emitted Verilog-AMS reader computes. A file
-    with the wrong value count or a non-finite value is a data error naming
-    the file.
+    The model is a tanh network with identity scalers and steepness 1: it
+    predicts exactly what the exported model and the emitted Verilog-AMS
+    reader compute. A file with the wrong value count or a non-finite value
+    is a data error naming the file.
     """
     counts = {"w1": nl * size_x, "w2": nl, "b1": nl, "b2": 1}
     w1, w2, b1, b2 = (

@@ -11,6 +11,7 @@ from surrokit.metamodel import (PREDICT_BLOCK, AnnModel, CallableModel,
                                 poly_basis, save_model)
 from surrokit.scaling import Scaler, apply as scale_apply, fit_scaler
 from surrokit.scaling import invert as scale_invert
+from surrokit.vams_codegen import fold_scalers
 
 
 def make_ann(W1, b1, W2, b2, activation="tanh", steepness=1.0,
@@ -82,17 +83,16 @@ class TestAnnPredict:
     @pytest.mark.parametrize("activation", ["tanh", "logsig"])
     @pytest.mark.parametrize("rows", [1, PREDICT_BLOCK + 5])
     def test_closed_form(self, activation, rows):
-        """predict is exactly out_inv(f(steepness * (xs W1^T + b1)) @ W2 +
-        b2), with xs the input-scaled rows, for one row and for a batch
-        that spans two blocks."""
+        """predict is exactly f(pts W1^T + b1) @ W2 + b2 on the raw rows,
+        with the folded weights of `fold_scalers`, for one row and for a
+        batch that spans two blocks."""
         rng = np.random.default_rng(rows)
         model = random_ann(rng, scaled=True, activation=activation)
+        folded = fold_scalers(model)
         pts = rng.normal(size=(rows, model.input_dim))
-        z = model.steepness * (scale_apply(model.input_scaler, pts)
-                               @ model.W1.T + model.b1)
+        z = pts @ folded.W1.T + folded.b1
         h = np.tanh(z) if activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
-        y = h @ model.W2 + model.b2
-        expected = scale_invert(model.output_scaler, y[:, None])[:, 0]
+        expected = h @ folded.W2 + folded.b2
         if rows == 1:
             assert model.predict(pts[0]) == expected[0]
         else:
@@ -113,17 +113,40 @@ class TestAnnPredict:
         x = rng.normal(size=model.input_dim)
         assert model.predict(x) == model.predict(x)
 
-    def test_scaler_folding_equivalence(self):
-        # scaled model == unscaled model with algebraically folded weights
-        from surrokit.vams_codegen import fold_scalers
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            model = random_ann(rng, scaled=True)
-            if model.activation != "tanh":
-                continue
-            folded = fold_scalers(model)
-            pts = rng.normal(size=(50, model.input_dim))
-            assert np.max(np.abs(model.predict(pts) - folded.predict(pts))) < 1e-9
+    @pytest.mark.parametrize("case", range(40))
+    def test_folded_form_bound(self, case):
+        """predict, which runs the folded weights, stays within
+        (n + m + 4) * eps * M of the unfolded formula of the AnnModel
+        docstring evaluated in float64, for n inputs and m hidden units,
+        where M = |c| + a (|b2| + sum_j |W2[j]| (1 + steepness (|b1[j]| +
+        sum_i |W1[j, i]| (|x_i| + |shift_i|) / scale_i))) bounds every term
+        either form adds (a and c the output scale and shift; tanh and the
+        logistic are 1-Lipschitz and at most 1 in size). Input scalers have
+        |shift| / scale from 1e-3 to 1e3, so folding the shift into b1
+        cancels up to three digits."""
+        rng = np.random.default_rng(300 + case)
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 9))
+        activation = ("tanh", "logsig")[case % 2]
+        scale = 10.0 ** rng.uniform(-3, 3, n)
+        shift = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n) * scale
+        in_sc = Scaler(("meanstd", "minmax")[case // 2 % 2], shift, scale)
+        out_sc = Scaler("meanstd", rng.normal(size=1) * 100.0,
+                        10.0 ** rng.uniform(-3, 3, 1))
+        model = make_ann(rng.normal(size=(m, n)), rng.normal(size=m),
+                         rng.normal(size=m), rng.normal(),
+                         activation=activation,
+                         steepness=float(rng.uniform(0.25, 4.0)),
+                         input_scaler=in_sc, output_scaler=out_sc)
+        pts = shift + scale * rng.normal(size=(64, n))
+        z = model.steepness * (scale_apply(in_sc, pts) @ model.W1.T + model.b1)
+        h = np.tanh(z) if activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
+        want = scale_invert(out_sc, (h @ model.W2 + model.b2)[:, None])[:, 0]
+        a, c = out_sc.scale[0], abs(out_sc.shift[0])
+        inner = model.steepness * (np.abs(model.b1) + (np.abs(pts) + np.abs(shift))
+                                   / scale @ np.abs(model.W1).T)
+        size = c + a * (abs(model.b2) + (1.0 + inner) @ np.abs(model.W2))
+        bound = (n + m + 4) * np.finfo(float).eps * size
+        assert np.all(np.abs(model.predict(pts) - want) <= bound)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -132,6 +155,13 @@ class TestAnnPredict:
             make_ann([[np.inf]], [0.0], [1.0], 0.0)
         with pytest.raises(ValueError):
             make_ann([[1.0, 2.0]], [0.0, 0.0], [1.0], 0.0)
+
+    def test_overflowing_folded_weights_rejected(self):
+        """A network whose weights overflow once its input scale is folded
+        in has no prediction form, so it cannot be built."""
+        with pytest.raises(ValueError, match="overflows"):
+            make_ann([[1e300]], [0.0], [1.0], 0.0, input_scaler=Scaler(
+                "meanstd", np.zeros(1), np.full(1, 1e-10)))
 
 
 class TestRbfPredict:
@@ -596,21 +626,19 @@ def assert_columns_match(bank_out, models, x):
 
 
 def stacked_closed_form(models, pts):
-    """The predictions of ANNs sharing input scaling, activation and
-    steepness, written out as one network over all their hidden units, in
-    which network k's output weights are its W2 on its own units and 0 on
-    the others: the arithmetic of one `ModelBank` stack, step for step."""
-    first = models[0]
+    """The predictions of ANNs sharing input count and activation, written
+    out as one network over all their hidden units with their folded
+    weights (`fold_scalers`), in which network k's output weights are its
+    W2 on its own units and 0 on the others: the arithmetic of one
+    `ModelBank` stack, step for step."""
+    folded = [fold_scalers(m) for m in models]
     owner = np.repeat(np.arange(len(models)), [m.hidden_size for m in models])
-    w2 = np.concatenate([m.W2 for m in models])
+    w2 = np.concatenate([f.W2 for f in folded])
     w_out = (owner[:, None] == np.arange(len(models))) * w2[:, None]
-    z = first.steepness * (scale_apply(first.input_scaler, pts)
-                           @ np.vstack([m.W1 for m in models]).T
-                           + np.concatenate([m.b1 for m in models]))
-    h = np.tanh(z) if first.activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
-    y = h @ w_out + np.array([m.b2 for m in models])
-    return (y * np.array([m.output_scaler.scale[0] for m in models])
-            + np.array([m.output_scaler.shift[0] for m in models]))
+    z = (pts @ np.vstack([f.W1 for f in folded]).T
+         + np.concatenate([f.b1 for f in folded]))
+    h = np.tanh(z) if models[0].activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
+    return h @ w_out + np.array([f.b2 for f in folded])
 
 
 class TestModelBank:
@@ -709,17 +737,18 @@ class TestModelBank:
         np.testing.assert_array_equal(out[-5:],
                                       ModelBank(models).predict(x[-5:]))
 
-    # the columns of each stack of the two banks; the rest are not ANNs
+    # the columns of each stack of the two banks, one per activation
+    # whatever the scalers and steepness; the rest are not ANNs
     STACKS = {"single-stack": [[0, 1, 2]],
-              "mixed": [[0, 3], [2, 7], [5, 8]]}
+              "mixed": [[0, 2, 3, 7], [5, 8]]}
 
     @pytest.mark.parametrize("rows", [1, 2, 20, PREDICT_BLOCK + 1, "1-D"])
     @pytest.mark.parametrize("kind", ["single-stack", "mixed"])
     def test_bit_identical_to_closed_form(self, kind, rows):
-        """Each stack's columns are its closed form bit for bit, and every
-        other column is its model's own predict, whether the one stack's
-        output is returned as it is, scattered into the bank's matrix or
-        computed in blocks."""
+        """Each stack's columns are its closed form bit for bit, block by
+        block, and every other column is its model's own predict, whether
+        the one stack's output is returned as it is, scattered into the
+        bank's matrix or computed in blocks."""
         rng = np.random.default_rng(7)
         models = (self.single_stack(rng) if kind == "single-stack"
                   else self.mixed_models(rng))
@@ -727,7 +756,10 @@ class TestModelBank:
         pts = np.atleast_2d(x)
         want = np.column_stack([m.predict(pts) for m in models])
         for cols in self.STACKS[kind]:
-            want[:, cols] = stacked_closed_form([models[c] for c in cols], pts)
+            for start in range(0, len(pts), PREDICT_BLOCK):
+                block = slice(start, start + PREDICT_BLOCK)
+                want[block, cols] = stacked_closed_form(
+                    [models[c] for c in cols], pts[block])
         bank = ModelBank(models)
         assert len(bank._stacks) == len(self.STACKS[kind])
         np.testing.assert_array_equal(bank.predict(x), want)
@@ -737,6 +769,19 @@ class TestModelBank:
         models = [random_ann(rng, n=2), random_ann(rng, n=3)]
         with pytest.raises(ValueError, match=r"input counts \[2, 3\]"):
             ModelBank(models)
+
+    def test_every_models_input_count_must_agree(self):
+        """Any two models of different input counts fail when the bank is
+        made, not at its first predict: a 3-input polynomial beside a
+        16-input ANN, or beside a 2-input callable with no ANN at all."""
+        rng = np.random.default_rng(2)
+        poly = PolyModel(input_dim=3, degree=1, terms=np.eye(3, dtype=int),
+                         coefficients=np.ones(3))
+        func = CallableModel(input_dim=2, fn=lambda x: x[:, 0])
+        for models, dims in (([random_ann(rng, n=16), poly], r"\[3, 16\]"),
+                             ([poly, func], r"\[2, 3\]")):
+            with pytest.raises(ValueError, match="input counts " + dims):
+                ModelBank(models)
 
     def test_empty_bank(self):
         x = np.zeros((17, 3))

@@ -1,10 +1,12 @@
 """Weight-file export/import fidelity and module emission structure."""
 
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surrokit.errors import DataFormatError
 from surrokit.metamodel import AnnModel
@@ -91,7 +93,7 @@ class TestImport:
             export_weights(model, tmp_path, prefix=f"t{trial}_")
             clone = import_weights(tmp_path, m, n, prefix=f"t{trial}_")
             pts = rng.normal(size=(200, n))
-            assert np.max(np.abs(model.predict(pts) - clone.predict(pts))) < 1e-9
+            assert np.array_equal(model.predict(pts), clone.predict(pts))
 
     def test_round_trip_through_files(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -102,7 +104,7 @@ class TestImport:
                 getattr(bundle, name)
         clone = import_weights(tmp_path, 4, 3)
         pts = rng.normal(size=(50, 3))
-        assert np.max(np.abs(model.predict(pts) - clone.predict(pts))) < 1e-9
+        assert np.array_equal(model.predict(pts), clone.predict(pts))
 
     def test_truncated_file_names_the_file(self, tmp_path):
         model = make_model(np.random.default_rng(6), 3, 2)
@@ -119,7 +121,7 @@ class TestImport:
         (tmp_path / "b2.txt").write_text(bundle.b2 + "\t\n")
         clone = import_weights(tmp_path, 2, 2)
         pts = np.random.default_rng(8).normal(size=(10, 2))
-        assert np.max(np.abs(model.predict(pts) - clone.predict(pts))) < 1e-9
+        assert np.array_equal(model.predict(pts), clone.predict(pts))
 
     def test_non_numeric_token(self, tmp_path):
         for name, text in (("w1", "abc"), ("w2", "1"), ("b1", "1"),
@@ -127,6 +129,34 @@ class TestImport:
             (tmp_path / f"{name}.txt").write_text(text)
         with pytest.raises(DataFormatError, match="non-numeric"):
             import_weights(tmp_path, 1, 1)
+
+
+@given(n=st.integers(1, 7), m=st.integers(1, 8),
+       kind=st.sampled_from(["meanstd", "minmax", "none"]),
+       steepness=st.floats(0.25, 4.0).filter(lambda lam: lam != 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_round_trip_predicts_bit_identically(n, m, kind, steepness, seed):
+    """A network read back from its exported weight files predicts exactly
+    what the network does, for a batch and for each single row: predict
+    runs the folded weights that the files hold."""
+    rng = np.random.default_rng(seed)
+    in_sc = (Scaler.identity(n) if kind == "none" else
+             Scaler(kind, rng.normal(size=n) * 10.0, rng.uniform(0.1, 10, n)))
+    model = AnnModel(
+        input_dim=n, hidden_size=m, activation="tanh",
+        W1=rng.normal(size=(m, n)), b1=rng.normal(size=m),
+        W2=rng.normal(size=m), b2=float(rng.normal()), input_scaler=in_sc,
+        output_scaler=Scaler("meanstd", rng.normal(size=1) * 10.0,
+                             rng.uniform(0.1, 10, 1)),
+        steepness=steepness)
+    with tempfile.TemporaryDirectory() as directory:
+        export_weights(model, directory)
+        clone = import_weights(directory, m, n)
+    pts = in_sc.shift + in_sc.scale * rng.normal(size=(20, n))
+    assert np.array_equal(clone.predict(pts), model.predict(pts))
+    for row in pts[:5]:
+        assert clone.predict(row) == model.predict(row)
 
 
 class TestFoldScalers:
@@ -144,7 +174,7 @@ class TestFoldScalers:
                                int(rng.integers(1, 6)))
             folded = fold_scalers(model)
             pts = rng.normal(size=(100, model.input_dim))
-            assert np.max(np.abs(model.predict(pts) - folded.predict(pts))) < 1e-9
+            assert np.array_equal(model.predict(pts), folded.predict(pts))
 
 
 def macromodel_fixture():
