@@ -128,7 +128,8 @@ class TestAnnPredict:
         n, m = int(rng.integers(1, 8)), int(rng.integers(1, 9))
         activation = ("tanh", "logsig")[case % 2]
         scale = 10.0 ** rng.uniform(-3, 3, n)
-        shift = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n) * scale
+        ratio = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+        shift = ratio * scale
         in_sc = Scaler(("meanstd", "minmax")[case // 2 % 2], shift, scale)
         out_sc = Scaler("meanstd", rng.normal(size=1) * 100.0,
                         10.0 ** rng.uniform(-3, 3, 1))
@@ -142,8 +143,9 @@ class TestAnnPredict:
         h = np.tanh(z) if activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
         want = scale_invert(out_sc, (h @ model.W2 + model.b2)[:, None])[:, 0]
         a, c = out_sc.scale[0], abs(out_sc.shift[0])
-        inner = model.steepness * (np.abs(model.b1) + (np.abs(pts) + np.abs(shift))
-                                   / scale @ np.abs(model.W1).T)
+        inner = model.steepness * (
+            np.abs(model.b1)
+            + (np.abs(pts) + np.abs(shift)) / scale @ np.abs(model.W1).T)
         size = c + a * (abs(model.b2) + (1.0 + inner) @ np.abs(model.W2))
         bound = (n + m + 4) * np.finfo(float).eps * size
         assert np.all(np.abs(model.predict(pts) - want) <= bound)
@@ -637,7 +639,8 @@ def stacked_closed_form(models, pts):
     w_out = (owner[:, None] == np.arange(len(models))) * w2[:, None]
     z = (pts @ np.vstack([f.W1 for f in folded]).T
          + np.concatenate([f.b1 for f in folded]))
-    h = np.tanh(z) if models[0].activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
+    tanh = models[0].activation == "tanh"
+    h = np.tanh(z) if tanh else 1.0 / (1.0 + np.exp(-z))
     return h @ w_out + np.array([f.b2 for f in folded])
 
 
