@@ -65,9 +65,9 @@ class AnnStack:
 
     @classmethod
     def of(cls, models) -> AnnStack:
-        """The stack of AnnModels sharing input count and activation,
+        """The stack of AnnModels of one input count and activation,
         holding their `folded` weights, as `forward` takes them, to
-        `predict`."""
+        `predict`; a stack of one `views` one model's `folded`."""
         stack = cls([m.hidden_size for m in models], models[0].input_dim)
         stack.activation = models[0].activation
         w1, b1, w2, b2 = stack.views(stack.pack([m.folded for m in models]))
@@ -138,38 +138,50 @@ def _rbf_rows(pts: np.ndarray, scaler: Scaler) -> np.ndarray:
     """The (rows, n + 2) row side [x, ||x||^2, 1] of `_rbf_columns`, x the
     raw rows `pts` scaled by `scaler` as `scaling.apply` scales them."""
     aug = np.empty((pts.shape[0], pts.shape[1] + 2))
-    xs = np.subtract(pts, scaler.shift, out=aug[:, :-2])
-    np.divide(xs, scaler.scale, out=xs)
+    with np.errstate(over="ignore"):  # an inf row is far from every center
+        xs = np.subtract(pts, scaler.shift, out=aug[:, :-2])
+        np.divide(xs, scaler.scale, out=xs)
     np.einsum("ij,ij->i", xs, xs, out=aug[:, -2])
     aug[:, -1] = 1.0
     return aug
 
 
-def _rbf_centers(centers: np.ndarray, spread: float) -> np.ndarray:
+def _rbf_centers(centers: np.ndarray, spread: float) -> tuple:
     """The (n + 2, neurons) center side [2c / s^2; -1 / s^2; -||c||^2 / s^2]
-    of `_rbf_columns`, s the spread, one column per center, read-only.
-    Raises ValueError unless 4 times it is finite, which keeps its product
-    with a row x among the centers finite: the terms of a column's product
-    add up to at most (||x|| + ||c||)^2 / s^2 in absolute value."""
+    of `_rbf_columns`, s the spread, one column per center, read-only, and
+    its bound (R + 28 s)^2 on a row's ||x||^2, R the largest center norm.
+    Raises ValueError unless 8 times the block is finite, which keeps its
+    product with a row within the bound finite: the terms of a column's
+    product add up to at most (||x|| + ||c||)^2 / s^2 <= (2R / s + 28)^2."""
     with np.errstate(all="ignore"):  # reported by the check below
         s2 = np.float64(spread) ** 2
+        norms = np.einsum("ij,ij->i", centers, centers)
         block = np.vstack([(2.0 * centers.T) / s2,
-                           np.full(len(centers), -1 / s2),
-                           np.einsum("ij,ij->i", centers, centers) / -s2])
-        if not np.isfinite(4.0 * block).all():
+                           np.full(len(centers), -1 / s2), norms / -s2])
+        if not np.isfinite(8.0 * block).all():
             raise ValueError(f"spread {spread:g} overflows the Gaussian "
                              f"exponent of these centers")
+        # inf if it overflows: then only an inf ||x||^2 reaches it
+        limit = float((np.sqrt(norms.max(initial=0.0)) + 28 * spread) ** 2)
     block.setflags(write=False)
-    return block
+    return block, limit
 
 
-def _rbf_columns(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _rbf_columns(rows: np.ndarray, block: np.ndarray,
+                 limit: float) -> np.ndarray:
     """The one RBF kernel: the Gaussian columns exp(-||x - c||^2 / s^2) of
-    the `_rbf_rows` side `rows` for the `_rbf_centers` side `block`. Their
-    product is the exponent, clamped at 0 because the cancellation can
-    leave it a rounding error above 0 near a center; the clamp and the exp
-    run in place."""
-    z = np.matmul(rows, block)
+    the `_rbf_rows` side `rows` for the `_rbf_centers` side `block` and
+    its bound `limit`. Their product is the exponent, clamped at 0 because
+    the cancellation can leave it a rounding error above 0 near a center;
+    the clamp and the exp run in place. A row whose ||x||^2 reaches
+    `limit` is 28 spreads or more from every center, where exp(-28^2) is
+    0: it enters the product as zeros, and its exponents are set to -inf."""
+    if rows[:, -2].max(initial=-np.inf) < limit:
+        z = np.matmul(rows, block)
+    else:
+        far = rows[:, -2] >= limit
+        z = np.matmul(np.where(far[:, None], 0.0, rows), block)
+        z[far] = -np.inf
     np.minimum(z, 0.0, out=z)
     return np.exp(z, out=z)
 
@@ -333,8 +345,8 @@ class RbfModel(_Fitted):
         if not (self.spread > 0
                 and np.all(np.isfinite([self.spread, self.bias]))):
             raise ValueError("spread must be positive and finite, bias finite")
-        # the center side of every predict's product, made once
-        object.__setattr__(self, "_centers",
+        # the center side of every predict's product and its bound, made once
+        object.__setattr__(self, "_kernel",
                            _rbf_centers(self.centers, self.spread))
 
     @property
@@ -349,8 +361,8 @@ class RbfModel(_Fitted):
 
     def _forward(self, pts: np.ndarray) -> np.ndarray:
         if self.n_neurons:
-            y = (_rbf_columns(_rbf_rows(pts, self.input_scaler), self._centers)
-                 @ self.weights + self.bias)
+            y = (_rbf_columns(_rbf_rows(pts, self.input_scaler),
+                              *self._kernel) @ self.weights + self.bias)
         else:
             y = np.full(pts.shape[0], self.bias)
         return scale_invert(self.output_scaler, y[:, None])[:, 0]
@@ -416,15 +428,15 @@ class ModelBank:
     `x`, one column per model in the given order. The one model evaluator
     of the optimizers.
 
-    ANNs that share input count and activation run as one `AnnStack` of
-    their `folded` weights, built once: one forward pass for the whole
-    group, in blocks of at most PREDICT_BLOCK rows. The models must take
-    one input count, checked when the bank is made; a bank holding ANNs
-    checks its input once per call for all of them. When one stack holds
-    every column, a call of at most PREDICT_BLOCK rows returns its output
-    as it is. Any other model runs its own `predict` on the rows. A
-    stack's columns equal each network's `predict` up to the summation
-    order of their products.
+    The models must take one input count, checked when the bank is made.
+    ANNs of one activation run as one `AnnStack` of their `folded`
+    weights, built once: one forward pass for the whole group, in blocks
+    of at most PREDICT_BLOCK rows. A bank holding ANNs checks its input
+    once per call for all of them. When one stack holds every column, a
+    call of at most PREDICT_BLOCK rows returns its output as it is. Any
+    other model runs its own `predict` on the rows. A stack's columns
+    equal each network's `predict` up to the summation order of their
+    products.
     """
 
     def __init__(self, models):
@@ -434,12 +446,11 @@ class ModelBank:
         if len(dims) > 1:
             raise ValueError(f"the models of one bank take different input "
                              f"counts {sorted(dims)}")
-        groups: dict[tuple, list[int]] = {}
+        groups: dict[str, list[int]] = {}
         self._others = []
         for col, model in enumerate(models):
             if isinstance(model, AnnModel):
-                groups.setdefault((model.input_dim, model.activation),
-                                  []).append(col)
+                groups.setdefault(model.activation, []).append(col)
             else:
                 self._others.append((col, model))
         self._stacks = [(np.array(cols), AnnStack.of([models[c] for c in cols]))

@@ -215,7 +215,7 @@ def load_csv(path, variable_names) -> SampleSet:
     """Read a SampleSet written by :func:`save_csv`.
 
     The header must start with `variable_names` in order; remaining columns
-    are responses. Cells must parse as finite numbers; failures name the
+    are responses, each named once. Cells must parse as finite numbers; failures name the
     data row and column. A file without data rows is a data error.
     """
     variable_names = list(variable_names)
@@ -234,6 +234,10 @@ def load_csv(path, variable_names) -> SampleSet:
                 f"{variable_names}, got {header[:n_vars]}"
             )
         resp_cols = header[n_vars:]
+        for j, name in enumerate(resp_cols):
+            if name in resp_cols[:j]:
+                raise DataFormatError(f"{path}: response column {name!r} "
+                                      f"appears more than once")
 
         rows = []
         for r, line in enumerate(reader, start=1):

@@ -399,7 +399,7 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
     y = scale_apply(out_scaler, y_raw[:, None])[:, 0]
     n = data.n_rows
     try:  # every training row is a candidate center
-        candidates = _rbf_centers(x, spread)
+        candidates, limit = _rbf_centers(x, spread)
     except ValueError as exc:
         raise TrainingDivergedError(str(exc)) from None
     # error_goal is expressed in response units
@@ -423,7 +423,7 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
         # mark every row identical to the chosen one
         dup = np.all(x == x[worst], axis=1)
         used |= dup
-        phi = _rbf_columns(rows, candidates[:, worst:worst + 1])[:, 0]
+        phi = _rbf_columns(rows, candidates[:, worst:worst + 1], limit)[:, 0]
         center_rows.append(worst)
         q = _orthogonalize(phi, basis[:, :rank])
         norm = math.sqrt(float(q @ q))
@@ -436,7 +436,7 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
     weights, bias = np.zeros(0), float(np.mean(y))
     if center_rows:
         # the model's own predict columns on the training rows, and the bias
-        phis = _rbf_columns(rows, _rbf_centers(x[center_rows], spread))
+        phis = _rbf_columns(rows, *_rbf_centers(x[center_rows], spread))
         design = np.hstack([phis, np.ones((n, 1))])
         try:
             coef, *_ = np.linalg.lstsq(design, y, rcond=None)

@@ -18,12 +18,12 @@ import numpy as np
 
 from .errors import DataFormatError
 from .files import atomic_write
-from .metamodel import AnnModel
+from .metamodel import AnnModel, AnnStack
 from .scaling import Scaler
 
 __all__ = [
-    "WeightBundle", "MacromodelSpec", "weight_files", "fold_scalers",
-    "export_weights", "import_weights", "emit_vams_module", "write_macromodel",
+    "WeightBundle", "MacromodelSpec", "weight_files", "export_weights",
+    "import_weights", "emit_vams_module", "write_macromodel",
 ]
 
 _FMT = "{:.17g}"  # round-trip exact for doubles
@@ -97,42 +97,23 @@ def weight_files(prefix: str) -> dict[str, str]:
     return {name: f"{prefix}{name}.txt" for name in ("w1", "w2", "b1", "b2")}
 
 
-def fold_scalers(model: AnnModel) -> AnnModel:
-    """`model` with scalers and steepness absorbed into the weights: its
-    `folded` weights, with identity scalers and steepness 1.
-
-    The returned model predicts exactly what `model` does, and what the
-    emitted reader loop computes: v = sum_j w2[j] * tanh(b1[j] + W1[j] . x),
-    v + b2.
-    """
-    h, n = model.hidden_size, model.input_dim
-    w1, b1, w2, b2 = np.split(model.folded, [h * n, h * n + h, h * n + 2 * h])
-    return AnnModel(
-        input_dim=n, hidden_size=h, activation=model.activation,
-        W1=w1.reshape(h, n), b1=b1, W2=w2, b2=b2[0],
-        input_scaler=Scaler.identity(n), output_scaler=Scaler.identity(1),
-        steepness=1.0, role=model.role, response_name=model.response_name,
-    )
-
-
 def export_weights(model: AnnModel, destination,
                    prefix: str = "") -> WeightBundle:
-    """Write the four weight files for `model` under `destination`.
-
-    Values are emitted one per line at full round-trip precision. Scalers
-    are folded first so the files describe a raw-unit network. Only tanh
-    models are exportable; the emitted reader hard-codes tanh.
+    """Write the four weight files for `model` under `destination`: its
+    `folded` weights as they are, the raw-unit network `predict` runs, one
+    value per line at full round-trip precision. Only tanh models are
+    exportable; the emitted reader hard-codes tanh.
     """
     if model.activation != "tanh":
         raise ValueError(
             f"cannot export {model.activation!r} model: the emitted module "
             "computes tanh hidden units"
         )
-    folded = fold_scalers(model)
-    # W1 streams row-major: neuron-major, input-minor
+    w1, b1, w2, b2 = AnnStack([model.hidden_size], model.input_dim).views(
+        model.folded)  # W1 streams row-major: neuron-major, input-minor
     bundle = WeightBundle(*(
         "\n".join(_FMT.format(v) for v in np.ravel(values)) + "\n"
-        for values in (folded.W1, folded.W2, folded.b1, [folded.b2])))
+        for values in (w1, w2, b1, b2)))
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
     for name, file_name in weight_files(prefix).items():

@@ -849,6 +849,19 @@ class TestTrainInputFaults:
         assert str(short) in err and "10" in err
         assert not (tmp_path / "reports.json").exists()
 
+    def test_repeated_response_column_is_data_error(self, sin_project,
+                                                    tmp_path, capsys):
+        cfg, train_csv, verify_csv = sin_project
+        twice = tmp_path / "twice.csv"
+        lines = train_csv.read_text().splitlines()
+        twice.write_text("\n".join(f"{line},{line.split(',')[-1]}"
+                                   for line in lines) + "\n")
+        code = fit_run("train", cfg, twice, verify_csv, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(twice) in err and "'y'" in err
+        assert not (tmp_path / "m").exists()
+
     def test_poly_rank_deficiency_writes_no_model(self, sin_project,
                                                   tmp_path, capsys):
         """A polynomial design of lower rank than its terms exits 3, and

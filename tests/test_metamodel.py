@@ -6,12 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from surrokit.metamodel import (PREDICT_BLOCK, AnnModel, CallableModel,
-                                ModelBank, PolyModel, RbfModel, load_model,
-                                poly_basis, save_model)
+from surrokit.metamodel import (PREDICT_BLOCK, AnnModel, AnnStack,
+                                CallableModel, ModelBank, PolyModel, RbfModel,
+                                load_model, poly_basis, save_model)
 from surrokit.scaling import Scaler, apply as scale_apply, fit_scaler
 from surrokit.scaling import invert as scale_invert
-from surrokit.vams_codegen import fold_scalers
 
 
 def make_ann(W1, b1, W2, b2, activation="tanh", steepness=1.0,
@@ -39,6 +38,11 @@ def random_ann(rng, n=None, m=None, scaled=False, activation="tanh"):
                     rng.normal(size=m), rng.normal(), activation=activation,
                     steepness=float(rng.uniform(0.5, 2.0)),
                     input_scaler=in_sc, output_scaler=out_sc)
+
+
+def folded_views(model):
+    """(W1, b1, W2, b2) of `model.folded`, the weights predict runs."""
+    return AnnStack([model.hidden_size], model.input_dim).views(model.folded)
 
 
 class TestAnnPredict:
@@ -84,15 +88,15 @@ class TestAnnPredict:
     @pytest.mark.parametrize("rows", [1, PREDICT_BLOCK + 5])
     def test_closed_form(self, activation, rows):
         """predict is exactly f(pts W1^T + b1) @ W2 + b2 on the raw rows,
-        with the folded weights of `fold_scalers`, for one row and for a
-        batch that spans two blocks."""
+        with the `AnnStack` views of the model's `folded` weights, for one
+        row and for a batch that spans two blocks."""
         rng = np.random.default_rng(rows)
         model = random_ann(rng, scaled=True, activation=activation)
-        folded = fold_scalers(model)
+        w1, b1, w2, b2 = folded_views(model)
         pts = rng.normal(size=(rows, model.input_dim))
-        z = pts @ folded.W1.T + folded.b1
+        z = pts @ w1.T + b1
         h = np.tanh(z) if activation == "tanh" else 1.0 / (1.0 + np.exp(-z))
-        expected = h @ folded.W2 + folded.b2
+        expected = h @ w2 + b2[0]
         if rows == 1:
             assert model.predict(pts[0]) == expected[0]
         else:
@@ -357,9 +361,10 @@ class TestRbfDesign:
 
     def test_center_block_is_read_only(self):
         model = screening_models(np.random.default_rng(9))["rbf"]
-        assert model._centers.flags.writeable is False
+        block = model._kernel[0]
+        assert block.flags.writeable is False
         with pytest.raises(ValueError):
-            model._centers[0, 0] = 1.0
+            block[0, 0] = 1.0
 
     def test_far_rows_are_zero_without_warning(self):
         centers = np.random.default_rng(5).normal(size=(3, 4))
@@ -368,6 +373,46 @@ class TestRbfDesign:
             warnings.simplefilter("error")
             phi = rbf_columns(xs, centers, 0.1)
         assert np.array_equal(phi, np.zeros((2, 3)))
+
+
+class TestRbfFarRows:
+    """Rows far from every center: their Gaussians are 0, so the model
+    predicts its bias, alone or in a batch, with no numpy warning."""
+
+    @staticmethod
+    def model(spread):
+        return RbfModel(input_dim=2, centers=[[0.0, 0.0], [1.0, 1.0]],
+                        spread=spread, weights=[1.0, 2.0], bias=0.5,
+                        input_scaler=Scaler.identity(2),
+                        output_scaler=Scaler.identity(1))
+
+    @pytest.mark.parametrize("spread,row", [(1.0, (1e308, 0.0)),
+                                            (1e-150, (1e10, 0.0))])
+    def test_single_row_and_batch(self, spread, row):
+        model = self.model(spread)
+        near = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = model.predict(row)
+            batch = model.predict(np.vstack([row, near[0]]))
+            mixed = model.predict(np.vstack([near, row, near]))
+            want = model.predict(near)
+        assert alone == 0.5 and batch[0] == 0.5
+        assert batch[1] == model.predict(near[0])
+        assert mixed[3] == 0.5
+        np.testing.assert_array_equal(mixed[[0, 1, 2]], want)
+        np.testing.assert_array_equal(mixed[[4, 5, 6]], want)
+
+    def test_overflowing_scaled_row(self):
+        """A row whose scaled values overflow is far too."""
+        model = RbfModel(input_dim=1, centers=[[0.0]], spread=1.0,
+                         weights=[1.0], bias=0.5,
+                         input_scaler=Scaler("meanstd", [0.0], [1e-10]),
+                         output_scaler=Scaler.identity(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.predict([1e305]) == 0.5
+            assert model.predict([0.0]) == 1.5
 
 
 def screening_models(rng, n=16):
@@ -406,14 +451,15 @@ class TestBlockwisePredict:
         equal arrays, and neither changes the model's arrays."""
         rng = np.random.default_rng(13)
         model = screening_models(rng)["rbf"]
-        before = {name: getattr(model, name).copy()
-                  for name in ("centers", "weights", "_centers")}
+        def arrays():  # the kernel is the center block and its bound
+            return model.centers, model.weights, *model._kernel
+        before = [np.copy(a) for a in arrays()]
         x = rng.random((100, 16))
         first = model.predict(x)
         second = model.predict(x)
         assert first is not second and np.array_equal(first, second)
-        for name, value in before.items():
-            assert np.array_equal(getattr(model, name), value)
+        for old, new in zip(before, arrays()):
+            assert np.array_equal(old, new)
 
     def test_zero_neuron_rbf_is_bias(self):
         model = RbfModel(input_dim=2, centers=np.zeros((0, 2)), spread=1.0,
@@ -628,20 +674,19 @@ def assert_columns_match(bank_out, models, x):
 
 
 def stacked_closed_form(models, pts):
-    """The predictions of ANNs sharing input count and activation, written
-    out as one network over all their hidden units with their folded
-    weights (`fold_scalers`), in which network k's output weights are its
-    W2 on its own units and 0 on the others: the arithmetic of one
+    """The predictions of ANNs of one activation, written out as one
+    network over all their hidden units with their folded weights (the
+    `AnnStack` views of each `folded`), in which network k's output weights
+    are its W2 on its own units and 0 on the others: the arithmetic of one
     `ModelBank` stack, step for step."""
-    folded = [fold_scalers(m) for m in models]
+    w1, b1, w2, b2 = zip(*(folded_views(m) for m in models))
     owner = np.repeat(np.arange(len(models)), [m.hidden_size for m in models])
-    w2 = np.concatenate([f.W2 for f in folded])
-    w_out = (owner[:, None] == np.arange(len(models))) * w2[:, None]
-    z = (pts @ np.vstack([f.W1 for f in folded]).T
-         + np.concatenate([f.b1 for f in folded]))
+    w_out = ((owner[:, None] == np.arange(len(models)))
+             * np.concatenate(w2)[:, None])
+    z = pts @ np.vstack(w1).T + np.concatenate(b1)
     tanh = models[0].activation == "tanh"
     h = np.tanh(z) if tanh else 1.0 / (1.0 + np.exp(-z))
-    return h @ w_out + np.array([f.b2 for f in folded])
+    return h @ w_out + np.concatenate(b2)
 
 
 class TestModelBank:

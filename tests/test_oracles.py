@@ -173,6 +173,15 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="header"):
             load_csv(path, ["a"])
 
+    def test_repeated_response_rejected(self, tmp_path):
+        """A response named twice is a data error naming the file and the
+        name, not a set holding the last of the two columns."""
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,y,y\n1.0,2.0,3.0,4.0\n")
+        with pytest.raises(DataFormatError,
+                           match=r"bad\.csv: response column 'y' appears"):
+            load_csv(path, ["a", "b"])
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,y\n1.0,2.0\n1.0\n")

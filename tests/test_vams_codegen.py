@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surrokit.errors import DataFormatError
-from surrokit.metamodel import AnnModel
+from surrokit.metamodel import AnnModel, AnnStack
 from surrokit.scaling import Scaler
 from surrokit.vams_codegen import (CPM_KEYS, MacromodelSpec,
                                    emit_vams_module, export_weights,
-                                   fold_scalers, import_weights,
-                                   write_macromodel)
+                                   import_weights, write_macromodel)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_macromodel.vams"
 
@@ -65,10 +64,11 @@ class TestExport:
         rng = np.random.default_rng(1)
         model = make_model(rng, 16, 4, scaled=False)
         bundle = export_weights(model, tmp_path)
-        values = [float(t) for t in bundle.w1.split()]
-        assert len(values) == 64
-        assert np.allclose(values[:16], model.W1[0] * model.steepness)
-        assert np.allclose(values[16:32], model.W1[1] * model.steepness)
+        values = np.array([float(t) for t in bundle.w1.split()])
+        w1 = AnnStack([4], 16).views(model.folded)[0]
+        assert w1.shape == (4, 16)
+        assert np.array_equal(values, w1.ravel())
+        assert np.array_equal(values[16:32], w1[1])
 
     def test_logsig_rejected(self, tmp_path):
         model = make_model(np.random.default_rng(2), 2, 2,
@@ -157,24 +157,6 @@ def test_round_trip_predicts_bit_identically(n, m, kind, steepness, seed):
     assert np.array_equal(clone.predict(pts), model.predict(pts))
     for row in pts[:5]:
         assert clone.predict(row) == model.predict(row)
-
-
-class TestFoldScalers:
-    def test_folded_model_has_identity_scalers(self):
-        model = make_model(np.random.default_rng(9), 4, 3)
-        folded = fold_scalers(model)
-        assert folded.input_scaler.kind == "none"
-        assert folded.output_scaler.kind == "none"
-        assert folded.steepness == 1.0
-
-    def test_predictions_preserved(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            model = make_model(rng, int(rng.integers(1, 6)),
-                               int(rng.integers(1, 6)))
-            folded = fold_scalers(model)
-            pts = rng.normal(size=(100, model.input_dim))
-            assert np.array_equal(model.predict(pts), folded.predict(pts))
 
 
 def macromodel_fixture():
@@ -317,5 +299,4 @@ class TestWriteMacromodel:
         for key, model in spec.cpms.items():
             clone = import_weights(out, model.hidden_size, model.input_dim,
                                    prefix=f"{key}_")
-            assert np.max(np.abs(model.predict(pts)
-                                 - clone.predict(pts))) < 1e-9
+            assert np.array_equal(model.predict(pts), clone.predict(pts))
