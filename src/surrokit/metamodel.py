@@ -29,6 +29,12 @@ ROLES = ("PMM", "CPM")
 # rows per block of a batch predict: a forward pass's temporaries scale with
 # this, so predict memory does not grow with the row count
 PREDICT_BLOCK = 8192
+# entries per block of terms in `poly_basis`: the one buffer of gathered
+# factors, the build's only temporary beside the basis itself
+BASIS_BLOCK = 2 ** 15
+# the highest polynomial degree that training fits and a model file holds:
+# `poly_basis` does one gather and multiply per unit of degree
+POLY_MAX_DEGREE = 6
 
 
 def _as_matrix(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -186,24 +192,55 @@ def _rbf_columns(rows: np.ndarray, block: np.ndarray,
     return np.exp(z, out=z)
 
 
+def _exponents(values, name: str) -> np.ndarray:
+    """`values` as an int array; ValueError unless each is a non-negative
+    integer below 2^63, so that the int64 cast is exact (NaN and inf are
+    not)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "i":  # the float test costs more than a 1-row basis
+        bad = arr < 0
+    else:
+        arr = np.asarray(arr, dtype=float)
+        with np.errstate(invalid="ignore"):  # inf % 1 is NaN: rejected
+            bad = ~((arr >= 0) & (arr % 1 == 0) & (arr < 2.0 ** 63))
+    if bad.any():
+        raise ValueError(f"{name} must be non-negative integers")
+    return arr.astype(int, copy=False)
+
+
 def poly_basis(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Monomial columns prod_i x[:, i] ** terms[k, i], one per row of the
-    exponent matrix `terms`: the one polynomial basis, shared by
-    `PolyModel.predict` and the trainer. Factor j of a monomial is the
-    variable whose cumulative exponent first exceeds j (a ones column once
-    its total degree is spent), so the basis is the product of degree-many
-    gathered (rows, terms) matrices.
+    exponent matrix `terms` (non-negative integers, else ValueError): the
+    one polynomial basis, shared by `PolyModel.predict` and the trainer.
+    Factor j of a monomial is the variable whose cumulative exponent first
+    exceeds j (a ones row once its total degree is spent). The basis is
+    built feature-major, one row per term: each term's first factor is
+    gathered from ext = [x.T; ones], then the others are multiplied into it
+    in factor order, in place, through one buffer of at most BASIS_BLOCK
+    entries. It returns the transpose, a (rows, terms) F-ordered array
+    whose columns are each computed on their own, so the columns of some
+    terms equal those terms' basis bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    terms = np.asarray(terms, dtype=int).reshape(-1, x.shape[1])
     rows, n = x.shape
+    terms = _exponents(terms, "terms").reshape(-1, n)
     cum = np.cumsum(terms, axis=1)
     degree = int(cum[:, -1].max()) if terms.size else 0
-    ext = np.hstack([x, np.ones((rows, 1))])
-    out = ext[:, (cum <= 0).sum(axis=1)]
-    for j in range(1, degree):
-        out *= ext[:, (cum <= j).sum(axis=1)]
-    return out
+    ext = np.empty((n + 1, rows))
+    ext[:n] = x.T
+    ext[n] = 1.0
+    out = ext[(cum <= 0).sum(axis=1)]
+    if degree > 1:
+        factors = [(cum <= j).sum(axis=1) for j in range(1, degree)]
+        step = max(1, BASIS_BLOCK // max(rows, 1))
+        buf = np.empty((min(step, len(terms)), rows))
+        for start in range(0, len(terms), step):
+            block = out[start:start + step]
+            for idx in factors:
+                # "clip" writes straight to `buf`; every index is in range
+                block *= np.take(ext, idx[start:start + step], axis=0,
+                                 out=buf[:len(block)], mode="clip")
+    return out.T
 
 
 class _Fitted:
@@ -234,10 +271,8 @@ class _Fitted:
             raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} must be finite")
-        if exponents:  # integers in [0, 2^63), so the int64 cast is exact
-            if np.any((arr < 0) | (arr % 1 != 0) | (arr >= 2.0 ** 63)):
-                raise ValueError(f"{name} must be non-negative integers")
-            arr = arr.astype(int)
+        if exponents:
+            arr = _exponents(arr, name)
         arr.setflags(write=False)
         object.__setattr__(self, name, arr)
 
@@ -385,6 +420,9 @@ class PolyModel(_Fitted):
 
     def __post_init__(self):
         self._check("degree")
+        if self.degree > POLY_MAX_DEGREE:
+            raise ValueError(f"degree must be at most {POLY_MAX_DEGREE}, "
+                             f"got {self.degree}")
         self._array("coefficients", np.size(self.coefficients))
         self._array("terms", self.coefficients.shape[0], self.input_dim,
                     exponents=True)

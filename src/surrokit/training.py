@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import (DataFormatError, RankDeficiencyError,
                      TrainingDivergedError)
-from .metamodel import (AnnModel, AnnStack, PolyModel, RbfModel, _rbf_centers,
-                        _rbf_columns, _rbf_rows, poly_basis)
+from .metamodel import (POLY_MAX_DEGREE, AnnModel, AnnStack, PolyModel,
+                        RbfModel, _rbf_centers, _rbf_columns, _rbf_rows,
+                        poly_basis)
 from .metrics import FitReport, fit_report
 from .scaling import KINDS as SCALER_KINDS, Scaler, fit_scaler
 from .scaling import apply as scale_apply
@@ -471,24 +472,25 @@ def _orthogonalize(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def monomial_exponents(n_vars: int, degree: int) -> np.ndarray:
     """All exponent vectors with total degree <= degree, in deterministic
-    order: by total degree, then lexicographically. Row 0 is the intercept.
+    order: by total degree, then lexicographically, the order in which
+    `combinations_with_replacement` yields the variables of each term.
+    Row 0 is the intercept.
     """
-    rows = []
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(n_vars), total):
-            e = np.zeros(n_vars, dtype=int)
-            for idx in combo:
-                e[idx] += 1
-            rows.append(e)
-    out = np.array(rows, dtype=int).reshape(-1, n_vars)
-    # combinations_with_replacement already yields a stable order per degree
-    return out
+    combos = [combo for total in range(degree + 1) for combo in
+              itertools.combinations_with_replacement(range(n_vars), total)]
+    # term k's count of variable i lands at the flat index k * n_vars + i
+    owner = np.repeat(np.arange(len(combos)), [len(c) for c in combos])
+    flat = owner * n_vars + np.fromiter(
+        itertools.chain.from_iterable(combos), dtype=int, count=owner.size)
+    return np.bincount(flat, minlength=len(combos) * n_vars).reshape(
+        len(combos), n_vars)
 
 
 def check_poly_settings(degree: int, p_enter: float) -> None:
     """Raise ValueError for `fit_polynomials` settings it cannot fit with."""
-    if not 1 <= degree <= 6:
-        raise ValueError(f"degree must be in 1..6, got {degree}")
+    if not 1 <= degree <= POLY_MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{POLY_MAX_DEGREE}, "
+                         f"got {degree}")
     if not 0 < p_enter <= 1:
         raise ValueError(f"p_enter must be in (0, 1], got {p_enter!r}")
 
@@ -519,10 +521,14 @@ def fit_polynomials(data: SampleSet, responses, degree: int,
     cand = poly_basis(x, exponents)
     paths = (_forward_paths(cand, ys, p_enter) if stepwise
              else [list(range(len(exponents)))] * len(ys))
+    # the solves and reports need only the selected columns, a full fit
+    # all of them
+    designs = ([cand[:, chosen] for chosen in paths] if stepwise
+               else [cand] * len(ys))
+    del cand
 
     out = {}
-    for response, y, chosen in zip(responses, ys, paths):
-        design = cand[:, chosen]
+    for response, y, chosen, design in zip(responses, ys, paths, designs):
         coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
         if rank < design.shape[1]:
             raise RankDeficiencyError(

@@ -1390,6 +1390,16 @@ class TestModelFileContract:
                  [[0, 0], [exponent, 0], [0, 1], [0, 2], [1, 1]]}
         self.assert_rejected(model_project, model)
 
+    def test_degree_beyond_training_bound(self, model_project):
+        """A degree past what training fits would make every predict slow
+        in proportion to it."""
+        model = {**model_project[2]["poly"], "degree": 7,
+                 "terms": [[0, 0], [7, 0], [0, 1], [0, 2], [1, 1]]}
+        code, err = run_report(model_project, model)
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("data error:") and "mutated.json" in err
+        assert "degree must be at most 6" in err
+
     @pytest.mark.parametrize("shift,scale", [
         ([float("nan"), 1.0], [0.3, 0.6]), ([0.5, 1.0], [float("inf"), 0.6]),
         ([[0.5, 1.0]], [[0.3, 0.6]]),

@@ -5,12 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from surrokit.metamodel import (PREDICT_BLOCK, AnnModel, AnnStack,
-                                CallableModel, ModelBank, PolyModel, RbfModel,
-                                load_model, poly_basis, save_model)
+from surrokit.metamodel import (POLY_MAX_DEGREE, PREDICT_BLOCK, AnnModel,
+                                AnnStack, CallableModel, ModelBank,
+                                PolyModel, RbfModel, load_model, poly_basis,
+                                save_model)
 from surrokit.scaling import Scaler, apply as scale_apply, fit_scaler
 from surrokit.scaling import invert as scale_invert
+from surrokit.training import monomial_exponents
 
 
 def make_ann(W1, b1, W2, b2, activation="tanh", steepness=1.0,
@@ -251,16 +254,38 @@ class TestPolyPredict:
             PolyModel(input_dim=2, degree=1, terms=np.array([[1, 1]]),
                       coefficients=np.array([1.0]))
 
+    def test_degree_beyond_training_bound_rejected(self):
+        """The basis costs one gather and multiply per unit of degree, so a
+        model may not exceed the degree that training fits."""
+        PolyModel(input_dim=1, degree=POLY_MAX_DEGREE,
+                  terms=[[POLY_MAX_DEGREE]], coefficients=[1.0])
+        with pytest.raises(ValueError, match="degree must be at most"):
+            PolyModel(input_dim=1, degree=POLY_MAX_DEGREE + 1,
+                      terms=[[POLY_MAX_DEGREE + 1]], coefficients=[1.0])
+
 
 def power_prod_basis(x, terms):
     """Reference monomial basis: the rows x terms x vars power tensor."""
     return np.prod(x[:, None, :] ** terms[None, :, :], axis=2)
 
 
+def column_basis(x, terms):
+    """Reference monomial basis, one column at a time into a (rows, terms)
+    F-ordered array: each term's factors (its variables, each repeated by
+    its exponent) gathered and multiplied in factor order."""
+    out = np.empty((x.shape[0], len(terms)), order="F")
+    for k, exponents in enumerate(terms):
+        factors = np.repeat(np.arange(x.shape[1]), exponents)
+        col = x[:, factors[0]].copy() if factors.size else np.ones(len(x))
+        for f in factors[1:]:
+            col *= x[:, f]
+        out[:, k] = col
+    return out
+
+
 class TestPolyBasis:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     def test_matches_power_prod(self, degree):
-        from surrokit.training import monomial_exponents
         rng = np.random.default_rng(degree)
         x = rng.uniform(-3, 3, (40, 4))
         terms = monomial_exponents(4, degree)
@@ -282,11 +307,54 @@ class TestPolyBasis:
         assert np.array_equal(poly_basis(x, np.zeros((1, 2), dtype=int)),
                               np.ones((6, 1)))
 
-    def test_predict_memory_is_rows_times_terms(self):
-        """A 1e4-row predict of the 253-term PLL degree-2 model stays far
-        below the 425 MB of the power tensor."""
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 8), degree=st.integers(0, 6),
+           rows=st.sampled_from([1, 2, 7, 700]), share=st.floats(0, 1),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=8, degree=6, rows=7, share=1.0, seed=0)  # 3,003 terms
+    @example(n=3, degree=4, rows=700, share=0.0, seed=0)  # no terms
+    @example(n=2, degree=0, rows=2, share=1.0, seed=0)  # the intercept
+    def test_matches_column_reference(self, n, degree, rows, share, seed):
+        """Bit for bit and stride for stride, on a shuffled share of the
+        monomials; at 700 rows a block of the build holds 46 terms."""
+        rng = np.random.default_rng(seed)
+        terms = monomial_exponents(n, degree)
+        terms = terms[rng.permutation(len(terms))[:round(share * len(terms))]]
+        x = rng.uniform(-3, 3, (rows, n))
+        got, want = poly_basis(x, terms), column_basis(x, terms)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("terms", [[[2, -1]], [[-1, 0]], [[1.5, 0]],
+                                       [[np.nan, 0]], [[np.inf, 0]],
+                                       [[2.0 ** 63, 0]]])
+    def test_rejects_exponents_not_non_negative_integers(self, terms):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            poly_basis(np.array([[2.0, 4.0]]), terms)
+
+    def test_integral_float_exponents(self):
+        assert poly_basis(np.array([[2.0, 4.0]]), [[2.0, 1.0]]) == 16.0
+
+    def test_candidate_build_memory_is_one_basis(self):
+        """The degree-3 build over 21 variables at 2,000 rows holds one
+        rows x terms array: its 2,024 terms outweigh the exponent
+        bookkeeping, and a second array of them would double the peak."""
         import tracemalloc
-        from surrokit.training import monomial_exponents
+        terms = monomial_exponents(21, 3)
+        x = np.random.default_rng(5).random((2000, 21))
+        tracemalloc.start()
+        try:
+            cand = poly_basis(x, terms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * cand.nbytes
+        assert cand.tobytes() == column_basis(x, terms).tobytes()
+
+    def test_predict_memory_is_rows_times_terms(self):
+        """A 1e4-row predict of the 253-term PLL degree-2 model holds one
+        PREDICT_BLOCK-row basis at a time, and no second array of it."""
+        import tracemalloc
         terms = monomial_exponents(21, 2)
         assert len(terms) == 253
         rng = np.random.default_rng(2)
@@ -299,7 +367,7 @@ class TestPolyBasis:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 1.25 * PREDICT_BLOCK * 253 * 8
         ref = power_prod_basis(x[:100], terms) @ model.coefficients
         assert np.allclose(y[:100], ref, rtol=1e-12, atol=1e-12)
 
@@ -418,7 +486,6 @@ class TestRbfFarRows:
 def screening_models(rng, n=16):
     """An ANN (12 hidden), a degree-2 polynomial (153 terms) and an RBF (80
     neurons) of `n` inputs, with scaled inputs and outputs."""
-    from surrokit.training import monomial_exponents
     in_sc = Scaler("meanstd", rng.normal(size=n), rng.uniform(0.5, 2, n))
     out_sc = Scaler("meanstd", [1.0], [2.0])
     terms = monomial_exponents(n, 2)

@@ -1,6 +1,7 @@
 """Trainer behavior: gradient correctness, convergence, early stopping,
 greedy RBF growth, stepwise selection."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -466,6 +467,24 @@ class TestTrainRbf:
         data = SampleSet(np.zeros((2, 1)), {"y": np.zeros(2)})
         with pytest.raises(ValueError, match="spread"):
             train_rbf(data, "y", error_goal=0.0, spread=0.0, max_neurons=1)
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3, 5, 8, 21])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 6])
+def test_monomial_exponents_match_per_term_reference(n_vars, degree):
+    """Each term is one combination of its variables, with replacement, in
+    the order of total degree, then `combinations_with_replacement`."""
+    rows = []
+    for total in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(range(n_vars),
+                                                             total):
+            e = np.zeros(n_vars, dtype=int)
+            for idx in combo:
+                e[idx] += 1
+            rows.append(e)
+    got = monomial_exponents(n_vars, degree)
+    assert got.dtype == np.dtype(int)
+    assert np.array_equal(got, np.array(rows).reshape(-1, n_vars))
 
 
 class TestFitPolynomial:
