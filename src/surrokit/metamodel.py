@@ -29,11 +29,11 @@ ROLES = ("PMM", "CPM")
 # rows per block of a batch predict: a forward pass's temporaries scale with
 # this, so predict memory does not grow with the row count
 PREDICT_BLOCK = 8192
-# entries per block of terms in `poly_basis`: the one buffer of gathered
+# entries per block of terms in `_basis`: the one buffer of gathered
 # factors, the build's only temporary beside the basis itself
 BASIS_BLOCK = 2 ** 15
 # the highest polynomial degree that training fits and a model file holds:
-# `poly_basis` does one gather and multiply per unit of degree
+# `_basis` does one gather and multiply per unit of degree
 POLY_MAX_DEGREE = 6
 
 
@@ -208,39 +208,48 @@ def _exponents(values, name: str) -> np.ndarray:
     return arr.astype(int, copy=False)
 
 
-def poly_basis(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Monomial columns prod_i x[:, i] ** terms[k, i], one per row of the
-    exponent matrix `terms` (non-negative integers, else ValueError): the
-    one polynomial basis, shared by `PolyModel.predict` and the trainer.
-    Factor j of a monomial is the variable whose cumulative exponent first
-    exceeds j (a ones row once its total degree is spent). The basis is
-    built feature-major, one row per term: each term's first factor is
-    gathered from ext = [x.T; ones], then the others are multiplied into it
-    in factor order, in place, through one buffer of at most BASIS_BLOCK
-    entries. It returns the transpose, a (rows, terms) F-ordered array
-    whose columns are each computed on their own, so the columns of some
-    terms equal those terms' basis bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    rows, n = x.shape
-    terms = _exponents(terms, "terms").reshape(-1, n)
+def _factors(terms: np.ndarray, limit: float = np.inf) -> np.ndarray:
+    """The factor table of `terms`: [j, k] is the variable (n: a ones row) of
+    term k's j-th factor, whose cumulative exponent first exceeds j; a row
+    per unit of the top degree, at least one, which may not exceed `limit`."""
     cum = np.cumsum(terms, axis=1)
     degree = int(cum[:, -1].max()) if terms.size else 0
+    if degree > limit:
+        raise ValueError("term total degree exceeds model degree")
+    return np.array([(cum <= j).sum(axis=1) for j in range(max(degree, 1))])
+
+
+def _basis(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The one polynomial basis kernel: the monomials of the rows `x` for
+    the factor table `table` of `_factors`, built feature-major: each
+    term's first factor is gathered from ext = [x.T; ones], the others
+    multiplied into it in place through one buffer of at most BASIS_BLOCK
+    entries. Its (rows, terms) F-ordered transpose computes each column on
+    its own, so some terms' columns equal their own basis bit for bit."""
+    rows, n = x.shape
     ext = np.empty((n + 1, rows))
     ext[:n] = x.T
     ext[n] = 1.0
-    out = ext[(cum <= 0).sum(axis=1)]
-    if degree > 1:
-        factors = [(cum <= j).sum(axis=1) for j in range(1, degree)]
+    out = ext[table[0]]
+    if len(table) > 1:
         step = max(1, BASIS_BLOCK // max(rows, 1))
-        buf = np.empty((min(step, len(terms)), rows))
-        for start in range(0, len(terms), step):
+        buf = np.empty((min(step, len(out)), rows))
+        for start in range(0, len(out), step):
             block = out[start:start + step]
-            for idx in factors:
+            for idx in table[1:]:
                 # "clip" writes straight to `buf`; every index is in range
                 block *= np.take(ext, idx[start:start + step], axis=0,
                                  out=buf[:len(block)], mode="clip")
     return out.T
+
+
+def poly_basis(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Monomial columns prod_i x[:, i] ** terms[k, i], one per row of the
+    exponent matrix `terms` (non-negative integers, else ValueError): the
+    `_basis` of their `_factors`, for the trainer's candidates."""
+    x = np.asarray(x, dtype=float)
+    terms = _exponents(terms, "terms").reshape(-1, x.shape[1])
+    return _basis(x, _factors(terms))
 
 
 class _Fitted:
@@ -395,11 +404,9 @@ class RbfModel(_Fitted):
     predict = _Fitted.predict
 
     def _forward(self, pts: np.ndarray) -> np.ndarray:
-        if self.n_neurons:
-            y = (_rbf_columns(_rbf_rows(pts, self.input_scaler),
-                              *self._kernel) @ self.weights + self.bias)
-        else:
-            y = np.full(pts.shape[0], self.bias)
+        # with no neurons, the kernel's (rows, 0) columns leave the bias
+        y = (_rbf_columns(_rbf_rows(pts, self.input_scaler), *self._kernel)
+             @ self.weights + self.bias)
         return scale_invert(self.output_scaler, y[:, None])[:, 0]
 
 
@@ -426,8 +433,9 @@ class PolyModel(_Fitted):
         self._array("coefficients", np.size(self.coefficients))
         self._array("terms", self.coefficients.shape[0], self.input_dim,
                     exponents=True)
-        if self.terms.size and self.terms.sum(axis=1).max() > self.degree:
-            raise ValueError("term total degree exceeds model degree")
+        # the factor table of every predict's basis, made once
+        object.__setattr__(self, "_table", _factors(self.terms, self.degree))
+        self._table.setflags(write=False)
         if self.terms.shape[0] != len({tuple(t) for t in self.terms}):
             raise ValueError("duplicate exponent vectors")
 
@@ -438,7 +446,7 @@ class PolyModel(_Fitted):
     predict = _Fitted.predict
 
     def _forward(self, pts: np.ndarray) -> np.ndarray:
-        return poly_basis(pts, self.terms) @ self.coefficients
+        return _basis(pts, self._table) @ self.coefficients
 
 
 @dataclass(frozen=True, eq=False)

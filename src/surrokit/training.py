@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import (DataFormatError, RankDeficiencyError,
                      TrainingDivergedError)
-from .metamodel import (POLY_MAX_DEGREE, AnnModel, AnnStack, PolyModel,
-                        RbfModel, _rbf_centers, _rbf_columns, _rbf_rows,
-                        poly_basis)
+from .metamodel import (ACTIVATIONS, POLY_MAX_DEGREE, AnnModel, AnnStack,
+                        PolyModel, RbfModel, _rbf_centers, _rbf_columns,
+                        _rbf_rows, poly_basis)
 from .metrics import FitReport, fit_report
 from .scaling import KINDS as SCALER_KINDS, Scaler, fit_scaler
 from .scaling import apply as scale_apply
@@ -115,8 +115,10 @@ class TrainOptions:
             raise ValueError("l2_penalty must be >= 0")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
-        if self.activation not in ("tanh", "logsig"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if not (self.steepness > 0 and np.isfinite(self.steepness)):
+            raise ValueError("steepness must be positive and finite")
         if self.input_scaling not in SCALER_KINDS:
             raise ValueError(f"unknown input_scaling {self.input_scaling!r}")
 
@@ -448,11 +450,9 @@ def train_rbf(data: SampleSet, response: str, error_goal: float,
         weights, bias = coef[:-1], float(coef[-1])
 
     model = RbfModel(
-        input_dim=data.n_inputs, centers=x[center_rows] if center_rows
-        else np.zeros((0, data.n_inputs)),
-        spread=spread, weights=weights, bias=bias,
-        input_scaler=in_scaler, output_scaler=out_scaler,
-        response_name=response,
+        input_dim=data.n_inputs, centers=x[center_rows], spread=spread,
+        weights=weights, bias=bias, input_scaler=in_scaler,
+        output_scaler=out_scaler, response_name=response,
     )
     report = fit_report(
         model, data.inputs, y_raw,
@@ -618,14 +618,6 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
         if -1e-15 < step - 1.0 < 1e-15:
             break
     return h / (h - ab * x / (a + 1))
-
-
-def _forward_select(x: np.ndarray, y: np.ndarray, exponents: np.ndarray,
-                    p_enter: float) -> list[int]:
-    """Forward stepwise selection by the partial-F test of the response `y`
-    over the monomials `exponents` of `x`: the one-path view of the
-    lockstep kernel `_forward_paths`."""
-    return _forward_paths(poly_basis(x, exponents), [y], p_enter)[0]
 
 
 def _forward_paths(cand: np.ndarray, ys, p_enter: float) -> list[list[int]]:

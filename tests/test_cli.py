@@ -820,6 +820,27 @@ class TestFitSectionsCheckedFirst:
         assert not (tmp_path / "m").exists()
         assert not (tmp_path / "reports.json").exists()
 
+    @pytest.mark.parametrize("steepness", [0, -1])
+    def test_non_positive_steepness(self, sin_project, tmp_path, capsys,
+                                    monkeypatch, steepness):
+        """A steepness no network can take is one usage line, before any
+        CSV is read."""
+        def fail(*args, **kwargs):
+            raise AssertionError("a CSV was read before the check")
+        monkeypatch.setattr("surrokit.oracles.load_csv", fail)
+        cfg, train_csv, verify_csv = sin_project
+        config = json.loads(cfg.read_text())
+        config["training"]["ann"]["steepness"] = steepness
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = fit_run("train", cfg, train_csv, verify_csv, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            "usage error: bad 'training.ann' section: steepness must be "
+            "positive and finite"]
+        assert not (tmp_path / "m").exists()
+
 
 class TestTrainInputFaults:
     def test_bad_max_epochs_is_usage_error(self, sin_project, tmp_path,

@@ -263,6 +263,30 @@ class TestPolyPredict:
             PolyModel(input_dim=1, degree=POLY_MAX_DEGREE + 1,
                       terms=[[POLY_MAX_DEGREE + 1]], coefficients=[1.0])
 
+    def test_predict_reads_the_table_made_once(self, monkeypatch):
+        """The factor table is made once, read-only, at construction:
+        with its derivation and `poly_basis` gone, predict still gives the
+        column-by-column basis times the coefficients, block by block,
+        bit for bit."""
+        rng = np.random.default_rng(12)
+        terms = monomial_exponents(4, 3)[rng.permutation(35)[:14]]
+        model = PolyModel(input_dim=4, degree=3, terms=terms,
+                          coefficients=rng.standard_normal(14))
+        assert model._table.flags.writeable is False
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the factor table was derived again")
+        monkeypatch.setattr("surrokit.metamodel._factors", fail)
+        monkeypatch.setattr("surrokit.metamodel.poly_basis", fail)
+        for rows in (1, 2, 7, 9_000):
+            x = rng.uniform(-3, 3, (rows, 4))
+            want = np.concatenate([
+                column_basis(x[start:start + PREDICT_BLOCK], terms)
+                @ model.coefficients
+                for start in range(0, rows, PREDICT_BLOCK)])
+            assert model.predict(x).tobytes() == want.tobytes()
+        assert model.predict(x[0]) == want[0]
+
 
 def power_prod_basis(x, terms):
     """Reference monomial basis: the rows x terms x vars power tensor."""
@@ -454,22 +478,36 @@ class TestRbfFarRows:
                         input_scaler=Scaler.identity(2),
                         output_scaler=Scaler.identity(1))
 
+    @staticmethod
+    def no_neurons(spread):
+        """A network of no neurons, whose output-scaled bias is 2.0."""
+        return RbfModel(input_dim=2, centers=[], spread=spread, weights=[],
+                        bias=0.5, input_scaler=Scaler.identity(2),
+                        output_scaler=Scaler("meanstd", [1.0], [2.0]))
+
     @pytest.mark.parametrize("spread,row", [(1.0, (1e308, 0.0)),
                                             (1e-150, (1e10, 0.0))])
     def test_single_row_and_batch(self, spread, row):
-        model = self.model(spread)
+        """The far row predicts the bias; a network of no neurons runs the
+        same kernel and predicts its output-scaled bias on every row."""
         near = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            alone = model.predict(row)
-            batch = model.predict(np.vstack([row, near[0]]))
-            mixed = model.predict(np.vstack([near, row, near]))
-            want = model.predict(near)
-        assert alone == 0.5 and batch[0] == 0.5
-        assert batch[1] == model.predict(near[0])
-        assert mixed[3] == 0.5
-        np.testing.assert_array_equal(mixed[[0, 1, 2]], want)
-        np.testing.assert_array_equal(mixed[[4, 5, 6]], want)
+        for model, bias in ((self.model(spread), 0.5),
+                            (self.no_neurons(spread), 2.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                alone = model.predict(row)
+                batch = model.predict(np.vstack([row, near[0]]))
+                mixed = model.predict(np.vstack([near, row, near]))
+                want = model.predict(near)
+            assert alone == bias and batch[0] == bias
+            assert batch[1] == model.predict(near[0])
+            assert mixed[3] == bias
+            np.testing.assert_array_equal(mixed[[0, 1, 2]], want)
+            np.testing.assert_array_equal(mixed[[4, 5, 6]], want)
+        # the last model has no neurons: every row predicts its bias
+        assert model.predict(near[0]) == bias
+        np.testing.assert_array_equal(batch, [bias] * 2)
+        np.testing.assert_array_equal(mixed, [bias] * 7)
 
     def test_overflowing_scaled_row(self):
         """A row whose scaled values overflow is far too."""

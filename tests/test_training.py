@@ -14,7 +14,7 @@ from scipy import stats
 
 from surrokit.design_space import DesignSpace, DesignVariable, lhs_disjoint, lhs_sample
 from surrokit.errors import TrainingDivergedError
-from surrokit.metamodel import AnnStack, RbfModel, poly_basis
+from surrokit.metamodel import AnnModel, AnnStack, RbfModel, poly_basis
 from surrokit.metrics import rmse
 from surrokit.oracles import BUILTIN_ORACLES, BUILTIN_SPACES, evaluate
 from surrokit import training
@@ -22,7 +22,7 @@ from surrokit.scaling import Scaler, apply as scale_apply
 from surrokit.training import (SampleSet, TrainOptions, ann_loss_and_gradient,
                                fit_polynomial, fit_polynomials,
                                monomial_exponents, train_ann, train_anns,
-                               train_rbf, _f_sf, _forward_select,
+                               train_rbf, _f_sf, _forward_paths,
                                _stacked_pass)
 
 
@@ -69,6 +69,17 @@ class TestTrainOptions:
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
             TrainOptions(l2_penalty=-1.0)
+
+    @pytest.mark.parametrize("steepness", [0.0, -1.0, math.nan, math.inf])
+    def test_steepness_by_the_model_rule(self, steepness):
+        """The steepness `AnnModel` rejects is rejected before training."""
+        with pytest.raises(ValueError, match="steepness"):
+            TrainOptions(steepness=steepness)
+        with pytest.raises(ValueError, match="steepness"):
+            AnnModel(input_dim=1, hidden_size=1, activation="tanh",
+                     W1=[[1.0]], b1=[0.0], W2=[1.0], b2=0.0,
+                     input_scaler=Scaler.identity(1),
+                     output_scaler=Scaler.identity(1), steepness=steepness)
 
 
 class TestGradient:
@@ -738,7 +749,8 @@ class TestStepwiseSelection:
         exponents = monomial_exponents(data.n_inputs, 2)
         for response in data.response_names:
             y = data.response(response)
-            assert (_forward_select(data.inputs, y, exponents, 0.05)
+            assert (_forward_paths(poly_basis(data.inputs, exponents), [y],
+                                   0.05)[0]
                     == reference_forward_select(data.inputs, y, exponents,
                                                 0.05))
 
@@ -832,11 +844,12 @@ class TestStepwiseOnePass:
         last = data.n_rows - 4
         for response in data.response_names:
             y = data.response(response)
-            got = _forward_select(data.inputs, y, exponents, 0.05)
+            got = _forward_paths(poly_basis(data.inputs, exponents), [y],
+                                 0.05)[0]
             want = reference_forward_select(data.inputs, y, exponents, 0.05)
             assert got[:last + 1] == want[:last + 1]
 
-    def test_candidate_matrix_unwritten(self, monkeypatch):
+    def test_candidate_matrix_unwritten(self):
         """The candidates are built once and only read: a read-only matrix
         is accepted, and selection allocates no second rows x candidates
         buffer."""
@@ -844,12 +857,10 @@ class TestStepwiseOnePass:
         exponents = monomial_exponents(data.n_inputs, 3)
         cand = poly_basis(data.inputs, exponents)
         cand.flags.writeable = False
-        monkeypatch.setattr("surrokit.training.poly_basis",
-                            lambda x, terms: cand)
         y = data.response("power")
         tracemalloc.start()
         try:
-            chosen = _forward_select(data.inputs, y, exponents, 0.05)
+            chosen = _forward_paths(cand, [y], 0.05)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -923,8 +934,9 @@ class TestFitPolynomials:
         """The fits do not depend on which other paths share the run."""
         data = oracle_set("pll", 1)
         exponents = monomial_exponents(data.n_inputs, 3)
-        alone = {r: _forward_select(data.inputs, data.response(r), exponents,
-                                    0.05) for r in data.response_names}
+        cand = poly_basis(data.inputs, exponents)
+        alone = {r: _forward_paths(cand, [data.response(r)], 0.05)[0]
+                 for r in data.response_names}
         responses = data.response_names[::-1] + data.response_names[:1]
         fits = fit_polynomials(data, responses, 3, stepwise=True)
         for response in data.response_names:
