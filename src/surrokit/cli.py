@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -473,24 +474,28 @@ def cmd_emit_vams(args, cfg: dict, space: DesignSpace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process. It holds no
+    command function: `main` looks up `cmd_<command>` when it runs one, so
+    a wrapper or patch of a `cmd_*` set after the first call still runs."""
     parser = _Parser(prog="surrokit",
                      description="surrogate-assisted design optimization")
     sub = parser.add_subparsers(dest="command", required=True)
     common = _Parser(add_help=False)
     common.add_argument("--config", required=True)
 
-    def command(name: str, fn, help_text: str, *required,
+    def command(name: str, help_text: str, *required,
                 outputs=()) -> _Parser:
         """The subcommand `name`; `outputs` lists the (dest, is a directory)
         of the flags that name what it writes."""
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(fn=fn, outputs=outputs)
+        p.set_defaults(outputs=outputs)
         for flag in required:
             p.add_argument(flag, required=True)
         return p
 
-    p = command("sample", cmd_sample, "draw LHS samples, optionally evaluate",
+    p = command("sample", "draw LHS samples, optionally evaluate",
                 "--out", outputs=[("out", False)])
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int)
@@ -499,24 +504,23 @@ def build_parser() -> _Parser:
     p.add_argument("--disjoint-from",
                    help="existing sample CSV the new set must not collide with")
 
-    p = command("train", cmd_train, "fit metamodels, print fit reports",
+    p = command("train", "fit metamodels, print fit reports",
                 "--train", "--verify", "--out-dir",
                 outputs=[("out_dir", True), ("report_json", False)])
     p.add_argument("--seed", type=int)
     p.add_argument("--report-json",
                    help="also write the full fit-report sweep as JSON")
 
-    p = command("report", cmd_report, "evaluate saved models against a CSV",
+    p = command("report", "evaluate saved models against a CSV",
                 "--data")
     p.add_argument("--model", required=True, action="append")
 
-    for name, fn, help_text in (
-            ("optimize-mofa", cmd_optimize_mofa, "multi-objective firefly run"),
-            ("optimize-abc", cmd_optimize_abc, "constrained bee-colony run")):
-        command(name, fn, help_text, "--models", "--out",
+    for name, help_text in (("optimize-mofa", "multi-objective firefly run"),
+                            ("optimize-abc", "constrained bee-colony run")):
+        command(name, help_text, "--models", "--out",
                 outputs=[("out", False)]).add_argument("--seed", type=int)
 
-    command("emit-vams", cmd_emit_vams, "export weights and the AMS module",
+    command("emit-vams", "export weights and the AMS module",
             "--models", "--out-dir", outputs=[("out_dir", True)])
     return parser
 
@@ -531,7 +535,8 @@ def main(argv=None) -> int:
         for dest, directory in args.outputs:
             if getattr(args, dest) is not None:
                 check_output(getattr(args, dest), directory)
-        return args.fn(args, cfg, space)
+        run = globals()["cmd_" + args.command.replace("-", "_")]
+        return run(args, cfg, space)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

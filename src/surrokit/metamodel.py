@@ -26,9 +26,15 @@ __all__ = [
 
 ACTIVATIONS = ("tanh", "logsig")
 ROLES = ("PMM", "CPM")
-# rows per block of a batch predict: a forward pass's temporaries scale with
-# this, so predict memory does not grow with the row count
-PREDICT_BLOCK = 8192
+# entries per block of a batch predict: a model's forward pass holds a fixed
+# number of entries per row (its width), and runs over blocks of about
+# PREDICT_ENTRIES // width rows, so its temporaries stay cache-sized whatever
+# the row count or model width
+PREDICT_ENTRIES = 2 ** 16
+# a predict block starts on a multiple of this many rows: BLAS sums the last
+# rows % 4 rows of a product in another order, and a boundary on this grid
+# puts no row in such a tail that one pass over all the rows would not
+ROW_ALIGN = 16
 # entries per block of terms in `_basis`: the one buffer of gathered
 # factors, the build's only temporary beside the basis itself
 BASIS_BLOCK = 2 ** 15
@@ -45,7 +51,10 @@ def _as_matrix(x, dim: int) -> tuple[np.ndarray, bool]:
     if arr.shape[1] != dim:
         raise ValueError(f"input has {arr.shape[1]} columns, model takes "
                          f"{dim} inputs")
-    if not np.isfinite(arr).all():
+    # past PREDICT_ENTRIES entries a mask of them would grow with the rows:
+    # min and max are finite exactly when every entry is (NaN propagates)
+    if not (np.isfinite(arr).all() if arr.size <= PREDICT_ENTRIES
+            else np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError("input contains non-finite values")
     return arr, single
 
@@ -73,11 +82,14 @@ class AnnStack:
     def of(cls, models) -> AnnStack:
         """The stack of AnnModels of one input count and activation,
         holding their `folded` weights, as `forward` takes them, to
-        `predict`; a stack of one `views` one model's `folded`."""
+        `predict`, and `rows`, the `_block_rows` of its forward pass, whose
+        h and outputs hold H + N entries per row; a stack of one `views`
+        one model's `folded`."""
         stack = cls([m.hidden_size for m in models], models[0].input_dim)
         stack.activation = models[0].activation
         w1, b1, w2, b2 = stack.views(stack.pack([m.folded for m in models]))
         stack.weights = (w1.T, b1, stack.output_matrix(w2), b2)
+        stack.rows = _block_rows(stack.hidden + len(models))
         return stack
 
     def views(self, theta: np.ndarray):
@@ -108,7 +120,8 @@ class AnnStack:
         `output_matrix` of its W2. A caller that runs many passes may give
         the (rows, H) and (rows, N) arrays to write h and out to."""
         w1t, b1, w_out, b2 = weights
-        h = np.add(np.matmul(xs, w1t, out=h), b1, out=h)
+        h = np.matmul(xs, w1t, out=h)
+        np.add(h, b1, out=h)
         if steepness != 1.0:  # 1.0 * z is z
             h *= steepness
         if activation == "tanh":
@@ -138,6 +151,25 @@ def fold(model: AnnModel) -> np.ndarray:
     b1 = lam * (model.b1 + model.W1 @ offset)
     a, c = float(s_out.scale[0]), float(s_out.shift[0])  # y = a * z + c
     return np.concatenate([w1.ravel(), b1, a * model.W2, [a * model.b2 + c]])
+
+
+def _block_rows(width: int) -> int:
+    """The most rows of one predict block of a forward pass that holds
+    `width` entries per row: PREDICT_ENTRIES // width, at least 64, a
+    multiple of ROW_ALIGN."""
+    return max(64, PREDICT_ENTRIES // width // ROW_ALIGN * ROW_ALIGN)
+
+
+def _row_blocks(rows: int, block: int):
+    """Yield the ceil(rows / block) blocks, as slices, of a `rows`-row
+    predict of `_block_rows` `block`, in order: each at most `block` rows
+    and starting on a multiple of ROW_ALIGN, as near equal as that allows,
+    so no block is a small remainder."""
+    units = -(-rows // ROW_ALIGN)
+    count = -(-units // (block // ROW_ALIGN))
+    for i in range(count):
+        yield slice(ROW_ALIGN * (units * i // count),
+                    min(rows, ROW_ALIGN * (units * (i + 1) // count)))
 
 
 def _rbf_rows(pts: np.ndarray, scaler: Scaler) -> np.ndarray:
@@ -211,12 +243,17 @@ def _exponents(values, name: str) -> np.ndarray:
 def _factors(terms: np.ndarray, limit: float = np.inf) -> np.ndarray:
     """The factor table of `terms`: [j, k] is the variable (n: a ones row) of
     term k's j-th factor, whose cumulative exponent first exceeds j; a row
-    per unit of the top degree, at least one, which may not exceed `limit`."""
-    cum = np.cumsum(terms, axis=1)
-    degree = int(cum[:, -1].max()) if terms.size else 0
+    per unit of the top degree, at least one, which may not exceed `limit`.
+    The degrees are summed in floats first, so that none wraps past int64
+    into a small one."""
+    degree = terms.sum(axis=1, dtype=float).max(initial=0.0)
     if degree > limit:
         raise ValueError("term total degree exceeds model degree")
-    return np.array([(cum <= j).sum(axis=1) for j in range(max(degree, 1))])
+    if degree >= 2.0 ** 62:  # the int64 cumsum below could wrap
+        raise ValueError("term total degree must be below 2^62")
+    cum = np.cumsum(terms, axis=1)
+    return np.array([(cum <= j).sum(axis=1)
+                     for j in range(max(int(degree), 1))])
 
 
 def _basis(x: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -287,14 +324,14 @@ class _Fitted:
 
     def predict(self, x) -> float | np.ndarray:
         """Predict for one point (returns float) or a matrix of points, the
-        forward pass running over blocks of at most PREDICT_BLOCK rows."""
+        forward pass running over the `_row_blocks` of the model's
+        `_block_rows` `_rows`."""
         pts, single = _as_matrix(x, self.input_dim)
-        if pts.shape[0] <= PREDICT_BLOCK:
+        if pts.shape[0] <= self._rows:
             y = self._forward(pts)
         else:
             y = np.empty(pts.shape[0])
-            for start in range(0, pts.shape[0], PREDICT_BLOCK):
-                block = slice(start, start + PREDICT_BLOCK)
+            for block in _row_blocks(pts.shape[0], self._rows):
                 y[block] = self._forward(pts[block])
         return float(y[0]) if single else y
 
@@ -347,6 +384,7 @@ class AnnModel(_Fitted):
         self.folded.setflags(write=False)
         # the network as a stack of one, made once for every predict
         object.__setattr__(self, "_stack", AnnStack.of([self]))
+        object.__setattr__(self, "_rows", self._stack.rows)
 
     @property
     def n_parameters(self) -> int:
@@ -392,6 +430,9 @@ class RbfModel(_Fitted):
         # the center side of every predict's product and its bound, made once
         object.__setattr__(self, "_kernel",
                            _rbf_centers(self.centers, self.spread))
+        # predict blocks: a row holds its side [x, ||x||^2, 1] and Gaussians
+        object.__setattr__(self, "_rows", _block_rows(
+            self.input_dim + 2 + self.n_neurons))
 
     @property
     def n_neurons(self) -> int:
@@ -436,6 +477,9 @@ class PolyModel(_Fitted):
         # the factor table of every predict's basis, made once
         object.__setattr__(self, "_table", _factors(self.terms, self.degree))
         self._table.setflags(write=False)
+        # predict blocks: a row holds its ext column [x; 1] and its basis
+        object.__setattr__(self, "_rows", _block_rows(
+            self.input_dim + 1 + len(self.terms)))
         if self.terms.shape[0] != len({tuple(t) for t in self.terms}):
             raise ValueError("duplicate exponent vectors")
 
@@ -476,10 +520,10 @@ class ModelBank:
 
     The models must take one input count, checked when the bank is made.
     ANNs of one activation run as one `AnnStack` of their `folded`
-    weights, built once: one forward pass for the whole group, in blocks
-    of at most PREDICT_BLOCK rows. A bank holding ANNs checks its input
-    once per call for all of them. When one stack holds every column, a
-    call of at most PREDICT_BLOCK rows returns its output as it is. Any
+    weights, built once: one forward pass for the whole group, over the
+    `_row_blocks` of the stack's `rows`. A bank holding ANNs checks its
+    input once per call for all of them. When one stack holds every
+    column, a call of at most one block returns its output as it is. Any
     other model runs its own `predict` on the rows. A stack's columns
     equal each network's `predict` up to the summation order of their
     products.
@@ -511,12 +555,11 @@ class ModelBank:
             rows = np.atleast_2d(np.asarray(x, dtype=float))
         else:
             rows, _ = _as_matrix(x, self._dim)
-        if self._whole is not None and rows.shape[0] <= PREDICT_BLOCK:
+        if self._whole is not None and rows.shape[0] <= self._whole.rows:
             return self._whole.predict(rows)
         out = np.empty((rows.shape[0], self.width))
         for cols, stack in self._stacks:
-            for start in range(0, rows.shape[0], PREDICT_BLOCK):
-                block = slice(start, start + PREDICT_BLOCK)
+            for block in _row_blocks(rows.shape[0], stack.rows):
                 out[block, cols] = stack.predict(rows[block])
         for col, model in self._others:
             out[:, col] = np.asarray(model.predict(rows)).reshape(-1)

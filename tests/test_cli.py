@@ -73,6 +73,45 @@ def opamp_config(tmp_path):
     return path
 
 
+class TestParserBuiltOnce:
+    """`main` builds its parser once per process and runs the `cmd_*`
+    function bound to the module when it runs, so that a wrapper set after
+    the first call (the benchmark's tracer, a test's patch) takes effect."""
+
+    def sample(self, opamp_config, tmp_path) -> int:
+        return main(["sample", "--config", str(opamp_config),
+                     "--out", str(tmp_path / "s.csv"), "--n", "5"])
+
+    def test_one_parser(self, opamp_config, tmp_path):
+        assert self.sample(opamp_config, tmp_path) == 0
+        assert surrokit.cli.build_parser() is surrokit.cli.build_parser()
+
+    def test_patched_command_runs(self, opamp_config, tmp_path, monkeypatch):
+        assert self.sample(opamp_config, tmp_path) == 0
+        seen = []
+        monkeypatch.setattr("surrokit.cli.cmd_sample",
+                            lambda args, cfg, space: seen.append(args.n) or 7)
+        assert self.sample(opamp_config, tmp_path) == 7
+        assert seen == [5]
+
+    def test_traced_command_has_a_span(self, opamp_config, tmp_path):
+        """The benchmark's tracer wraps `cli.cmd_sample` after a first
+        untraced call, and the traced call still records `cli.sample`."""
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1]
+                               / "perfbench"))
+        try:
+            import tracing
+        finally:
+            sys.path.pop(0)
+        assert self.sample(opamp_config, tmp_path) == 0
+        tracer = tracing.Tracer()
+        with tracer.traced_pass():
+            assert self.sample(opamp_config, tmp_path) == 0
+        metrics = tracer.reduce_pass(*tracer.passes[-1])
+        assert metrics["cli.sample.s"] > 0
+        assert metrics["design_space.lhs_sample.s"] > 0
+
+
 class TestSample:
     def test_writes_csv(self, opamp_config, tmp_path):
         out = tmp_path / "samples.csv"
@@ -1420,6 +1459,16 @@ class TestModelFileContract:
         assert code == 2 and err.count("\n") == 1
         assert err.startswith("data error:") and "mutated.json" in err
         assert "degree must be at most 6" in err
+
+    def test_exponent_sum_beyond_int64(self, model_project):
+        """Two exponents of 2^62 wrapped the int64 degree sum, and the
+        model predicted x2."""
+        model = {**model_project[2]["poly"],
+                 "terms": [[2 ** 62, 2 ** 62]], "coefficients": [1.0]}
+        code, err = run_report(model_project, model)
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("data error:") and "mutated.json" in err
+        assert "exceeds model degree" in err
 
     @pytest.mark.parametrize("shift,scale", [
         ([float("nan"), 1.0], [0.3, 0.6]), ([0.5, 1.0], [float("inf"), 0.6]),

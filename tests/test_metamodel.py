@@ -1,5 +1,6 @@
 """Prediction math and persistence for the three model families."""
 
+import json
 import math
 import warnings
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from surrokit.metamodel import (POLY_MAX_DEGREE, PREDICT_BLOCK, AnnModel,
-                                AnnStack, CallableModel, ModelBank,
-                                PolyModel, RbfModel, load_model, poly_basis,
+from surrokit.errors import DataFormatError
+from surrokit.metamodel import (BASIS_BLOCK, POLY_MAX_DEGREE,
+                                PREDICT_ENTRIES, AnnModel, AnnStack,
+                                CallableModel, ModelBank, PolyModel, RbfModel,
+                                _row_blocks, load_model, poly_basis,
                                 save_model)
 from surrokit.scaling import Scaler, apply as scale_apply, fit_scaler
 from surrokit.scaling import invert as scale_invert
@@ -88,13 +91,15 @@ class TestAnnPredict:
             model.predict([float("nan")])
 
     @pytest.mark.parametrize("activation", ["tanh", "logsig"])
-    @pytest.mark.parametrize("rows", [1, PREDICT_BLOCK + 5])
+    @pytest.mark.parametrize("rows", [1, 8197])
     def test_closed_form(self, activation, rows):
         """predict is exactly f(pts W1^T + b1) @ W2 + b2 on the raw rows,
         with the `AnnStack` views of the model's `folded` weights, for one
         row and for a batch that spans two blocks."""
         rng = np.random.default_rng(rows)
-        model = random_ann(rng, scaled=True, activation=activation)
+        model = random_ann(rng, m=None if rows == 1 else 24, scaled=True,
+                           activation=activation)
+        assert rows == 1 or model._rows < rows
         w1, b1, w2, b2 = folded_views(model)
         pts = rng.normal(size=(rows, model.input_dim))
         z = pts @ w1.T + b1
@@ -263,6 +268,20 @@ class TestPolyPredict:
             PolyModel(input_dim=1, degree=POLY_MAX_DEGREE + 1,
                       terms=[[POLY_MAX_DEGREE + 1]], coefficients=[1.0])
 
+    def test_exponent_sum_beyond_int64_rejected(self, tmp_path):
+        """Two exponents of 2^62 sum past int64: a model file holding them
+        does not load (it predicted x2 = 5.0 at (3, 5) when the sum wrapped),
+        and `poly_basis` rejects them too."""
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "kind": "poly", "input_dim": 2, "degree": 2,
+            "terms": [[2 ** 62, 2 ** 62]], "coefficients": [1.0],
+            "role": "PMM", "response_name": "y"}))
+        with pytest.raises(DataFormatError, match="exceeds model degree"):
+            load_model(path)
+        with pytest.raises(ValueError, match="below 2"):
+            poly_basis(np.array([[3.0, 5.0]]), [[2 ** 62, 2 ** 62]])
+
     def test_predict_reads_the_table_made_once(self, monkeypatch):
         """The factor table is made once, read-only, at construction:
         with its derivation and `poly_basis` gone, predict still gives the
@@ -281,9 +300,8 @@ class TestPolyPredict:
         for rows in (1, 2, 7, 9_000):
             x = rng.uniform(-3, 3, (rows, 4))
             want = np.concatenate([
-                column_basis(x[start:start + PREDICT_BLOCK], terms)
-                @ model.coefficients
-                for start in range(0, rows, PREDICT_BLOCK)])
+                column_basis(x[block], terms) @ model.coefficients
+                for block in _row_blocks(rows, model._rows)])
             assert model.predict(x).tobytes() == want.tobytes()
         assert model.predict(x[0]) == want[0]
 
@@ -377,7 +395,9 @@ class TestPolyBasis:
 
     def test_predict_memory_is_rows_times_terms(self):
         """A 1e4-row predict of the 253-term PLL degree-2 model holds one
-        PREDICT_BLOCK-row basis at a time, and no second array of it."""
+        block of at most PREDICT_ENTRIES basis and input entries at a time,
+        beside the build's factor buffer and the output, and no second
+        array of them."""
         import tracemalloc
         terms = monomial_exponents(21, 2)
         assert len(terms) == 253
@@ -391,7 +411,7 @@ class TestPolyBasis:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * PREDICT_BLOCK * 253 * 8
+        assert peak < 1.25 * (PREDICT_ENTRIES + BASIS_BLOCK) * 8 + y.nbytes
         ref = power_prod_basis(x[:100], terms) @ model.coefficients
         assert np.allclose(y[:100], ref, rtol=1e-12, atol=1e-12)
 
@@ -544,7 +564,7 @@ class TestBlockwisePredict:
     def test_matches_row_blocks(self, family):
         rng = np.random.default_rng(6)
         model = screening_models(rng)[family]
-        x = rng.random((2 * PREDICT_BLOCK + 3, 16))
+        x = rng.random((2 * model._rows + 3, 16))
         got = model.predict(x)
         want = np.concatenate([model.predict(x[i:i + 1000])
                                for i in range(0, len(x), 1000)])
@@ -571,7 +591,7 @@ class TestBlockwisePredict:
                          weights=np.zeros(0), bias=1.5,
                          input_scaler=Scaler.identity(2),
                          output_scaler=Scaler.identity(1))
-        x = np.ones((2 * PREDICT_BLOCK + 3, 2))
+        x = np.ones((2 * model._rows + 3, 2))
         assert np.array_equal(model.predict(x), np.full(len(x), 1.5))
 
     @pytest.mark.parametrize("family", ["ann", "poly", "rbf"])
@@ -589,6 +609,144 @@ class TestBlockwisePredict:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+
+def invariance_models(rng, n=8):
+    """An ANN, an RBF network and a polynomial of `n` inputs, a bank that is
+    one stack of eight ANNs, and a bank of two stacks and two other models:
+    each kind of predict that blocks its rows. Their products have shapes
+    that OpenBLAS rounds alike at any row count; ROADMAP item 15 lists
+    shapes it does not (stacks of 2-4 networks, some RBF widths)."""
+    in_sc = Scaler("meanstd", rng.normal(size=n), rng.uniform(0.5, 2, n))
+    out_sc = Scaler("meanstd", [1.0], [2.0])
+
+    def ann(m, activation="tanh"):
+        return make_ann(rng.normal(size=(m, n)), rng.normal(size=m),
+                        rng.normal(size=m), rng.normal(),
+                        activation=activation, input_scaler=in_sc,
+                        output_scaler=out_sc)
+
+    def rbf(neurons):
+        return RbfModel(input_dim=n, centers=rng.normal(size=(neurons, n)),
+                        spread=2.0, weights=rng.normal(size=neurons), bias=0.3,
+                        input_scaler=in_sc, output_scaler=out_sc)
+
+    terms = monomial_exponents(n, 2)
+    poly = PolyModel(input_dim=n, degree=2, terms=terms,
+                     coefficients=rng.normal(size=len(terms)))
+    return {"ann": ann(12), "rbf": rbf(40), "poly": poly,
+            "single-stack-bank": ModelBank([ann(6) for _ in range(8)]),
+            "mixed-bank": ModelBank([ann(5), rbf(16), ann(7, "logsig"),
+                                     poly, ann(3)])}
+
+
+def block_of(model) -> int:
+    """The rows of a model's predict block; a bank's least of its stacks'
+    and its other models'."""
+    if not isinstance(model, ModelBank):
+        return model._rows
+    return min([stack.rows for _, stack in model._stacks]
+               + [m._rows for _, m in model._others])
+
+
+def unblocked(model, x):
+    """One forward pass over all the rows `x`: a model's `_forward`, or each
+    of a bank's stacks' and models' on every row at once."""
+    if not isinstance(model, ModelBank):
+        return model._forward(x)
+    out = np.empty((len(x), model.width))
+    for cols, stack in model._stacks:
+        out[:, cols] = stack.predict(x)
+    for col, m in model._others:
+        out[:, col] = m._forward(x)
+    return out
+
+
+class TestBlockInvariance:
+    """A predict over blocks of rows gives what one pass over all its rows
+    gives, bit for bit, wherever the row count falls against the block;
+    its memory is bounded by PREDICT_ENTRIES, not by the rows or the
+    model's width."""
+
+    SIZES = {"0": lambda b: 0, "1": lambda b: 1, "63": lambda b: 63,
+             "64": lambda b: 64, "block-1": lambda b: b - 1,
+             "block": lambda b: b, "block+1": lambda b: b + 1,
+             "2block+1": lambda b: 2 * b + 1, "200000": lambda b: 200_000}
+    KINDS = ["ann", "rbf", "poly", "single-stack-bank", "mixed-bank"]
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return invariance_models(np.random.default_rng(11))
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_one_unblocked_pass(self, models, kind, size):
+        model = models[kind]
+        rows = self.SIZES[size](block_of(model))
+        x = np.random.default_rng(rows).uniform(-2, 2, (rows, 8))
+        got = model.predict(x)
+        want = unblocked(model, x)
+        assert got.shape == want.shape == (
+            (rows, model.width) if kind.endswith("bank") else (rows,))
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(0, 5000),
+           block=st.integers(4, 400).map(lambda k: 16 * k))
+    def test_row_blocks(self, rows, block):
+        """ceil(rows / block) blocks cover the rows in order, each at most
+        `block` rows and starting on a multiple of 16: whole 16-row units
+        shared as evenly as they go, the last unit perhaps partial."""
+        blocks = list(_row_blocks(rows, block))
+        assert len(blocks) == -(-rows // block)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert blocks == [] or (blocks[0].start, blocks[-1].stop) == (0, rows)
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(0 < size <= block for size in sizes)
+        assert all(b.start % 16 == 0 for b in blocks)
+        assert max(sizes[:-1], default=0) - min(sizes, default=0) < 32
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["poly", "mixed-bank"])
+    def test_non_finite_entry_of_a_large_input(self, models, kind, value):
+        """An input of more than PREDICT_ENTRIES entries is checked without
+        a mask of them, and still rejects one non-finite entry."""
+        x = np.zeros((PREDICT_ENTRIES // 8 + 1, 8))
+        x[-2, 5] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            models[kind].predict(x)
+
+    @pytest.mark.parametrize("kind", ["rbf-2000", "ann-bank-24x12"])
+    def test_wide_predict_memory_is_bounded_by_entries(self, kind):
+        """A 2e5-row predict of a 2,000-neuron RBF network, or of a bank of
+        24 ANNs of 12 hidden units, peaks under its output plus a bound set
+        by PREDICT_ENTRIES alone, not by the width (the 8,192-row blocks
+        this replaced peaked at 127.7 and 72.7 MiB, outputs 1.5 and 36.6
+        MiB). The bound is three blocks: the 64-row floor lets a block of
+        2,018 entries per row hold twice PREDICT_ENTRIES."""
+        import tracemalloc
+        rng = np.random.default_rng(8)
+        n = 16
+        in_sc = Scaler("meanstd", np.full(n, 0.5), np.full(n, 0.3))
+        out_sc = Scaler("meanstd", [1.0], [2.0])
+        if kind == "rbf-2000":
+            model = RbfModel(input_dim=n, centers=rng.normal(size=(2000, n)),
+                             spread=2.0, weights=rng.normal(size=2000),
+                             bias=0.3, input_scaler=in_sc,
+                             output_scaler=out_sc)
+        else:
+            model = ModelBank([make_ann(
+                rng.normal(size=(12, n)), rng.normal(size=12),
+                rng.normal(size=12), 0.1, input_scaler=in_sc,
+                output_scaler=out_sc) for _ in range(24)])
+        x = rng.random((200_000, n))
+        tracemalloc.start()
+        try:
+            y = model.predict(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes + 3 * PREDICT_ENTRIES * 8
 
 
 class TestCallableModel:
@@ -883,7 +1041,8 @@ class TestModelBank:
     def test_more_rows_than_a_block(self):
         rng = np.random.default_rng(5)
         models = self.mixed_models(rng)
-        x = rng.normal(size=(PREDICT_BLOCK + 37, 3))
+        rows = max(stack.rows for _, stack in ModelBank(models)._stacks)
+        x = rng.normal(size=(rows + 37, 3))
         out = ModelBank(models).predict(x)
         assert_columns_match(out, models, x)
         # a row's prediction does not depend on the block it falls in
@@ -895,7 +1054,7 @@ class TestModelBank:
     STACKS = {"single-stack": [[0, 1, 2]],
               "mixed": [[0, 2, 3, 7], [5, 8]]}
 
-    @pytest.mark.parametrize("rows", [1, 2, 20, PREDICT_BLOCK + 1, "1-D"])
+    @pytest.mark.parametrize("rows", [1, 2, 20, 8193, "1-D"])
     @pytest.mark.parametrize("kind", ["single-stack", "mixed"])
     def test_bit_identical_to_closed_form(self, kind, rows):
         """Each stack's columns are its closed form bit for bit, block by
@@ -907,14 +1066,14 @@ class TestModelBank:
                   else self.mixed_models(rng))
         x = rng.normal(size=3 if rows == "1-D" else (rows, 3))
         pts = np.atleast_2d(x)
-        want = np.column_stack([m.predict(pts) for m in models])
-        for cols in self.STACKS[kind]:
-            for start in range(0, len(pts), PREDICT_BLOCK):
-                block = slice(start, start + PREDICT_BLOCK)
-                want[block, cols] = stacked_closed_form(
-                    [models[c] for c in cols], pts[block])
         bank = ModelBank(models)
         assert len(bank._stacks) == len(self.STACKS[kind])
+        want = np.column_stack([m.predict(pts) for m in models])
+        for cols, (_, stack) in zip(self.STACKS[kind], bank._stacks):
+            assert rows != 8193 or stack.rows < rows
+            for block in _row_blocks(len(pts), stack.rows):
+                want[block, cols] = stacked_closed_form(
+                    [models[c] for c in cols], pts[block])
         np.testing.assert_array_equal(bank.predict(x), want)
 
     def test_ann_input_counts_must_agree(self):
